@@ -270,10 +270,12 @@ class MemoryCollector:
             self.reader.read(f"/proc/{self.pid}/status")
         )
         try:
-            io = parse_pid_io(self.reader.read(f"/proc/{self.pid}/io"))
-            io_read, io_write = io.read_bytes // 1024, io.write_bytes // 1024
-        except Exception:
+            io_text = self.reader.read(f"/proc/{self.pid}/io")
+        except ProcFSError:
             io_read = io_write = 0  # /proc/<pid>/io needs privileges
+        else:  # text that was readable must parse: no swallowed parse errors
+            io = parse_pid_io(io_text)
+            io_read, io_write = io.read_bytes // 1024, io.write_bytes // 1024
         self.store.add_mem_row(
             (
                 tick,

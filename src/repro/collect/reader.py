@@ -8,8 +8,9 @@ exist:
 * the simulated :class:`repro.procfs.filesystem.ProcFS`, which renders
   kernel text formats from simulator state and satisfies the protocol
   natively;
-* :class:`RealProc` below, a ``pathlib`` view of the host kernel's
-  ``/proc`` (or any copied tree, for tests and trace capture).
+* :class:`RealProc` below, plain ``os.open``/``os.read`` system calls
+  on the host kernel's ``/proc`` (or any copied tree, for tests and
+  trace capture).
 
 Because both speak the same paths and raise the same
 :class:`~repro.errors.ProcFSError`, the parsers and collectors are
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import errno
 import os
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ProcFSError
@@ -72,23 +73,34 @@ class SnapshotProcReader(ProcReader, Protocol):
         ...
 
 
+#: bytes asked of one ``os.read``; larger files take several
+_READ_CHUNK = 65536
+
+
 class RealProc:
-    """``ProcReader`` over a real ``/proc`` tree via :mod:`pathlib`.
+    """``ProcReader`` over a real ``/proc`` tree via raw system calls.
 
     ``root`` defaults to the host kernel's ``/proc`` but may point at
     any directory with the same layout (a bind mount, a test fixture,
     a captured snapshot).  Canonical ``/proc/...`` paths are re-rooted
     onto it, so collectors never know the difference.
+
+    File bytes are decoded as UTF-8 with ``backslashreplace``: a thread
+    may carry any bytes in its ``comm`` (``prctl(PR_SET_NAME)``), and a
+    name must neither fail the read nor become a string the journal
+    and the JSON exporters cannot encode again.
     """
 
     def __init__(self, root: str | Path = "/proc"):
         self.root = Path(root)
+        self._root = os.fspath(self.root)
 
-    def _resolve(self, path: str) -> Path:
-        parts = PurePosixPath(path).parts
-        if len(parts) < 2 or parts[0] != "/" or parts[1] != "proc":
+    def _resolve(self, path: str) -> str:
+        """Re-root one canonical path; ``..`` may not climb out of root."""
+        inside = path.startswith("/proc/") or path == "/proc"
+        if not inside or ".." in path.split("/"):
             raise ProcFSError(f"not a /proc path: {path}")
-        return self.root.joinpath(*parts[2:])
+        return self._root + path[5:]
 
     @staticmethod
     def _wrap(exc: OSError, missing_message: str, path: str) -> ProcFSError:
@@ -110,13 +122,21 @@ class RealProc:
     def read(self, path: str) -> str:
         """Read one file; OS errors raise ProcFSError, errno preserved."""
         try:
-            return self._resolve(path).read_text()
+            fd = os.open(self._resolve(path), os.O_RDONLY)
+            try:
+                # procfs may return less than asked: only b"" is EOF
+                chunks = []
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise self._wrap(exc, "no such file", path) from exc
+        return b"".join(chunks).decode("utf-8", "backslashreplace")
 
     def listdir(self, path: str) -> list[str]:
         """List one directory; OS errors raise ProcFSError with errno."""
         try:
-            return sorted(p.name for p in self._resolve(path).iterdir())
+            return sorted(os.listdir(self._resolve(path)))
         except OSError as exc:
             raise self._wrap(exc, "no such directory", path) from exc

@@ -9,7 +9,9 @@ both on simulated content and on the real ``/proc`` of the host by
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ProcParseError
 from repro.topology.cpuset import CpuSet
@@ -29,7 +31,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# TaskStat and TaskStatus are built once per thread per sample; a frozen
+# dataclass's __init__ costs ~1 us more each, a third of parse_pid_stat
+@dataclass
 class TaskStat:
     """Fields of ``/proc/<pid>/task/<tid>/stat`` used by the monitor."""
 
@@ -47,7 +51,7 @@ class TaskStat:
     processor: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class TaskStatus:
     """Fields of ``/proc/<pid>/task/<tid>/status`` used by the monitor."""
 
@@ -151,22 +155,18 @@ class CpuTimes:
 
 def parse_pid_stat(text: str) -> TaskStat:
     """Parse a stat line; the comm field may contain spaces and parens."""
-    text = text.strip()
-    try:
-        lparen = text.index("(")
-        rparen = text.rindex(")")
-    except ValueError as exc:
-        raise ProcParseError(f"malformed stat line: {text[:80]!r}") from exc
-    pid_part = text[:lparen].strip()
-    comm = text[lparen + 1 : rparen]
-    rest = text[rparen + 1 :].split()
+    lparen = text.find("(")
+    rparen = text.rfind(")")
+    if lparen < 0 or rparen < 0:
+        raise ProcParseError(f"malformed stat line: {text.strip()[:80]!r}")
     # rest[0] is field 3 (state); field N lives at rest[N - 3]
+    rest = text[rparen + 1 :].split(None, 37)
     if len(rest) < 37:
         raise ProcParseError(f"stat line has only {len(rest) + 2} fields")
     try:
         return TaskStat(
-            pid=int(pid_part),
-            comm=comm,
+            pid=int(text[:lparen]),
+            comm=text[lparen + 1 : rparen],
             state=rest[0],
             minflt=int(rest[7]),
             majflt=int(rest[9]),
@@ -178,55 +178,55 @@ def parse_pid_stat(text: str) -> TaskStat:
             rss_pages=int(rest[21]),
             processor=int(rest[36]),
         )
-    except (ValueError, IndexError) as exc:
-        raise ProcParseError(f"unparsable stat line: {text[:80]!r}") from exc
-
-
-def _status_int(fields: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in fields:
-        if default is not None:
-            return default
-        raise ProcParseError(f"status missing field {key!r}")
-    value = fields[key].split()[0]
-    try:
-        return int(value)
     except ValueError as exc:
-        raise ProcParseError(f"bad integer for {key!r}: {value!r}") from exc
+        raise ProcParseError(
+            f"unparsable stat line: {text.strip()[:80]!r}"
+        ) from exc
+
+
+#: the status lines TaskStatus carries, each anchored at its line start
+_STATUS_FIELD = re.compile(
+    r"\n(Name|State|Tgid|Pid|VmRSS|VmSize|Threads|Cpus_allowed_list|Cpus_allowed"
+    r"|voluntary_ctxt_switches|nonvoluntary_ctxt_switches):(.*)"
+)
+
+#: a process has a handful of distinct masks; CpuSet is immutable
+_cpus_from_list = lru_cache(maxsize=64)(CpuSet.from_list)
 
 
 def parse_pid_status(text: str) -> TaskStatus:
-    """Parse the key/value fields of /proc/<pid>/status."""
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if ":" in line:
-            key, _, value = line.partition(":")
-            fields[key.strip()] = value.strip()
-    if "State" not in fields:
-        raise ProcParseError("status missing State")
-    state_letter = fields["State"].split()[0]
+    """Parse the key/value fields of /proc/<pid>/status.
+
+    Only the lines :class:`TaskStatus` carries are looked at, in
+    whatever order they come; of a repeated key the last line counts.
+    """
+    fields = dict(_STATUS_FIELD.findall("\n" + text))
     cpus = fields.get("Cpus_allowed_list")
     if cpus is not None:
-        allowed = CpuSet.from_list(cpus)
+        allowed = _cpus_from_list(cpus)
     elif "Cpus_allowed" in fields:
         allowed = CpuSet.from_mask(fields["Cpus_allowed"])
     else:
         allowed = CpuSet()
-    return TaskStatus(
-        name=fields.get("Name", "?"),
-        state=state_letter,
-        tgid=_status_int(fields, "Tgid"),
-        pid=_status_int(fields, "Pid"),
-        vm_rss_kib=_status_int(fields, "VmRSS", default=0),
-        vm_size_kib=_status_int(fields, "VmSize", default=0),
-        threads=_status_int(fields, "Threads"),
-        cpus_allowed=allowed,
-        voluntary_ctxt_switches=_status_int(
-            fields, "voluntary_ctxt_switches", default=0
-        ),
-        nonvoluntary_ctxt_switches=_status_int(
-            fields, "nonvoluntary_ctxt_switches", default=0
-        ),
-    )
+    try:
+        return TaskStatus(
+            name=fields.get("Name", "?").strip(),
+            state=fields["State"].split()[0],
+            tgid=int(fields["Tgid"]),
+            pid=int(fields["Pid"]),
+            vm_rss_kib=int(fields.get("VmRSS", "0").split()[0]),
+            vm_size_kib=int(fields.get("VmSize", "0").split()[0]),
+            threads=int(fields["Threads"]),
+            cpus_allowed=allowed,
+            voluntary_ctxt_switches=int(fields.get("voluntary_ctxt_switches", 0)),
+            nonvoluntary_ctxt_switches=int(
+                fields.get("nonvoluntary_ctxt_switches", 0)
+            ),
+        )
+    except KeyError as exc:
+        raise ProcParseError(f"status missing field {exc}") from exc
+    except (IndexError, ValueError) as exc:
+        raise ProcParseError(f"bad value in status: {exc}") from exc
 
 
 def parse_proc_stat(text: str) -> dict[int, CpuTimes]:

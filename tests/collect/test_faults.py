@@ -161,6 +161,108 @@ class TestRealProcErrno:
             RealProc(tmp_path).listdir("/proc/123/task")
         assert exc_info.value.errno == errno.ENOENT
 
+    @pytest.mark.parametrize(
+        "eno, shape",
+        [
+            (errno.ENOENT, "no such file: /proc/x"),
+            (errno.ESRCH, "no such file: /proc/x"),
+            (errno.EACCES, "Permission denied: /proc/x"),
+        ],
+    )
+    def test_errno_and_message_shape_through_wrap(
+        self, tmp_path, monkeypatch, eno, shape
+    ):
+        """Whichever system call fails, ``_wrap`` sees its errno."""
+        import os
+
+        from repro.collect import RealProc
+
+        def failing_read(fd, n):
+            raise OSError(eno, os.strerror(eno))
+
+        (tmp_path / "x").write_text("data")
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "read", failing_read)
+            with pytest.raises(ProcFSError) as exc_info:
+                RealProc(tmp_path).read("/proc/x")
+        assert exc_info.value.errno == eno
+        assert str(exc_info.value) == shape
+
+    def test_reading_a_directory_is_eisdir_and_leaks_no_descriptor(
+        self, tmp_path
+    ):
+        """open() succeeds on a directory, read() fails: close anyway."""
+        import os
+
+        from repro.collect import RealProc
+
+        (tmp_path / "7" / "task").mkdir(parents=True)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            with pytest.raises(ProcFSError) as exc_info:
+                RealProc(tmp_path).read("/proc/7/task")
+        assert exc_info.value.errno == errno.EISDIR
+        assert str(exc_info.value) == "Is a directory: /proc/7/task"
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_file_larger_than_one_read_chunk_comes_back_whole(self, tmp_path):
+        """/proc/stat of a 512-CPU node: > 64 KiB, several os.read calls."""
+        from repro.collect import RealProc
+        from repro.collect.reader import _READ_CHUNK
+        from repro.procfs.parsers import parse_proc_stat
+
+        lines = ["cpu  " + " ".join(["123456789012"] * 10)]
+        lines += [
+            f"cpu{n} " + " ".join([f"{n}{field:011d}" for field in range(10)])
+            for n in range(512)
+        ]
+        text = "\n".join(lines) + "\nintr 1 2 3\n"
+        assert len(text) > _READ_CHUNK
+        (tmp_path / "stat").write_text(text)
+        got = RealProc(tmp_path).read("/proc/stat")
+        assert got == text
+        assert len(parse_proc_stat(got)) == 513
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/proc/../etc/passwd",
+            "/proc/1/../../etc/passwd",
+            "/proc/..",
+            "//proc/x",
+            "/procfs/x",
+            "proc/x",
+            "/etc/passwd",
+            "",
+        ],
+    )
+    def test_paths_outside_proc_are_rejected_typed(self, tmp_path, path):
+        from repro.collect import RealProc
+
+        (tmp_path / "root").mkdir()
+        (tmp_path / "root" / "x").write_text("inside")
+        (tmp_path / "etc").mkdir()
+        (tmp_path / "etc" / "passwd").write_text("outside")
+        reader = RealProc(tmp_path / "root")
+        for call in (reader.read, reader.listdir):
+            with pytest.raises(ProcFSError, match="not a /proc path") as exc_info:
+                call(path)
+            assert exc_info.value.errno is None
+
+    def test_rerooted_tree_and_the_proc_directory_itself(self, tmp_path):
+        from repro.collect import RealProc
+
+        (tmp_path / "12" / "task" / "13").mkdir(parents=True)
+        (tmp_path / "12" / "task" / "13" / "stat").write_text("13 (a..b) S")
+        (tmp_path / "uptime").write_text("1.0 2.0\n")
+        reader = RealProc(str(tmp_path))
+        assert reader.root == tmp_path
+        assert reader.listdir("/proc") == ["12", "uptime"]
+        assert reader.listdir("/proc/12/task") == ["13"]
+        # dots inside a name are not a ".." component
+        assert reader.read("/proc/12/task/13/stat") == "13 (a..b) S"
+        assert reader.read("/proc/uptime") == "1.0 2.0\n"
+
 
 # ---------------------------------------------------------------------------
 class TestSeriesUndo:
@@ -577,6 +679,36 @@ class TestDeadThreadRace:
         assert store.lwp_series == {}
         assert store.ledger.failed_periods["LwpCollector"] == 1
         assert store.ledger.dropped_rows.get("LwpCollector") is None
+
+    @pytest.mark.parametrize(
+        "fault, contained",
+        [("garbage_rate", True), ("truncate_rate", True), ("eacces_rate", False)],
+    )
+    def test_memory_collector_io_unreadable_vs_unparsable(
+        self, world, fault, contained
+    ):
+        """An unreadable ``io`` (it needs privileges) reads as 0/0; text
+        that *was* readable and does not parse is a collector failure."""
+        _, proc, fs = world
+        faulty = FaultyProc(
+            fs, seed=0, match=lambda p: p.endswith("/io"), **{fault: 1.0}
+        )
+        store = SampleStore()
+        engine = CollectionEngine(
+            store,
+            [MemoryCollector(faulty, store, proc.pid)],
+            policy=FaultPolicy(max_retries=0, disable_after=0),
+        )
+        engine.sample(1.0)
+        assert faulty.injected
+        if contained:
+            assert len(store.mem_series) == 0  # rolled back, not 0/0
+            assert store.ledger.failed_periods["MemoryCollector"] == 1
+            assert store.ledger.events[-1].failure_class == PERMANENT
+        else:
+            assert not store.ledger.degraded
+            assert store.mem_series.last("io_read_kib") == 0
+            assert store.mem_series.last("mem_total_kib") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,57 @@ class TestLiveUnderInjection:
 
 
 @needs_proc
+class TestNonUtf8ThreadName:
+    """``prctl(PR_SET_NAME)`` takes any bytes; one such thread used to
+    raise ``UnicodeDecodeError`` out of every read of its ``stat``,
+    which is classified permanent and disabled the LwpCollector."""
+
+    RAW = b"w\xff\xfe-rk"
+
+    def test_row_sampled_ledger_clean_name_survives_journal(self, tmp_path):
+        from repro.collect.journal import recover_journal
+
+        named, release = threading.Event(), threading.Event()
+        tids = []
+
+        def parked():
+            tids.append(threading.get_native_id())
+            with open(f"/proc/self/task/{tids[0]}/comm", "wb") as comm:
+                comm.write(self.RAW)
+            named.set()
+            release.wait(10.0)
+
+        thread = threading.Thread(target=parked, daemon=True)
+        thread.start()
+        assert named.wait(5.0)
+        journal = tmp_path / "run.zsj"
+        zs = LiveZeroSum(
+            ZeroSumConfig(
+                period_seconds=0.02,
+                journal_path=str(journal),
+                journal_fsync=False,
+                last_gasp=False,
+            )
+        )
+        try:
+            zs.start()
+            _burn(0.2)  # > fault_disable_after periods
+            zs.stop()
+        finally:
+            release.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        (tid,) = tids
+        ledger = zs.store.ledger  # (unrelated threads may die mid-sample)
+        assert not ledger.failed_periods and not ledger.disabled
+        assert len(zs.lwp_series[tid]) >= 3
+        name = zs.store.lwp_names[tid]
+        assert name == "w\\xff\\xfe-rk"
+        name.encode("utf-8")  # exporters and the journal can re-encode it
+        assert recover_journal(journal).lwp_names[tid] == name
+
+
+@needs_proc
 class TestStopLifecycle:
     def test_stop_idempotent(self):
         zs = LiveZeroSum(ZeroSumConfig(period_seconds=0.05))

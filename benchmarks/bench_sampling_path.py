@@ -8,9 +8,16 @@ no text round trip).  Both are contractually bit-identical; this bench
 measures how much the fast tier buys on a Table-2-sized node (64
 threads across 8 processes) and guards the speedup from regressing.
 
+The throughput cases watch ``range(64)``, half the node, which hides
+what a sample costs per *node* rather than per watched CPU.  The
+``hwt_scoped`` case guards that scaling: one ``HwtCollector`` over a
+rank's 7 allowed CPUs against one over all 128 of the same node, both
+on the snapshot tier — the cost must follow the watched set.
+
 Headline numbers land in ``BENCH_sampling.json`` at the repo root.
 """
 
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +34,9 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sampling.json"
 SAMPLES = 100
 #: the fast tier must stay at least this many times quicker than text
 MIN_SPEEDUP = 2.0
+#: watching 128 CPUs must cost at least this many times watching 7
+#: (128 / 7 = 18.3 less the fixed cost of one collect)
+MIN_SCOPED_RATIO = 5.0
 
 
 def _world():
@@ -106,3 +116,43 @@ def test_sampling_throughput(benchmark, tier):
             assert speedup > MIN_SPEEDUP, (
                 f"snapshot tier only {speedup:.2f}x faster than text"
             )
+
+
+def _hwt_seconds(fs, cpus):
+    hwt = HwtCollector(fs, SampleStore(), cpus)
+    start = time.perf_counter()
+    for i in range(SAMPLES):
+        hwt.collect(float(i))
+    return time.perf_counter() - start
+
+
+def test_hwt_cost_follows_watched_cpus():
+    fs, _ = _world()
+    node_cpus = sorted(fs.node.hwts)
+    rank_cpus = node_cpus[1:8]
+    # interleaved rounds, minimum of each arm: drift lands on both
+    rounds = [
+        (_hwt_seconds(fs, rank_cpus), _hwt_seconds(fs, node_cpus))
+        for _ in range(5)
+    ]
+    rank_s = min(r for r, _ in rounds)
+    node_s = min(n for _, n in rounds)
+    ratio = node_s / rank_s
+    banner("HWT sample cost vs watched CPUs [snapshot tier]",
+           "collection-pipeline scaling guard, not a paper artefact")
+    print(f"{len(rank_cpus)} CPUs: {rank_s / SAMPLES * 1e6:,.1f} us/collect; "
+          f"{len(node_cpus)} CPUs: {node_s / SAMPLES * 1e6:,.1f} us/collect; "
+          f"ratio {ratio:.1f}x")
+    record_result(RESULTS_PATH, "hwt_scoped", {
+        "samples": SAMPLES,
+        "rank_cpus": len(rank_cpus),
+        "node_cpus": len(node_cpus),
+        "rank_us_per_collect": round(rank_s / SAMPLES * 1e6, 1),
+        "node_us_per_collect": round(node_s / SAMPLES * 1e6, 1),
+        "ratio_128_over_7": round(ratio, 2),
+        "floor": MIN_SCOPED_RATIO,
+    })
+    assert ratio > MIN_SCOPED_RATIO, (
+        f"watching {len(node_cpus)} CPUs costs only {ratio:.2f}x "
+        f"watching {len(rank_cpus)}: the sample is paying per node"
+    )

@@ -23,6 +23,7 @@ import time
 from repro.analysis import build_cluster_view
 from repro.apps import MiniQmcConfig, PicConfig, miniqmc_app, pic_app
 from repro.core import ZeroSumConfig, zerosum_mpi
+from repro.errors import ReproError
 from repro.launch import SrunOptions, launch_job
 from repro.topology import MACHINE_FACTORIES, frontier_node, render_lstopo
 
@@ -248,7 +249,13 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_recover)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        # misuse the package diagnosed itself (bad srun options, unknown
+        # topology, ...): one line, not a traceback; real bugs propagate
+        print(f"zerosum-sim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -207,9 +207,9 @@ class LwpCollector:
 class HwtCollector:
     """§3.2: ``/proc/stat`` restricted to the process's allowed CPUs.
 
-    Uses the reader's snapshot tier (``read_cpu_times_raw``) when
-    available and ``snapshots`` is left on; falls back to parsing the
-    rendered text otherwise.
+    Uses the reader's snapshot tier (``read_cpu_times_raw``, asked for
+    exactly the allowed CPUs) when available and ``snapshots`` is left
+    on; falls back to parsing the rendered text otherwise.
 
     An allowed CPU missing from the parsed counters is a short or torn
     read of ``/proc/stat``, not data: silently skipping it would commit
@@ -238,7 +238,7 @@ class HwtCollector:
     def collect(self, tick: float) -> list[ThreadSnapshot]:
         """Record user/system/idle/iowait for each allowed CPU."""
         if self._raw is not None:
-            cpu_times = self._raw()
+            cpu_times = self._raw(self.cpus)
         else:
             cpu_times = read_cpu_times(self.reader)
         for cpu in self.cpus:

@@ -457,7 +457,7 @@ class FaultyProc:
             self._sleep(self.slow_seconds)
         return self.base.read_tasks_raw(pid)
 
-    def _read_cpu_times_raw(self):
+    def _read_cpu_times_raw(self, cpus):
         kind = self._draw(
             "read_cpu_times_raw", "/proc/stat", kinds=("missing", "eacces", "slow")
         )
@@ -465,4 +465,4 @@ class FaultyProc:
             self._raise(kind, "/proc/stat")
         if kind == "slow" and self._sleep is not None:
             self._sleep(self.slow_seconds)
-        return self.base.read_cpu_times_raw()
+        return self.base.read_cpu_times_raw(cpus)

@@ -20,13 +20,16 @@ invoked from exactly one place regardless of substrate — the paper's
 The protocol is two-tier.  Every reader speaks the textual tier
 (``read``/``listdir``).  A reader that *owns* structured state — the
 simulated ``ProcFS`` — may additionally implement the **snapshot
-tier** (:class:`SnapshotProcReader`): ``read_tasks_raw`` and
-``read_cpu_times_raw`` return parsed counter records directly, letting
-collectors skip the render-text-then-reparse round trip.  Collectors
-probe for the tier with ``getattr`` and silently fall back to text, so
-:class:`RealProc` (and any trace reader) needs no changes.  Both tiers
-are contractually bit-identical — enforced by
-``tests/collect/test_reader_contract.py``.
+tier** (:class:`SnapshotProcReader`): ``read_tasks_raw(pid)`` and
+``read_cpu_times_raw(cpus)`` return parsed counter records directly,
+letting collectors skip the render-text-then-reparse round trip.  The
+tier is scoped to what the caller watches — one process's threads, the
+CPUs of one ``Cpus_allowed_list``, no aggregate ``cpu`` row — so eight
+ranks on a 128-HWT node pay for 8 x 7 rows per period, not 8 x 128.
+Collectors probe for the tier with ``getattr`` and silently fall back
+to text, so :class:`RealProc` (and any trace reader) needs no changes.
+The text tier is the oracle: both are contractually bit-identical —
+enforced by ``tests/collect/test_reader_contract.py``.
 """
 
 from __future__ import annotations
@@ -60,16 +63,16 @@ class SnapshotProcReader(ProcReader, Protocol):
     """Optional fast tier: structured counters without text rendering.
 
     Implementations must return exactly what parsing the textual tier
-    would yield — integer-floored jiffies, string-sorted task order,
-    the aggregate ``/proc/stat`` row under key ``-1``.
+    would yield — integer-floored jiffies, string-sorted task order —
+    for what was asked, at a cost that does not grow with the node.
     """
 
     def read_tasks_raw(self, pid: int | str) -> list[TaskCounters]:
         """Counters for each live thread of ``pid``, in listdir order."""
         ...
 
-    def read_cpu_times_raw(self) -> dict[int, CpuTimes]:
-        """Per-CPU jiffies keyed by OS index, aggregate under ``-1``."""
+    def read_cpu_times_raw(self, cpus) -> dict[int, CpuTimes]:
+        """Jiffies of each CPU in ``cpus`` by OS index; unknown CPUs absent."""
         ...
 
 

@@ -16,10 +16,12 @@ Two performance-minded design points:
   :class:`ProcFS` offers :meth:`read_tasks_raw` and
   :meth:`read_cpu_times_raw`, which hand collectors structured
   counters directly and skip the render-text-then-reparse round trip.
-  The values are floored and trimmed exactly as the renderers would,
-  so both paths yield bit-identical samples (see the reader contract
-  tests).  Real ``/proc`` readers simply do not implement these
-  methods and keep the text path.
+  Each is scoped to what its caller watches — one process's threads,
+  one CPU set — so a rank's sample costs what the rank observes, not
+  what the node has.  The values are floored and trimmed exactly as
+  the renderers would, so both paths yield bit-identical samples (see
+  the reader contract tests; the text tier is the oracle).  Real
+  ``/proc`` readers simply do not implement these methods.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from repro.procfs.parsers import CpuTimes, TaskCounters
 __all__ = ["ProcFS"]
 
 _PID_DIR_ENTRIES = ["stat", "status", "task", "cmdline", "io"]
+
+
+def _is_id(text: str) -> bool:
+    """A pid/tid path component: ASCII digits (isdecimal alone takes ٣)."""
+    return text.isascii() and text.isdecimal()
 
 
 class ProcFS:
@@ -67,6 +74,8 @@ class ProcFS:
             if self.self_pid is None:
                 raise ProcFSError("/proc/self used without a self pid")
             return self.self_pid
+        if not _is_id(pid_text):
+            raise ProcFSError(f"no such process: {pid_text}")
         return int(pid_text)
 
     def read(self, path: str) -> str:
@@ -78,7 +87,7 @@ class ProcFS:
             render = self._top_router.get(head)
             if render is not None:
                 return render()
-        if head != "self" and not head.isdecimal():
+        if head != "self" and not _is_id(head):
             raise ProcFSError(f"no such file: {path}")
 
         pid = self._resolve_pid(head)
@@ -104,10 +113,9 @@ class ProcFS:
         if parts[0] == "task":
             if len(parts) == 1:
                 raise ProcFSError(f"{path} is a directory")
-            tid = int(parts[1])
-            task = proc.threads.get(tid)
+            task = proc.threads.get(int(parts[1])) if _is_id(parts[1]) else None
             if task is None:
-                raise ProcFSError(f"no task {tid} in process {proc.pid}")
+                raise ProcFSError(f"no task {parts[1]} in process {proc.pid}")
             if len(parts) == 3 and parts[2] == "stat":
                 return formats.render_pid_stat(task, self.kernel.now)
             if len(parts) == 3 and parts[2] == "status":
@@ -132,7 +140,7 @@ class ProcFS:
         head, sep, tail = path[6:].partition("/")
         if not sep and head in self._top_router:
             raise ProcFSError(f"{path} is not a directory")
-        if head != "self" and not head.isdecimal():
+        if head != "self" and not _is_id(head):
             raise ProcFSError(f"no such directory: {path}")
         pid = self._resolve_pid(head)
         proc = self.node.processes.get(pid)
@@ -181,33 +189,31 @@ class ProcFS:
             for _, lwp in alive
         ]
 
-    def read_cpu_times_raw(self) -> dict[int, CpuTimes]:
-        """Per-CPU jiffy counters, keyed like :func:`parse_proc_stat`.
+    def read_cpu_times_raw(self, cpus) -> dict[int, CpuTimes]:
+        """Jiffy counters of the CPUs in ``cpus`` that this node has.
 
-        Equivalent to parsing :meth:`read` of ``/proc/stat`` — the same
-        integer flooring per CPU and the aggregate (key ``-1``) summed
-        from the floored per-CPU values — without the text round trip.
+        Per CPU, exactly what parsing its ``cpuN`` line of :meth:`read`
+        ``/proc/stat`` yields (same integer flooring), at a cost
+        proportional to ``len(cpus)``.  A CPU the node lacks is absent;
+        the aggregate ``cpu`` row exists only in the text tier.
         """
         now = self.kernel.now
-        per_cpu: dict[int, CpuTimes] = {}
-        tot = [0] * 8
-        for cpu in sorted(self.node.hwts):
-            h = self.node.hwts[cpu]
-            vals = (
-                int(h.user),
-                int(h.nice),
-                int(h.system),
-                int(h.idle_at(now)),
-                int(h.iowait),
-                int(h.irq),
-                int(h.softirq),
-                0,  # steal
-            )
-            per_cpu[cpu] = CpuTimes(cpu, *vals)
-            for i, v in enumerate(vals):
-                tot[i] += v
-        result: dict[int, CpuTimes] = {-1: CpuTimes(-1, *tot)}
-        result.update(per_cpu)
+        hwts = self.node.hwts
+        result: dict[int, CpuTimes] = {}
+        for cpu in cpus:
+            h = hwts.get(cpu)
+            if h is not None:
+                result[cpu] = CpuTimes(
+                    cpu,
+                    int(h.user),
+                    int(h.nice),
+                    int(h.system),
+                    int(h.idle_at(now)),
+                    int(h.iowait),
+                    int(h.irq),
+                    int(h.softirq),
+                    0,  # steal
+                )
         return result
 
     def _mask_words(self) -> int:

@@ -45,20 +45,24 @@ def numa_distance_matrix(machine: Machine) -> np.ndarray:
     return mat
 
 
+def _numa_tables(machine: Machine) -> tuple[dict, np.ndarray]:
+    """NUMA ``os_index`` → matrix row, and :func:`numa_distance_matrix`."""
+    rows = {d.os_index: i for i, d in enumerate(machine.numa_domains())}
+    return rows, numa_distance_matrix(machine)
+
+
+def _numa_gpu_distance(dom, gpu: GpuInfo, rows: dict, mat: np.ndarray) -> int:
+    """Distance from a CPU's NUMA domain to one GPU."""
+    if dom is None or dom.os_index is None or dom.os_index == gpu.numa:
+        return _LOCAL  # single-NUMA machines: everything is local
+    if gpu.numa not in rows:
+        raise TopologyError(f"GPU NUMA {gpu.numa} not present on machine")
+    return int(mat[rows[dom.os_index], rows[gpu.numa]])
+
+
 def cpu_gpu_distance(machine: Machine, cpu: int, gpu: GpuInfo) -> int:
     """Distance between one CPU and one GPU via their NUMA domains."""
-    dom = machine.numa_of(cpu)
-    if dom is None or dom.os_index is None:
-        # single-NUMA machines: everything is local
-        return _LOCAL
-    if dom.os_index == gpu.numa:
-        return _LOCAL
-    domains = machine.numa_domains()
-    idx = {d.os_index: i for i, d in enumerate(domains)}
-    if gpu.numa not in idx:
-        raise TopologyError(f"GPU NUMA {gpu.numa} not present on machine")
-    mat = numa_distance_matrix(machine)
-    return int(mat[idx[dom.os_index], idx[gpu.numa]])
+    return _numa_gpu_distance(machine.numa_of(cpu), gpu, *_numa_tables(machine))
 
 
 def closest_gpu(machine: Machine, cpuset: CpuSet, exclude: set[int] | None = None) -> GpuInfo:
@@ -75,8 +79,12 @@ def closest_gpu(machine: Machine, cpuset: CpuSet, exclude: set[int] | None = Non
     if not candidates:
         raise TopologyError("all GPUs excluded")
 
+    # the topology is walked once per call, not once per (cpu, gpu)
+    tables = _numa_tables(machine)
+    doms = [machine.numa_of(cpu) for cpu in cpuset]
+
     def total(gpu: GpuInfo) -> tuple[int, int]:
-        dist = sum(cpu_gpu_distance(machine, cpu, gpu) for cpu in cpuset)
+        dist = sum(_numa_gpu_distance(dom, gpu, *tables) for dom in doms)
         return (dist, gpu.physical_index)
 
     return min(candidates, key=total)

@@ -5,10 +5,17 @@ The §3.1/§3.5 claim made testable: a simulated ``ProcFS`` and a
 drive the collectors to byte-identical ``SampleStore`` contents.
 """
 
+import errno
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.apps import MiniQmcConfig, miniqmc_app
 from repro.collect import (
+    CollectionEngine,
+    FaultyProc,
     HwtCollector,
     LwpCollector,
     MemoryCollector,
@@ -20,10 +27,12 @@ from repro.collect import (
     read_meminfo,
     read_task,
 )
+from repro.collect.faults import TRANSIENT, classify_failure
 from repro.errors import ProcFSError
 from repro.kernel import Compute, SimKernel, Sleep
+from repro.launch import SrunOptions, launch_job
 from repro.procfs import ProcFS
-from repro.topology import CpuSet, generic_node
+from repro.topology import CpuSet, frontier_node, generic_node, summit_node
 
 
 @pytest.fixture
@@ -203,7 +212,9 @@ class TestSnapshotTier:
 
     def test_raw_cpu_times_match_text(self, world):
         _, _, fs = world
-        assert fs.read_cpu_times_raw() == read_cpu_times(fs)
+        text = read_cpu_times(fs)
+        assert fs.read_cpu_times_raw([0, 1]) == {0: text[0], 1: text[1]}
+        assert -1 in text  # the aggregate row lives in the text tier only
 
     def test_raw_missing_process_policy(self, world):
         _, _, fs = world
@@ -260,3 +271,234 @@ class TestSnapshotTier:
             text_store.commit(tick, text_snaps)
             assert fast_snaps == text_snaps
         _assert_stores_equal(fast_store, text_store)
+
+
+# ---------------------------------------------------------------------------
+MACHINES = {"frontier": frontier_node, "summit": summit_node}
+LISTING2_CMD = (
+    "OMP_PROC_BIND=spread OMP_PLACES=cores OMP_NUM_THREADS=4 "
+    "srun -n8 --gpus-per-task=1 --cpus-per-task=7 --gpu-bind=closest "
+    "--threads-per-core=1 zerosum-mpi miniqmc"
+)
+
+
+def big_world(machine: str):
+    """A 128-/176-HWT node with busy, sleeping and idle CPUs."""
+    kernel = SimKernel(MACHINES[machine]())
+    node = kernel.nodes[0]
+    cpus = sorted(node.hwts)
+
+    def main():
+        yield Compute(60, user_frac=0.7)
+        yield Sleep(200)
+        yield Compute(40)
+
+    proc = kernel.spawn_process(
+        node, CpuSet(cpus[1:9]), main(), command="demo"
+    )
+
+    def worker(n):
+        yield Compute(25 + 7 * n, user_frac=0.9)
+        yield Sleep(150 + n)
+        yield Compute(30)
+
+    for n in range(6):
+        kernel.spawn_thread(proc, worker(n), name=f"w{n}")
+    return kernel, node, ProcFS(kernel, node, self_pid=proc.pid)
+
+
+def listing2_job():
+    """The 8-rank Listing 2 job, launched unmonitored and not yet run."""
+    app = miniqmc_app(
+        MiniQmcConfig(blocks=4, block_jiffies=40.0, seed=2, offload=True)
+    )
+    return launch_job([frontier_node()], SrunOptions.parse(LISTING2_CMD), app)
+
+
+class _CountingHwts(dict):
+    """``node.hwts`` stand-in that records which CPUs anyone looks at."""
+
+    def __init__(self, hwts):
+        super().__init__(hwts)
+        self.touched = []
+
+    def __getitem__(self, cpu):
+        self.touched.append(cpu)
+        return super().__getitem__(cpu)
+
+    def get(self, cpu, default=None):
+        self.touched.append(cpu)
+        return super().get(cpu, default)
+
+    def _all(self):
+        self.touched.extend(super().keys())
+
+    def __iter__(self):
+        self._all()
+        return super().__iter__()
+
+    def keys(self):
+        self._all()
+        return super().keys()
+
+    def values(self):
+        self._all()
+        return super().values()
+
+    def items(self):
+        self._all()
+        return super().items()
+
+
+class TestScopedCpuTimes:
+    """``read_cpu_times_raw(cpus)``: the caller's CPUs, nothing else."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        machine=st.sampled_from(sorted(MACHINES)),
+        picks=st.sets(st.integers(0, 10_000), max_size=40),
+        everything=st.booleans(),
+    )
+    @example(machine="frontier", picks=set(), everything=False)
+    @example(machine="summit", picks={5}, everything=False)
+    @example(machine="frontier", picks={0, 3, 64, 127}, everything=False)
+    @example(machine="summit", picks=set(), everything=True)
+    def test_subset_matches_text_tier(self, machine, picks, everything):
+        kernel, node, fs = big_world(machine)
+        on_node = sorted(node.hwts)
+        cpus = on_node if everything else [
+            on_node[p % len(on_node)] for p in sorted(picks)
+        ]
+        # mid-run: the busy CPUs sit in the batched accounting arrays,
+        # and the scoped read evicts only the ones it is asked about
+        kernel.run(max_ticks=20)
+        raw = fs.read_cpu_times_raw(cpus)
+        text = read_cpu_times(fs)
+        assert raw == {c: text[c] for c in cpus}
+        # after the idle window was fast-forwarded and work resumed
+        kernel.run(max_ticks=260)
+        text = read_cpu_times(fs)  # text first: evicts every CPU
+        assert fs.read_cpu_times_raw(cpus) == {c: text[c] for c in cpus}
+        kernel.run(max_ticks=15)
+        raw = fs.read_cpu_times_raw(cpus)
+        text = read_cpu_times(fs)
+        assert raw == {c: text[c] for c in cpus}
+
+    def test_cpu_not_on_node_is_absent(self, world):
+        _, _, fs = world
+        assert sorted(fs.read_cpu_times_raw([0, 1, 999])) == [0, 1]
+        assert fs.read_cpu_times_raw([999]) == {}
+
+    def test_absent_cpu_is_transient_rolled_back_and_ledgered(self, world):
+        _, _, fs = world
+        store = SampleStore()
+        collector = HwtCollector(fs, store, [0, 1, 999])
+        with pytest.raises(ProcFSError, match="cpu999 missing") as info:
+            collector.collect(1.0)
+        assert classify_failure(info.value) == TRANSIENT
+
+        store = SampleStore()
+        engine = CollectionEngine(store, [HwtCollector(fs, store, [0, 1, 999])])
+        engine.sample(1.0)  # contained: never raises
+        ledger = store.ledger
+        assert ledger.retries == {"HwtCollector": engine.policy.max_retries}
+        assert ledger.failed_periods == {"HwtCollector": 1}
+        assert ledger.rolled_back_rows == {"HwtCollector": 2}
+        assert ledger.events[-1].failure_class == TRANSIENT
+        assert "cpu999 missing" in ledger.events[-1].reason
+        # cpu0/cpu1 rows of the torn period did not survive the rollback
+        assert all(len(s) == 0 for s in store.hwt_series.values())
+
+    def test_one_collect_touches_only_the_ranks_cpus(self):
+        """Proportionality as a count: 7 watched CPUs, 7 HWTStates."""
+        kernel, node, fs = big_world("frontier")
+        kernel.run(max_ticks=20)
+        node.hwts = counting = _CountingHwts(node.hwts)
+        cpus = CpuSet.from_list("1-7")
+        store = SampleStore()
+        HwtCollector(fs, store, cpus).collect(20.0)
+        assert sorted(counting.touched) == list(cpus)
+        assert sorted(store.hwt_series) == list(cpus)
+
+
+class TestFaultyProcForwardsCpus:
+    def test_forwards_the_cpu_set(self, world):
+        _, _, fs = world
+        faulty = FaultyProc(fs, seed=1)
+        assert faulty.read_cpu_times_raw([1]) == fs.read_cpu_times_raw([1])
+        assert faulty.injected == []
+
+    @pytest.mark.parametrize(
+        "rate, code", [("missing_rate", errno.ENOENT), ("eacces_rate", errno.EACCES)]
+    )
+    def test_still_injects_errors(self, world, rate, code):
+        _, _, fs = world
+        faulty = FaultyProc(fs, seed=1, **{rate: 1.0})
+        with pytest.raises(ProcFSError) as info:
+            faulty.read_cpu_times_raw([0, 1])
+        assert info.value.errno == code
+        (injection,) = faulty.injected
+        assert (injection.op, injection.path) == ("read_cpu_times_raw", "/proc/stat")
+
+    def test_still_injects_slow(self, world):
+        _, _, fs = world
+        naps = []
+        faulty = FaultyProc(
+            fs, seed=1, slow_rate=1.0, slow_seconds=0.5, sleep=naps.append
+        )
+        assert faulty.read_cpu_times_raw([0]) == fs.read_cpu_times_raw([0])
+        assert naps == [0.5]
+        assert [i.kind for i in faulty.injected] == ["slow"]
+
+
+class TestMultiRankTierIdentity:
+    """Eight ranks share one 128-HWT node; each watches its own 7 CPUs."""
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        step = listing2_job()
+        kernel = step.kernel
+        ranks = []
+        for ctx in step.contexts:
+            fs = ProcFS(kernel, ctx.node, self_pid=ctx.process.pid)
+            cpus = ctx.assignment.cpuset
+            tiers = []
+            for snapshots in (True, False):
+                store = SampleStore()
+                tiers.append(
+                    (
+                        store,
+                        LwpCollector(
+                            fs, store, ctx.process.pid, snapshots=snapshots
+                        ),
+                        HwtCollector(fs, store, cpus, snapshots=snapshots),
+                    )
+                )
+            ranks.append((cpus, tiers))
+        while kernel.alive_work():
+            kernel.run(max_ticks=25)
+            tick = float(kernel.now)
+            for _, tiers in ranks:
+                for store, lwp, hwt in tiers:
+                    snaps = lwp.collect(tick)
+                    hwt.collect(tick)
+                    store.commit(tick, snaps)
+        return ranks
+
+    def test_stores_bit_identical_on_every_rank(self, sampled):
+        assert len(sampled) == 8
+        for cpus, ((fast, _, _), (text, _, _)) in sampled:
+            assert sorted(fast.hwt_series) == list(cpus)
+            _assert_stores_equal(fast, text)
+
+    def test_zero_sum_law_per_hwt_on_every_rank(self, sampled):
+        """user+system+idle+iowait advance by the elapsed ticks; each
+        of the four counters is floored to whole jiffies, hence the 4."""
+        for cpus, ((fast, _, _), _) in sampled:
+            assert len(cpus) == 7
+            for cpu in cpus:
+                rows = fast.hwt_series[cpu].array
+                assert len(rows) > 3
+                elapsed = rows[-1, 0] - rows[0, 0]
+                accounted = (rows[-1, 1:] - rows[0, 1:]).sum()
+                assert abs(accounted - elapsed) <= 4, (cpu, accounted, elapsed)

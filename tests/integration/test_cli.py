@@ -21,6 +21,28 @@ class TestTopologyCommand:
             main(["topology", "notamachine"])
 
 
+class TestMisuse:
+    def test_zero_tasks_is_one_error_line_not_a_traceback(self, capsys):
+        assert main(["run", "srun -n0 zerosum-mpi miniqmc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "zerosum-sim: error: ntasks must be >= 1"
+        ]
+        assert "Traceback" not in captured.err
+
+    def test_a_bug_is_not_dressed_up_as_misuse(self, monkeypatch):
+        """Only the package's own ReproError is misuse; the rest propagates."""
+        import repro.cli as cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "launch_job", boom)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["run", "srun -n1 miniqmc"])
+
+
 class TestRunCommand:
     def test_table3_run(self, capsys):
         rc = main([

@@ -133,3 +133,58 @@ class TestListdir:
         _, _, _, fs = world
         with pytest.raises(ProcFSError):
             fs.listdir("/proc/99999/task")
+
+
+class TestNonNumericIds:
+    """A pid/tid component that is not ASCII digits is ENOENT-shaped:
+    a ``ProcFSError`` (transient, "missing"), never a bare ValueError."""
+
+    BAD = ("abc", "12x", "-3", " 3", "\u0663", "\u00b2")  # ٣ and ² too
+
+    @staticmethod
+    def _assert_missing(exc: ProcFSError) -> None:
+        from repro.collect.faults import TRANSIENT, classify_failure, is_missing
+
+        assert is_missing(exc)
+        assert classify_failure(exc) == TRANSIENT
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_read(self, world, bad):
+        _, proc, _, fs = world
+        for path in (f"/proc/{proc.pid}/task/{bad}/stat",
+                     f"/proc/{proc.pid}/task/{bad}/status",
+                     f"/proc/{bad}/stat"):
+            with pytest.raises(ProcFSError) as info:
+                fs.read(path)
+            self._assert_missing(info.value)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_listdir(self, world, bad):
+        _, _, _, fs = world
+        for path in (f"/proc/{bad}", f"/proc/{bad}/task"):
+            with pytest.raises(ProcFSError) as info:
+                fs.listdir(path)
+            self._assert_missing(info.value)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_read_tasks_raw(self, world, bad):
+        _, _, _, fs = world
+        with pytest.raises(ProcFSError) as info:
+            fs.read_tasks_raw(bad)
+        self._assert_missing(info.value)
+
+    def test_read_cpu_times_raw_skips_what_is_not_a_cpu(self, world):
+        _, _, _, fs = world
+        assert fs.read_cpu_times_raw(["abc", "0", -1, None]) == {}
+
+    def test_non_ascii_digit_is_not_an_alias(self, world):
+        """``/proc/٣`` must not resolve to pid 3 (or any pid)."""
+        kernel, proc, _, fs = world
+        arabic = str(proc.pid).translate(
+            {ord(d): 0x0660 + int(d) for d in "0123456789"}
+        )
+        assert arabic.isdecimal() and int(arabic) == proc.pid
+        with pytest.raises(ProcFSError):
+            fs.read(f"/proc/{arabic}/stat")
+        with pytest.raises(ProcFSError):
+            fs.read_tasks_raw(arabic)

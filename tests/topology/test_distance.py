@@ -82,6 +82,56 @@ class TestClosestGpu:
             closest_gpu(m, CpuSet([0]), exclude={0})
 
 
+def _per_pair_closest(machine, cpuset, exclude=()):
+    """``closest_gpu`` the slow way: one ``cpu_gpu_distance`` per pair."""
+    return min(
+        (g for g in machine.gpus if g.physical_index not in exclude),
+        key=lambda g: (
+            sum(cpu_gpu_distance(machine, cpu, g) for cpu in cpuset),
+            g.physical_index,
+        ),
+    )
+
+
+class TestClosestGpuHoist:
+    """The topology is walked once per call, with the per-pair answer."""
+
+    @pytest.mark.parametrize(
+        "machine",
+        [frontier_node(), summit_node(), generic_node(cores=4, gpus=2)],
+        ids=["frontier", "summit", "single-numa"],
+    )
+    def test_same_assignment_as_per_pair_distance(self, machine):
+        cpus = sorted(machine.cpuset())
+        cpusets = [CpuSet(cpus[i : i + 7]) for i in range(0, len(cpus), 7)]
+        cpusets.append(CpuSet(cpus[::9]))  # straddles every NUMA domain
+        for cpuset in cpusets:
+            taken: set[int] = set()
+            for _ in machine.gpus:  # drain, as the launcher does per node
+                got = closest_gpu(machine, cpuset, exclude=taken)
+                assert got is _per_pair_closest(machine, cpuset, taken)
+                taken.add(got.physical_index)
+
+    def test_walks_per_launch_drop_tenfold(self, monkeypatch):
+        from repro.launch import SrunOptions, assign_tasks
+        from repro.topology.objects import TopoObject
+
+        walks = []
+        walk = TopoObject.walk
+        monkeypatch.setattr(
+            TopoObject, "walk", lambda self: walks.append(1) or walk(self)
+        )
+        opts = SrunOptions.parse(
+            "srun -n8 --gpus-per-task=1 --cpus-per-task=7 "
+            "--gpu-bind=closest --threads-per-core=1 miniqmc"
+        )
+        assignments = assign_tasks([frontier_node()], opts)
+        assert len({a.gpu_physical for a in assignments}) == 8
+        # measured before the hoist: 112 918 walk() calls for this
+        # assignment (252 cpu x gpu pairs, up to two tree walks each)
+        assert len(walks) * 10 <= 112_918
+
+
 class TestGpuAffinity:
     def test_affinity_is_numa_cpuset(self):
         m = frontier_node()

@@ -153,10 +153,9 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.collect.journal import recover_journal
-    from repro.core.archive import write_store_archive
-    from repro.core.export import FileSink
+    from repro.core.archive import write_archive
+    from repro.core.export import FileSink, write_log
     from repro.errors import JournalError
-    from repro.live.export import write_live_log
 
     try:
         recovered = recover_journal(args.journal)
@@ -171,10 +170,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.log_dir:
-        name = write_live_log(recovered, FileSink(args.log_dir))
+        name = write_log(recovered, FileSink(args.log_dir))
         print(f"log written: {args.log_dir}/{name}", file=sys.stderr)
     if args.archive:
-        write_store_archive(recovered, args.archive)
+        write_archive([recovered], args.archive)
         print(f"archive written: {args.archive}", file=sys.stderr)
     return 0
 
@@ -243,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("journal", help="spill journal path written by --journal")
     p.add_argument("--log-dir", default=None, metavar="DIR",
-                   help="also write the zerosum.{pid}.log text dump to DIR")
+                   help="also write the run's zerosum.*.log text dump to DIR")
     p.add_argument("--archive", default=None, metavar="PATH",
                    help="also write a columnar npz archive to PATH")
     p.set_defaults(fn=_cmd_recover)

@@ -6,7 +6,9 @@ the simulated :class:`repro.core.ZeroSum`, the live
 :class:`repro.live.LiveZeroSum`, and the offline
 :class:`ReplayZeroSum`.  Drivers only schedule samples and manage
 lifecycle; everything that reads, parses, stores, or summarizes
-observations lives in this package.
+observations lives in this package, including the
+:class:`StoreBackedRun` surface every driver (and a journal-recovered
+run) inherits.
 """
 
 from repro.collect.collectors import (
@@ -39,7 +41,7 @@ from repro.collect.reader import (
     SnapshotProcReader,
     TaskCounters,
 )
-from repro.collect.report import ReportBuilder
+from repro.collect.report import ReportBuilder, StoreBackedRun
 from repro.collect.replay import ReplayZeroSum
 from repro.collect.store import SampleStore
 
@@ -64,6 +66,7 @@ __all__ = [
     "recover_journal",
     "SampleStore",
     "ReportBuilder",
+    "StoreBackedRun",
     "ReplayZeroSum",
     "DegradationEvent",
     "DegradationLedger",

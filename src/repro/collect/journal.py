@@ -16,7 +16,8 @@ so this module spools that state to disk as the run progresses:
   small per-period state, written so it survives the process dying;
 * **note** records are out-of-band diagnostics (last-gasp signal
   flushes, watchdog stall reports) that touch no store state and are
-  fsynced immediately.
+  fsynced immediately; a checkpoint re-emits, behind its snapshot,
+  those the store's ledger does not hold.
 
 The journal handle is unbuffered: every entry point coalesces all of
 its framed records into **one** ``write(2)`` (and at most one
@@ -39,8 +40,9 @@ appending to an old journal).
 
 :func:`recover_journal` replays a journal back into a fresh store and
 returns a :class:`RecoveredRun` that rebuilds the full utilization +
-degradation report (and exposes the series maps the CSV/archive
-exporters expect) — the ``zerosum recover`` post-mortem workflow.
+degradation report (and is a :class:`~repro.collect.report.StoreBackedRun`,
+so the log and archive exporters take it) — the ``zerosum recover``
+post-mortem workflow.
 """
 
 from __future__ import annotations
@@ -51,20 +53,18 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.collect.faults import DegradationEvent, DegradationLedger
+from repro.collect.report import StoreBackedRun
 from repro.collect.store import SampleStore
 from repro.detect.findings import AlertLedger, OnlineFinding
 from repro.core.records import SeriesBuffer
 from repro.errors import JournalError
 from repro.topology.cpuset import CpuSet
 from repro.units import USER_HZ
-
-if TYPE_CHECKING:
-    from repro.core.reports import UtilizationReport
 
 __all__ = [
     "JournalWriter",
@@ -572,6 +572,9 @@ class JournalWriter:
         self._cursors: dict[tuple[str, int], int] = {}
         self._ledger_cursor = 0
         self._meta: dict = {}
+        #: plain notes written so far, as ((collector, tick, reason),
+        #: frame): a checkpoint re-emits those the ledger does not hold
+        self._notes: list[tuple[tuple[str, float, str], bytes]] = []
         #: lifetime statistics, for heartbeats and tests
         self.periods_recorded = 0
         self.checkpoints_written = 0
@@ -633,17 +636,16 @@ class JournalWriter:
         """
         with self._lock:
             self._require_open()
-            self._emit(
-                self._frame_record(
-                    {
-                        "kind": "note",
-                        "tick": tick,
-                        "collector": collector,
-                        "reason": reason,
-                    }
-                ),
-                sync=True,
+            frame = self._frame_record(
+                {
+                    "kind": "note",
+                    "tick": tick,
+                    "collector": collector,
+                    "reason": reason,
+                }
             )
+            self._notes.append(((collector, tick, reason), frame))
+            self._emit(frame, sync=True)
 
     def alert(self, finding: OnlineFinding) -> None:
         """Durable alert note: one online finding, fsynced immediately.
@@ -707,12 +709,23 @@ class JournalWriter:
     def _checkpoint_locked(
         self, store: SampleStore, tick: Optional[float] = None
     ) -> None:
+        if self._notes:
+            # the snapshot carries store state only: a note whose caller
+            # did not also ledger it (the last gasp) would be compacted
+            # away, so it is re-emitted behind the snapshot
+            ledgered = {
+                (event.collector, event.tick, event.reason)
+                for event in list(store.ledger.events)
+            }
+            self._notes = [n for n in self._notes if n[0] not in ledgered]
         tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "wb") as handle:
-            # meta + snapshot coalesced: one write, at most one fsync
+            # meta + snapshot (+ carried notes) coalesced: one write,
+            # at most one fsync
             handle.write(
                 self._frame_record({"kind": "meta", **self._meta})
                 + self._frame_record(self._snapshot_record(store, tick))
+                + b"".join(frame for _, frame in self._notes)
             )
             handle.flush()
             if self.fsync:
@@ -950,13 +963,12 @@ def _apply_period(store: SampleStore, record: dict) -> None:
     _apply_ledger(store.ledger, record["ledger"])
 
 
-class RecoveredRun:
+class RecoveredRun(StoreBackedRun):
     """A ``kill -9``'d run, rebuilt from its journal.
 
-    Exposes the same surface the live monitor offers the report and
-    export paths — ``report()``, the series maps, ``classify`` — so
-    :func:`repro.live.export.write_live_log` and the archive writer
-    work on a recovered run unchanged.
+    The journal's meta dict *is* the run's identity record, so the
+    report, :func:`repro.core.export.write_log` and the archive writer
+    work on a recovered run exactly as on the monitor that wrote it.
     """
 
     def __init__(
@@ -973,14 +985,15 @@ class RecoveredRun:
         self.kinds = kinds or {}
         self.torn_records = torn_records
         self.path = path
-        self.pid = int(meta.get("pid", 0))
-        self.hostname = str(meta.get("hostname", "?"))
-        self.rank: Optional[int] = meta.get("rank")
-        self.hz = float(meta.get("hz", USER_HZ))
+        self.driver = str(meta.get("driver", "live"))
         self.baseline = str(meta.get("baseline", "first"))
+        self.hz = float(meta.get("hz", USER_HZ))
         self.start_tick = float(meta.get("start_tick", 0.0))
-        self.monitor_tid: Optional[int] = meta.get("monitor_tid")
+        self.pid = int(meta.get("pid", 0))
+        self.rank: Optional[int] = meta.get("rank")
+        self.hostname = str(meta.get("hostname", "?"))
         self.cpus_allowed = CpuSet.from_list(str(meta.get("cpus_allowed", "")))
+        self.monitor_tid: Optional[int] = meta.get("monitor_tid")
 
     # -- derived quantities --------------------------------------------
     @property
@@ -995,69 +1008,14 @@ class RecoveredRun:
         """Thread kind as stamped by the original driver."""
         if tid in self.kinds:
             return self.kinds[tid]
-        if tid == self.pid:
-            return "Main"
         if self.monitor_tid is not None and tid == self.monitor_tid:
             return "ZeroSum"
-        return "Other"
-
-    # -- the common monitor surface ------------------------------------
-    @property
-    def lwp_series(self):
-        return self.store.lwp_series
-
-    @property
-    def lwp_affinity(self):
-        return self.store.lwp_affinity
-
-    @property
-    def lwp_names(self):
-        return self.store.lwp_names
-
-    @property
-    def hwt_series(self):
-        return self.store.hwt_series
-
-    @property
-    def gpu_series(self):
-        return self.store.gpu_series
-
-    @property
-    def mem_series(self):
-        return self.store.mem_series
-
-    @property
-    def samples_taken(self) -> int:
-        return self.store.samples_taken
+        return super().classify(tid)
 
     @property
     def alerts(self):
         """The recovered alert ledger (None when no detector ran)."""
         return self.store.alerts
-
-    def observed_tids(self) -> list[int]:
-        """Every thread id recovered from the journal, sorted."""
-        return self.store.observed_tids()
-
-    # -- the report, rebuilt post mortem -------------------------------
-    def report(self) -> "UtilizationReport":
-        """The Listing 2 report as of the last journaled period."""
-        from repro.collect.report import ReportBuilder
-
-        builder = ReportBuilder(
-            self.store,
-            baseline=self.baseline,
-            start_tick=self.start_tick,
-            duration_ticks=self.duration_ticks,
-            classify=self.classify,
-        )
-        return builder.build(
-            duration_seconds=self.duration_seconds,
-            rank=self.rank,
-            pid=self.pid,
-            hostname=self.hostname,
-            cpus_allowed=self.cpus_allowed,
-        )
 
 
 def recover_journal(path: str | Path) -> RecoveredRun:

@@ -17,9 +17,8 @@ rebuilt rows carry the same labels.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
-from repro.collect.report import ReportBuilder
+from repro.collect.report import StoreBackedRun
 from repro.collect.store import SampleStore
 from repro.core.records import GPU_COLUMNS, HWT_COLUMNS, LWP_COLUMNS, MEM_COLUMNS
 from repro.core.reports import UtilizationReport
@@ -34,14 +33,16 @@ _ATTACH_RE = re.compile(
     r"on (?P<host>\S+)"
 )
 _CPUS_RE = re.compile(r"^CPUs allowed: \[(?P<cpus>[^\]]*)\]")
-_RANK_RE = re.compile(r"^MPI rank (?P<rank>\d+) of \d+")
+# the report's Process Summary line: every exporter of a ranked run
+# writes it, whereas the banner's "MPI rank R of N" needs the world size
+_RANK_RE = re.compile(r"^MPI (?P<rank>\d+) - PID \d+ - Node ")
 _LWP_LINE_RE = re.compile(
     r"^LWP (?P<tid>\d+): (?P<kind>.+?) - stime: .*"
     r"CPUs: \[(?P<cpus>[^\]]*)\]$"
 )
 
 
-class ReplayZeroSum:
+class ReplayZeroSum(StoreBackedRun):
     """Re-run the report pipeline from one exported log's text."""
 
     def __init__(self, log_text: str, *, hz: float = USER_HZ):
@@ -51,20 +52,18 @@ class ReplayZeroSum:
 
         parsed = parse_log(log_text)
         self.hz = hz
-        self.live = False
         self.pid = 0
         self.hostname = "?"
-        self.rank: Optional[int] = None
         self.cpus_allowed = CpuSet()
         for line in parsed.header.splitlines():
             if m := _ATTACH_RE.match(line):
-                self.live = m.group("live") is not None
+                # the banner names the driver, and with it the baseline
+                if m.group("live") is not None:
+                    self.driver, self.baseline = "live", "first"
                 self.pid = int(m.group("pid"))
                 self.hostname = m.group("host")
             elif m := _CPUS_RE.match(line):
                 self.cpus_allowed = CpuSet.from_list(m.group("cpus"))
-            elif m := _RANK_RE.match(line):
-                self.rank = int(m.group("rank"))
         self.duration_seconds = parsed.duration_seconds()
 
         self.store = SampleStore()
@@ -116,6 +115,9 @@ class ReplayZeroSum:
                 else:
                     self._degradation_notes.append(line)
                 continue
+            if m := _RANK_RE.match(line):
+                self.rank = int(m.group("rank"))
+                continue
             m = _LWP_LINE_RE.match(line)
             if not m:
                 continue
@@ -123,58 +125,13 @@ class ReplayZeroSum:
             self._kinds[tid] = m.group("kind")
             self.store.lwp_affinity[tid] = CpuSet.from_list(m.group("cpus"))
 
-    # -- the common monitor surface ------------------------------------
-    @property
-    def lwp_series(self):
-        return self.store.lwp_series
-
-    @property
-    def lwp_affinity(self):
-        return self.store.lwp_affinity
-
-    @property
-    def lwp_names(self):
-        return self.store.lwp_names
-
-    @property
-    def hwt_series(self):
-        return self.store.hwt_series
-
-    @property
-    def gpu_series(self):
-        return self.store.gpu_series
-
-    @property
-    def mem_series(self):
-        return self.store.mem_series
-
-    def observed_tids(self) -> list[int]:
-        """Every thread id recovered from the log, sorted."""
-        return self.store.observed_tids()
-
     def classify(self, tid: int) -> str:
         """Thread kind as recorded in the original report."""
-        if tid in self._kinds:
-            return self._kinds[tid]
-        return "Main" if tid == self.pid else "Other"
+        return self._kinds.get(tid) or super().classify(tid)
 
-    # -- the report, recomputed from raw samples -----------------------
     def report(self) -> UtilizationReport:
         """Rebuild the Listing 2 report from the replayed samples."""
-        builder = ReportBuilder(
-            self.store,
-            baseline="first" if self.live else "zero",
-            start_tick=0.0,
-            duration_ticks=self.duration_seconds * self.hz,
-            classify=self.classify,
-        )
-        report = builder.build(
-            duration_seconds=self.duration_seconds,
-            rank=self.rank,
-            pid=self.pid,
-            hostname=self.hostname,
-            cpus_allowed=self.cpus_allowed,
-        )
+        report = super().report()
         # the replay store never degrades; carry the original run's notes
         report.degradation_notes = list(self._degradation_notes)
         return report

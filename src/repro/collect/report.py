@@ -1,9 +1,12 @@
-"""``ReportBuilder``: any :class:`SampleStore` → the Listing 2 report.
+"""``ReportBuilder`` and ``StoreBackedRun``: store → the Listing 2 report.
 
 The delta math that turns cumulative ``/proc`` counters into the
-paper's utilization percentages lives here and only here; the
-simulated monitor, the live monitor, and the trace-replay driver all
-build their reports through it.  Two baselines cover the substrates:
+paper's utilization percentages lives in :class:`ReportBuilder` and
+only there; :class:`StoreBackedRun` is the one surface the simulated
+monitor, the live monitor, the trace-replay driver and a recovered
+journal all inherit — the view of their store, the identity record,
+and the single ``report()`` that calls the builder.  Two baselines
+cover the substrates:
 
 * ``"zero"`` — counters started at zero when the process did (the
   simulated kernel), so the latest cumulative value over the
@@ -17,7 +20,7 @@ build their reports through it.  Two baselines cover the substrates:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,8 +29,9 @@ from repro.core.reports import GpuStat, HwtRow, LwpRow, UtilizationReport
 from repro.errors import MonitorError
 from repro.gpu.metrics import METRIC_LABELS, METRIC_ORDER
 from repro.topology.cpuset import CpuSet
+from repro.units import USER_HZ
 
-__all__ = ["ReportBuilder"]
+__all__ = ["ReportBuilder", "StoreBackedRun"]
 
 _TICK, _STATE, _UTIME, _STIME, _NV_CTX, _CTX = 0, 1, 2, 3, 4, 5
 
@@ -156,3 +160,122 @@ class ReportBuilder:
         if alerts is not None:
             report.alert_notes = alerts.summary_lines()
         return report
+
+
+class StoreBackedRun:
+    """The one surface of a store-backed run, whatever produced it.
+
+    A run is a :class:`SampleStore` plus the identity record below
+    (exactly the journal's meta dict, see :meth:`journal_meta`).  The
+    four drivers — simulated ``ZeroSum``, ``LiveZeroSum``,
+    ``ReplayZeroSum`` and a ``RecoveredRun`` — set ``store`` and the
+    identity, provide ``duration_seconds``, and keep only what is
+    theirs (scheduling, lifecycle, ``classify``, deadlock and
+    degradation notes).  The log exporter and the archiver are written
+    against this class alone.
+    """
+
+    store: SampleStore
+    #: which substrate sampled the run: "sim" or "live"
+    driver: str = "sim"
+    #: ReportBuilder baseline: "zero" (sim) or "first" (live /proc)
+    baseline: str = "zero"
+    #: tick rate of the recorded series
+    hz: float = USER_HZ
+    start_tick: float = 0.0
+    pid: int
+    rank: Optional[int] = None
+    hostname: str
+    cpus_allowed: CpuSet
+    #: observation window in seconds (attribute or property per driver)
+    duration_seconds: float
+    #: driver-specific extras, exported when the run has them
+    heartbeats: Sequence[str] = ()
+    crash_reports: Sequence[str] = ()
+    recorder = None  # the rank's P2PRecorder, if MPI was interposed
+
+    # -- the view of the store ------------------------------------------
+    @property
+    def lwp_series(self):
+        return self.store.lwp_series
+
+    @property
+    def lwp_affinity(self):
+        return self.store.lwp_affinity
+
+    @property
+    def lwp_names(self):
+        return self.store.lwp_names
+
+    @property
+    def hwt_series(self):
+        return self.store.hwt_series
+
+    @property
+    def gpu_series(self):
+        return self.store.gpu_series
+
+    @property
+    def mem_series(self):
+        return self.store.mem_series
+
+    @property
+    def samples_taken(self) -> int:
+        return self.store.samples_taken
+
+    def observed_tids(self) -> list[int]:
+        """Every thread id the run ever sampled, sorted."""
+        return self.store.observed_tids()
+
+    # -- identity -------------------------------------------------------
+    def journal_meta(self) -> dict:
+        """The identity record, as the spill journal's meta dict."""
+        return {
+            "driver": self.driver,
+            "baseline": self.baseline,
+            "hz": self.hz,
+            "start_tick": self.start_tick,
+            "pid": self.pid,
+            "rank": self.rank,
+            "hostname": self.hostname,
+            "cpus_allowed": self.cpus_allowed.to_list(),
+        }
+
+    def banner_lines(self) -> list[str]:
+        """Startup banner of the run's log; names the driver."""
+        live = " (live)" if self.driver == "live" else ""
+        return [
+            f"ZeroSum{live} attached to PID {self.pid} on {self.hostname}",
+            f"CPUs allowed: [{self.cpus_allowed.to_list()}]",
+        ]
+
+    @property
+    def duration_ticks(self) -> float:
+        return self.duration_seconds * self.hz
+
+    def classify(self, tid: int) -> str:
+        """Thread kind label of the LWP table."""
+        return "Main" if tid == self.pid else "Other"
+
+    def deadlock_note(self) -> str:
+        """The report's closing deadlock line ("" when none)."""
+        return ""
+
+    # -- the report -----------------------------------------------------
+    def report(self) -> UtilizationReport:
+        """The Listing 2 report of the run's samples so far."""
+        builder = ReportBuilder(
+            self.store,
+            baseline=self.baseline,
+            start_tick=self.start_tick,
+            duration_ticks=self.duration_ticks,
+            classify=self.classify,
+        )
+        return builder.build(
+            duration_seconds=self.duration_seconds,
+            rank=self.rank,
+            pid=self.pid,
+            hostname=self.hostname,
+            cpus_allowed=self.cpus_allowed,
+            deadlock_note=self.deadlock_note(),
+        )

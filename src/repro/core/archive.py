@@ -14,7 +14,9 @@ container; the closest dependency-free equivalent is a compressed
 
 plus a JSON metadata blob (column names, duration, hostnames), so the
 archive is loadable without this package.  :func:`write_archive` dumps
-any number of rank monitors; :func:`read_archive` restores them into
+any number of store-backed runs (rank monitors, a live monitor, or a
+journal-recovered run — which is what makes a ``kill -9``'d run
+archivable after the fact); :func:`read_archive` restores them into
 plain-array form for analysis.
 """
 
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.monitor import ZeroSum
+from repro.collect.report import StoreBackedRun
 from repro.core.records import HWT_COLUMNS, LWP_COLUMNS, MEM_COLUMNS
 from repro.errors import MonitorError
 from repro.gpu.metrics import METRIC_ORDER
@@ -38,7 +40,6 @@ __all__ = [
     "RankSeries",
     "ArchiveData",
     "write_archive",
-    "write_store_archive",
     "read_archive",
 ]
 
@@ -65,47 +66,6 @@ def _atomic_savez(path: str | Path | io.BytesIO, arrays: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, final)
-
-
-def _columns_meta() -> dict:
-    return {
-        "lwp": list(LWP_COLUMNS),
-        "hwt": list(HWT_COLUMNS),
-        "mem": list(MEM_COLUMNS),
-        "gpu": ["tick", *METRIC_ORDER],
-    }
-
-
-def _add_rank_arrays(
-    arrays: dict,
-    meta: dict,
-    *,
-    key: int,
-    hostname: str,
-    duration_seconds: float,
-    pid: int,
-    lwp,
-    hwt,
-    gpu,
-    mem,
-    p2p: Optional[np.ndarray] = None,
-) -> None:
-    prefix = f"rank{key}"
-    meta["ranks"][str(key)] = {
-        "hostname": hostname,
-        "duration_seconds": duration_seconds,
-        "pid": pid,
-    }
-    for tid, series in lwp.items():
-        arrays[f"{prefix}/lwp/{tid}"] = series.array.copy()
-    for cpu, series in hwt.items():
-        arrays[f"{prefix}/hwt/{cpu}"] = series.array.copy()
-    for visible, series in gpu.items():
-        arrays[f"{prefix}/gpu/{visible}"] = series.array.copy()
-    if len(mem):
-        arrays[f"{prefix}/mem"] = mem.array.copy()
-    if p2p is not None:
-        arrays[f"{prefix}/p2p"] = p2p.copy()
 
 
 @dataclass
@@ -138,65 +98,44 @@ class ArchiveData:
 
 
 def write_archive(
-    monitors: list[ZeroSum], path: str | Path | io.BytesIO
+    runs: list[StoreBackedRun], path: str | Path | io.BytesIO
 ) -> None:
-    """Dump all rank monitors into one compressed npz archive.
+    """Dump store-backed runs into one compressed npz archive.
 
-    Path targets are written atomically (tmp file, fsync, rename) so a
-    crash can never leave a half-written archive behind.
+    Each run lands under its MPI rank (``-pid`` for a run without
+    one).  Path targets are written atomically (tmp file, fsync,
+    rename) so a crash can never leave a half-written archive behind.
     """
-    if not monitors:
+    if not runs:
         raise MonitorError("no monitors to archive")
     arrays: dict[str, np.ndarray] = {}
-    meta: dict = {"columns": _columns_meta(), "ranks": {}}
-    for monitor in monitors:
-        rank = monitor.process.rank
-        _add_rank_arrays(
-            arrays,
-            meta,
-            key=rank if rank is not None else -monitor.process.pid,
-            hostname=monitor.process.node.hostname,
-            duration_seconds=monitor.duration_seconds,
-            pid=monitor.process.pid,
-            lwp=monitor.lwp_series,
-            hwt=monitor.hwt_series,
-            gpu=monitor.gpu_series,
-            mem=monitor.mem_series,
-            p2p=monitor.recorder.bytes if monitor.recorder is not None else None,
-        )
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta).encode(), dtype=np.uint8
-    )
-    _atomic_savez(path, arrays)
-
-
-def write_store_archive(
-    run,
-    path: str | Path | io.BytesIO,
-) -> None:
-    """Archive one store-backed run (live monitor or recovered journal).
-
-    ``run`` is anything with the common monitor surface — the series
-    maps plus ``pid``/``hostname``/``duration_seconds`` and optional
-    ``rank`` — which is exactly what :class:`~repro.collect.journal.
-    RecoveredRun` exposes, making a ``kill -9``'d run archivable after
-    the fact.  Written atomically, same as :func:`write_archive`.
-    """
-    arrays: dict[str, np.ndarray] = {}
-    meta: dict = {"columns": _columns_meta(), "ranks": {}}
-    rank = getattr(run, "rank", None)
-    _add_rank_arrays(
-        arrays,
-        meta,
-        key=rank if rank is not None else -run.pid,
-        hostname=run.hostname,
-        duration_seconds=run.duration_seconds,
-        pid=run.pid,
-        lwp=run.lwp_series,
-        hwt=run.hwt_series,
-        gpu=run.gpu_series,
-        mem=run.mem_series,
-    )
+    meta: dict = {
+        "columns": {
+            "lwp": list(LWP_COLUMNS),
+            "hwt": list(HWT_COLUMNS),
+            "mem": list(MEM_COLUMNS),
+            "gpu": ["tick", *METRIC_ORDER],
+        },
+        "ranks": {},
+    }
+    for run in runs:
+        key = run.rank if run.rank is not None else -run.pid
+        prefix = f"rank{key}"
+        meta["ranks"][str(key)] = {
+            "hostname": run.hostname,
+            "duration_seconds": run.duration_seconds,
+            "pid": run.pid,
+        }
+        for tid, series in run.lwp_series.items():
+            arrays[f"{prefix}/lwp/{tid}"] = series.array.copy()
+        for cpu, series in run.hwt_series.items():
+            arrays[f"{prefix}/hwt/{cpu}"] = series.array.copy()
+        for visible, series in run.gpu_series.items():
+            arrays[f"{prefix}/gpu/{visible}"] = series.array.copy()
+        if len(run.mem_series):
+            arrays[f"{prefix}/mem"] = run.mem_series.array.copy()
+        if run.recorder is not None:
+            arrays[f"{prefix}/p2p"] = run.recorder.bytes.copy()
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode(), dtype=np.uint8
     )

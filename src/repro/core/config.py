@@ -8,7 +8,7 @@ subsystems to collect, and export behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MonitorError
 
@@ -99,8 +99,6 @@ class ZeroSumConfig:
     #: keep at most this many findings in memory (the journal keeps
     #: them all regardless)
     detect_max_alerts: int = 256
-    #: extra environment-style options
-    extra: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.period_seconds <= 0:

@@ -26,7 +26,8 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.monitor import ZeroSum
-from repro.core.reports import UtilizationReport, build_report
+from repro.core.reports import UtilizationReport
+from repro.detect import DetectThresholds, is_bound
 from repro.topology.cpuset import CpuSet
 
 __all__ = ["Severity", "Finding", "ContentionReport", "analyze"]
@@ -83,12 +84,11 @@ class ContentionReport:
         ) + "\n"
 
 
-#: a thread busier than this fraction of its window counts as "busy"
-#: (time-sliced threads may each see only a small share of one core,
-#: e.g. ~11 % for 9 threads on one core, so the bar must be low)
-_BUSY_PCT = 5.0
-#: nv_ctx per observed second above this is "forced time-slicing"
-_NVCTX_RATE = 2.5
+#: the §3.5 trip points shared with the streaming catalog — busy
+#: threshold (low: time-sliced threads may each see only a small share
+#: of one core, e.g. ~11 % for 9 threads on one core), nv_ctx rate,
+#: saturation demand — live in DetectThresholds and only there
+_THRESHOLDS = DetectThresholds()
 #: a CPU with idle above this is "unused"
 _IDLE_PCT = 95.0
 #: MemAvailable below this fraction of MemTotal is pressure ("will I
@@ -96,22 +96,19 @@ _IDLE_PCT = 95.0
 _MEM_PRESSURE = 0.10
 
 
-def _is_bound(cpus: CpuSet, node_cpus: CpuSet) -> bool:
-    """Unbound helper threads carry the whole node's usable mask."""
-    return len(cpus) > 0 and len(cpus) < max(1, len(node_cpus) // 2)
-
-
 def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> ContentionReport:
     """Derive findings from a finalized monitor."""
-    report = report or build_report(monitor)
+    report = report or monitor.report()
     out = ContentionReport(rank=report.rank)
     node_cpus = monitor.process.node.machine.cpuset()
     duration_s = max(monitor.duration_seconds, 1e-9)
 
     busy_rows = [
-        r for r in report.lwp_rows if r.utime_pct + r.stime_pct >= _BUSY_PCT
+        r
+        for r in report.lwp_rows
+        if r.utime_pct + r.stime_pct >= _THRESHOLDS.busy_pct
     ]
-    bound_busy = [r for r in busy_rows if _is_bound(r.cpus, node_cpus)]
+    bound_busy = [r for r in busy_rows if is_bound(r.cpus, node_cpus)]
 
     # oversubscription: more busy bound threads than distinct CPUs,
     # with the shared CPUs effectively saturated
@@ -120,7 +117,9 @@ def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> Conten
     for row in bound_busy:
         cpus_used = cpus_used | row.cpus
         demand_pct += row.utime_pct + row.stime_pct
-    saturated = bool(cpus_used) and demand_pct >= 70.0 * len(cpus_used)
+    saturated = bool(cpus_used) and demand_pct >= (
+        _THRESHOLDS.demand_saturation_pct * len(cpus_used)
+    )
     if bound_busy and len(bound_busy) > len(cpus_used) and saturated:
         out.findings.append(
             Finding(
@@ -155,7 +154,7 @@ def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> Conten
     # forced time-slicing (high nv_ctx rate)
     for row in report.lwp_rows:
         rate = row.nv_ctx / duration_s
-        if rate > _NVCTX_RATE:
+        if rate > _THRESHOLDS.nvctx_rate:
             out.findings.append(
                 Finding(
                     "time-slicing",
@@ -210,7 +209,7 @@ def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> Conten
     # threads spanning NUMA domains
     if len(machine.numa_domains()) > 1:
         for row in report.lwp_rows:
-            if not _is_bound(row.cpus, node_cpus):
+            if not is_bound(row.cpus, node_cpus):
                 continue
             domains = {
                 machine.numa_of(cpu).os_index

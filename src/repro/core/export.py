@@ -14,9 +14,9 @@ import io
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from repro.core.monitor import ZeroSum
+from repro.collect.report import StoreBackedRun
+from repro.core.heatmap import CommMatrix
 from repro.core.records import SeriesBuffer
-from repro.core.reports import build_report
 
 __all__ = [
     "ExportSink",
@@ -61,11 +61,7 @@ class FileSink:
 
 
 def series_csv(series_map: Mapping[int, SeriesBuffer], key_name: str) -> str:
-    """Concatenate per-key series into one CSV with a leading key column.
-
-    Shared by the simulated and live exporters so both emit the exact
-    section layout the replay driver and log parser expect.
-    """
+    """Concatenate per-key series into one CSV with a leading key column."""
     out = io.StringIO()
     first = True
     for key in sorted(series_map):
@@ -75,65 +71,65 @@ def series_csv(series_map: Mapping[int, SeriesBuffer], key_name: str) -> str:
     return out.getvalue()
 
 
-def lwp_csv(monitor: ZeroSum) -> str:
+def lwp_csv(run: StoreBackedRun) -> str:
     """All LWP samples as one CSV (tid as a leading column)."""
-    return series_csv(monitor.lwp_series, "tid")
+    return series_csv(run.lwp_series, "tid")
 
 
-def hwt_csv(monitor: ZeroSum) -> str:
+def hwt_csv(run: StoreBackedRun) -> str:
     """All HWT samples as one CSV (cpu as a leading column)."""
-    return series_csv(monitor.hwt_series, "cpu")
+    return series_csv(run.hwt_series, "cpu")
 
 
-def gpu_csv(monitor: ZeroSum) -> str:
+def gpu_csv(run: StoreBackedRun) -> str:
     """All GPU samples as one CSV (visible device as a leading column)."""
-    return series_csv(monitor.gpu_series, "gpu")
+    return series_csv(run.gpu_series, "gpu")
 
 
-def memory_csv(monitor: ZeroSum) -> str:
+def memory_csv(run: StoreBackedRun) -> str:
     """The memory/I-O sample series as CSV."""
-    return monitor.mem_series.to_csv()
+    return run.mem_series.to_csv()
 
 
-def write_log(monitor: ZeroSum, sink: ExportSink) -> str:
-    """Write one rank's full log; returns the log document name.
+def write_log(run: StoreBackedRun, sink: ExportSink) -> str:
+    """Write one run's full log; returns the log document name.
 
-    The log contains the startup banner, the topology, the utilization
-    report, heartbeats, crash reports, and the CSV sections — the
-    "detailed dump of all data collected" of §3.6.
+    Any store-backed run — simulated, live, replayed or recovered from
+    a journal — exports through here, in the one section layout
+    :class:`repro.collect.ReplayZeroSum` and the log parser read back:
+    the startup banner (it and the document name follow the run's
+    ``driver``), the utilization report, and the CSV sections — the
+    "detailed dump of all data collected" of §3.6.  Heartbeats, crash
+    reports and the MPI point-to-point matrix are written when the run
+    has them.
     """
-    rank = monitor.process.rank
-    name = f"zerosum.{rank if rank is not None else monitor.process.pid}.log"
-    report = build_report(monitor)
-    parts = []
-    parts.extend(monitor.initial.summary_lines())
+    if run.driver == "live":
+        name = f"zerosum.live.{run.pid}.log"
+    else:
+        name = f"zerosum.{run.rank if run.rank is not None else run.pid}.log"
+    parts = run.banner_lines()
     parts.append("")
-    if monitor.initial.topology_text:
-        parts.append(monitor.initial.topology_text)
-        parts.append("")
-    parts.append(report.render())
-    if monitor.heartbeats:
+    parts.append(run.report().render())
+    if run.heartbeats:
         parts.append("Heartbeats:")
-        parts.extend(monitor.heartbeats)
+        parts.extend(run.heartbeats)
         parts.append("")
-    if monitor.crash_reports:
-        parts.extend(monitor.crash_reports)
+    if run.crash_reports:
+        parts.extend(run.crash_reports)
         parts.append("")
     parts.append("== LWP samples (CSV) ==")
-    parts.append(lwp_csv(monitor))
+    parts.append(lwp_csv(run))
     parts.append("== HWT samples (CSV) ==")
-    parts.append(hwt_csv(monitor))
-    if monitor.gpu_series:
+    parts.append(hwt_csv(run))
+    if run.gpu_series:
         parts.append("== GPU samples (CSV) ==")
-        parts.append(gpu_csv(monitor))
+        parts.append(gpu_csv(run))
     parts.append("== memory samples (CSV) ==")
-    parts.append(memory_csv(monitor))
-    if monitor.recorder is not None:
+    parts.append(memory_csv(run))
+    if run.recorder is not None:
         parts.append("== MPI point-to-point (CSV) ==")
-        from repro.core.heatmap import CommMatrix
-
         mat = CommMatrix(
-            bytes=monitor.recorder.bytes, messages=monitor.recorder.messages
+            bytes=run.recorder.bytes, messages=run.recorder.messages
         )
         parts.append(mat.to_csv())
     sink.write(name, "\n".join(parts))

@@ -38,6 +38,7 @@ from repro.collect import (
     SampleStore,
 )
 from repro.collect.faults import FaultPolicy
+from repro.collect.report import StoreBackedRun
 from repro.core.config import ZeroSumConfig
 from repro.core.detect import ProcessConfig, detect_configuration
 from repro.core.heartbeat import ProgressTracker, heartbeat_line
@@ -58,7 +59,7 @@ from repro.topology.cpuset import CpuSet
 __all__ = ["ZeroSum"]
 
 
-class ZeroSum:
+class ZeroSum(StoreBackedRun):
     """User-space monitor attached to one (simulated) process."""
 
     def __init__(
@@ -82,6 +83,12 @@ class ZeroSum:
         self.initial: ProcessConfig = detect_configuration(
             self.procfs, process.pid, machine=process.node.machine
         )
+        # the run's identity record (driver "sim", zero baseline)
+        self.hz = kernel.clock.hz
+        self.pid = process.pid
+        self.rank = process.rank
+        self.hostname = process.node.hostname
+        self.cpus_allowed = self.initial.cpus_allowed
 
         # GPU SMI session over the devices visible to this rank,
         # dispatched to the vendor-appropriate backend (§3.4)
@@ -180,14 +187,7 @@ class ZeroSum:
             self.journal.open(
                 self.store,
                 {
-                    "driver": "sim",
-                    "baseline": "zero",
-                    "hz": kernel.clock.hz,
-                    "start_tick": self.start_tick,
-                    "pid": process.pid,
-                    "rank": process.rank,
-                    "hostname": process.node.hostname,
-                    "cpus_allowed": self.initial.cpus_allowed.to_list(),
+                    **self.journal_meta(),
                     "period_seconds": self.config.period_seconds,
                 },
             )
@@ -358,41 +358,14 @@ class ZeroSum:
         self.engine.close_journal(self.kernel.now)
         self._finalized = True
 
-    # -- store access (the series live in the shared SampleStore) ------
-    @property
-    def lwp_series(self):
-        return self.store.lwp_series
+    # -- what the shared run surface asks of the driver -----------------
+    def banner_lines(self) -> list[str]:
+        """The phase-1 summary, plus the lstopo tree when rendered."""
+        lines = self.initial.summary_lines()
+        if self.initial.topology_text:
+            lines += ["", self.initial.topology_text]
+        return lines
 
-    @property
-    def lwp_affinity(self):
-        return self.store.lwp_affinity
-
-    @property
-    def lwp_names(self):
-        return self.store.lwp_names
-
-    @property
-    def hwt_series(self):
-        return self.store.hwt_series
-
-    @property
-    def gpu_series(self):
-        return self.store.gpu_series
-
-    @property
-    def mem_series(self):
-        return self.store.mem_series
-
-    @property
-    def samples_taken(self) -> int:
-        return self.store.samples_taken
-
-    @property
-    def hz(self) -> float:
-        """Tick rate of the recorded series (simulated jiffies/s)."""
-        return self.kernel.clock.hz
-
-    # -- derived quantities --------------------------------------------
     @property
     def duration_ticks(self) -> int:
         end = self.end_tick if self.end_tick is not None else self.kernel.now
@@ -400,16 +373,12 @@ class ZeroSum:
 
     @property
     def duration_seconds(self) -> float:
-        return self.duration_ticks / self.kernel.clock.hz
-
-    def observed_tids(self) -> list[int]:
-        """Every thread id the monitor ever sampled, sorted."""
-        return self.store.observed_tids()
-
-    def lwp_last(self, tid: int, column: str) -> float:
-        """Latest sampled value of one LWP column."""
-        return self.store.lwp_series[tid].last(column)
+        return self.duration_ticks / self.hz
 
     def deadlock_suspected(self) -> bool:
         """Whether the progress tracker has flagged a deadlock."""
         return self.progress.deadlock_suspected
+
+    def deadlock_note(self) -> str:
+        """The progress tracker's verdict, once a deadlock is flagged."""
+        return self.progress.describe() if self.deadlock_suspected() else ""

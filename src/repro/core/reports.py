@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.topology.cpuset import CpuSet
 
 if TYPE_CHECKING:
-    from repro.core.monitor import ZeroSum
+    from repro.collect.report import StoreBackedRun
 
 __all__ = ["LwpRow", "HwtRow", "GpuStat", "UtilizationReport", "build_report", "format_cpus"]
 
@@ -146,32 +146,6 @@ class UtilizationReport:
         return [r.cpu for r in self.hwt_rows if r.idle_pct >= threshold_pct]
 
 
-def build_report(monitor: "ZeroSum") -> UtilizationReport:
-    """Assemble the report from a (finalized) monitor's samples.
-
-    Thin shim over :class:`repro.collect.report.ReportBuilder` with the
-    simulated substrate's zero baseline: counters started at zero when
-    the process did, and each thread is normalized by its own
-    observation window so a thread that exits between samples keeps the
-    utilization it showed while observable.
-    """
-    # local import: repro.collect imports this module for the row types
-    from repro.collect.report import ReportBuilder
-
-    builder = ReportBuilder(
-        monitor.store,
-        baseline="zero",
-        start_tick=monitor.start_tick,
-        duration_ticks=monitor.duration_ticks,
-        classify=monitor.classify,
-    )
-    return builder.build(
-        duration_seconds=monitor.duration_seconds,
-        rank=monitor.process.rank,
-        pid=monitor.process.pid,
-        hostname=monitor.process.node.hostname,
-        cpus_allowed=monitor.initial.cpus_allowed,
-        deadlock_note=(
-            monitor.progress.describe() if monitor.deadlock_suspected() else ""
-        ),
-    )
+def build_report(run: "StoreBackedRun") -> UtilizationReport:
+    """The run's Listing 2 report: ``run.report()`` in functional form."""
+    return run.report()

@@ -10,7 +10,12 @@ journal's durable note stream.
 """
 
 from repro.detect.findings import SEVERITIES, AlertLedger, OnlineFinding
-from repro.detect.online import DetectThresholds, EntityHistory, OnlineDetector
+from repro.detect.online import (
+    DetectThresholds,
+    EntityHistory,
+    OnlineDetector,
+    is_bound,
+)
 from repro.detect.precursors import (
     PRECURSORS,
     precursor_gpu_thermal,
@@ -34,6 +39,7 @@ __all__ = [
     "OnlineDetector",
     "EntityHistory",
     "DetectThresholds",
+    "is_bound",
     "Condition",
     "RULES",
     "rule_oversubscription",

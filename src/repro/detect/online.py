@@ -5,8 +5,8 @@ Evaluated once per *committed* sampling period from
 Intel PRM's container analyzer: every monitored entity (LWP, HWT, GPU,
 node memory) keeps a bounded :class:`EntityHistory` deque of its last
 ``window`` samples, and each period the detector differences the
-newest sample against that history — rates, least-squares slopes,
-EWMAs, z-scores — and evaluates two catalogs over the features:
+newest sample against that history — window deltas, least-squares
+slopes, EWMAs — and evaluates two catalogs over the features:
 
 * the **streaming ports** of the §3.5 post-hoc rules
   (:mod:`repro.detect.rules`): oversubscription, forced time-slicing,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.detect.findings import SEVERITIES, AlertLedger, OnlineFinding
 from repro.detect.precursors import PRECURSORS
 from repro.detect.rules import RULES, Condition
 
-__all__ = ["DetectThresholds", "EntityHistory", "OnlineDetector"]
+__all__ = ["DetectThresholds", "EntityHistory", "OnlineDetector", "is_bound"]
 
 #: LWP metrics mirrored into per-entity history (store column names).
 #: Only what the rule and precursor catalogs actually read: every name
@@ -69,10 +69,10 @@ _MEM_METRICS = (
 class DetectThresholds:
     """Tunable trip points of the rule and precursor catalogs.
 
-    The rule thresholds mirror :mod:`repro.core.contention` so a
-    streaming finding agrees with its post-hoc counterpart; the
-    precursor thresholds control how far ahead of the terminal event
-    the early warnings fire.
+    The post-hoc :mod:`repro.core.contention` catalog reads the rule
+    thresholds from these defaults, so a streaming finding agrees with
+    its post-hoc counterpart; the precursor thresholds control how far
+    ahead of the terminal event the early warnings fire.
     """
 
     #: a thread busier than this % of its window counts as "busy"
@@ -99,14 +99,22 @@ class DetectThresholds:
     io_stall_d_frac: float = 0.9
 
 
+def is_bound(cpus, node_cpus) -> bool:
+    """Whether an affinity mask pins a thread (§3.5, both catalogs).
+
+    Unbound helper threads carry the whole node's usable mask, so a
+    mask counts as bound when it covers under half of the node.
+    """
+    return 0 < len(cpus) < max(1, len(node_cpus) // 2)
+
+
 class EntityHistory:
     """Bounded metric history of one entity (the PRM-style deque).
 
     One deque per metric plus one for the tick column, all capped at
     ``window`` samples, with the delta-over-history feature extractors
-    the rules and precursors consume: per-second window rates,
-    least-squares slopes, incrementally maintained EWMAs, and z-scores
-    of the newest value against the retained history.
+    the rules and precursors consume: window deltas, least-squares
+    slopes, and EWMAs folded over the retained history.
 
     The metric layout is fixed at construction (``names``) and
     :meth:`push` takes values in that order: the push path runs for
@@ -175,13 +183,6 @@ class EntityHistory:
             return 0.0
         return series[-1] - series[0]
 
-    def rate(self, name: str, hz: float) -> float:
-        """Window delta as a per-second rate."""
-        span = self.span_ticks
-        if span <= 0:
-            return 0.0
-        return self.delta(name) / (span / hz)
-
     def slope(self, name: str, hz: float) -> float:
         """Least-squares slope of the metric, per second."""
         series = self.metrics.get(name)
@@ -213,30 +214,11 @@ class EntityHistory:
             acc += alpha * (value - acc)
         return acc
 
-    def zscore(self, name: str) -> float:
-        """Newest value scored against the retained history."""
-        series = self.metrics.get(name)
-        if series is None or len(series) < 3:
-            return 0.0
-        history = np.asarray(series, dtype=np.float64)[:-1]
-        std = float(history.std())
-        if std <= 1e-12:
-            return 0.0
-        return (series[-1] - float(history.mean())) / std
-
-    def frac(self, name: str, predicate: Callable[[float], bool]) -> float:
-        """Fraction of retained samples satisfying the predicate."""
-        series = self.metrics.get(name)
-        if not series:
-            return 0.0
-        return sum(1 for v in series if predicate(v)) / len(series)
-
     def frac_eq(self, name: str, value: float) -> float:
         """Fraction of retained samples equal to ``value``.
 
-        The hot-path form of :meth:`frac` for exact-coded metrics (the
-        state column): ``deque.count`` runs at C speed, with no
-        per-element Python call.
+        For exact-coded metrics (the state column): ``deque.count``
+        runs at C speed, with no per-element Python call.
         """
         series = self.metrics.get(name)
         if not series:
@@ -402,9 +384,8 @@ class OnlineDetector:
         return frozenset(cpus) if cpus is not None else frozenset()
 
     def is_bound(self, cpus: frozenset[int]) -> bool:
-        """The contention module's bound-thread heuristic, streamed."""
-        node = self.effective_node_cpus()
-        return 0 < len(cpus) < max(1, len(node) // 2)
+        """:func:`is_bound` against this detector's node CPU set."""
+        return is_bound(cpus, self.effective_node_cpus())
 
     # -- the per-period evaluation -------------------------------------
     def observe(self, store, tick: float) -> list[OnlineFinding]:

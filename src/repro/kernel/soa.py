@@ -39,18 +39,14 @@ pass cursor already "had its turn" this tick, so the eviction applies
 the one pure accounting tick the batch op would have delivered; a CPU
 ahead of the cursor is flushed untouched and pushed onto the node's
 activation watch heap so the pass schedules it at its usual position.
-
-numpy is optional here.  When it is missing (or ``ZEROSUM_PURE_PYTHON``
-is set) the same columns are plain Python lists advanced by an
-explicit loop — slower, but executing the identical float operations,
-so results stay bit-equal across backends.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
+
+import numpy as _np
 
 if TYPE_CHECKING:
     from repro.kernel.directives import Compute
@@ -58,18 +54,7 @@ if TYPE_CHECKING:
     from repro.kernel.lwp import LWP
     from repro.kernel.node import SimNode
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via ZEROSUM_PURE_PYTHON
-    _np = None
-
-if os.environ.get("ZEROSUM_PURE_PYTHON"):
-    _np = None
-
-#: whether the accelerated backend is in use by default
-NUMPY_AVAILABLE = _np is not None
-
-__all__ = ["NodeAccounting", "NUMPY_AVAILABLE"]
+__all__ = ["NodeAccounting"]
 
 #: float64 columns, one slot per enrolled CPU
 _F64_COLUMNS = (
@@ -90,7 +75,6 @@ class NodeAccounting:
     __slots__ = (
         "node",
         "exhaust_below",
-        "use_numpy",
         "n",
         "_cap",
         "_lwps",
@@ -100,20 +84,12 @@ class NodeAccounting:
         "_slc",
     ) + _F64_COLUMNS
 
-    def __init__(
-        self,
-        node: "SimNode",
-        exhaust_below: float,
-        use_numpy: Optional[bool] = None,
-    ):
+    def __init__(self, node: "SimNode", exhaust_below: float):
         self.node = node
         #: members whose remaining work drops to this bound leave the
         #: batch path — the final partial/boundary tick needs the slow
         #: path's advance/block handling
         self.exhaust_below = exhaust_below
-        if use_numpy is None:
-            use_numpy = NUMPY_AVAILABLE
-        self.use_numpy = bool(use_numpy) and NUMPY_AVAILABLE
         self.n = 0
         self._cap = 0
         self._lwps: list = []
@@ -133,23 +109,15 @@ class NodeAccounting:
         n = self.n
         for name in _F64_COLUMNS:
             old = getattr(self, name)
-            if self.use_numpy:
-                arr = _np.zeros(cap, dtype=_np.float64)
-                if old is not None and n:
-                    arr[:n] = old[:n]
-                setattr(self, name, arr)
-            else:
-                head = list(old[:n]) if old is not None else []
-                setattr(self, name, head + [0.0] * (cap - n))
-        old = self._slc
-        if self.use_numpy:
-            slc = _np.zeros(cap, dtype=_np.int64)
+            arr = _np.zeros(cap, dtype=_np.float64)
             if old is not None and n:
-                slc[:n] = old[:n]
-            self._slc = slc
-        else:
-            head = list(old[:n]) if old is not None else []
-            self._slc = head + [0] * (cap - n)
+                arr[:n] = old[:n]
+            setattr(self, name, arr)
+        old = self._slc
+        slc = _np.zeros(cap, dtype=_np.int64)
+        if old is not None and n:
+            slc[:n] = old[:n]
+        self._slc = slc
         self._lwps.extend([None] * (cap - len(self._lwps)))
         self._hwts.extend([None] * (cap - len(self._hwts)))
         self._dirs.extend([None] * (cap - len(self._dirs)))
@@ -207,45 +175,20 @@ class NodeAccounting:
         n = self.n
         if not n:
             return
-        if self.use_numpy:
-            uf = self._uf[:n]
-            sf = self._sf[:n]
-            self._lut[:n] += uf
-            self._lst[:n] += sf
-            self._hus[:n] += uf
-            self._hsy[:n] += sf
-            self._cpj[:n] += 1.0
-            rem = self._rem[:n]
-            rem -= 1.0
-            self._slc[:n] -= 1
-            done = rem <= self.exhaust_below
-            if done.any():
-                for i in _np.nonzero(done)[0][::-1].tolist():
-                    self.evict_slot(int(i))
-        else:
-            uf = self._uf
-            sf = self._sf
-            lut = self._lut
-            lst = self._lst
-            hus = self._hus
-            hsy = self._hsy
-            cpj = self._cpj
-            rem = self._rem
-            slc = self._slc
-            thr = self.exhaust_below
-            done = []
-            for i in range(n):
-                lut[i] += uf[i]
-                lst[i] += sf[i]
-                hus[i] += uf[i]
-                hsy[i] += sf[i]
-                cpj[i] += 1.0
-                rem[i] -= 1.0
-                slc[i] -= 1
-                if rem[i] <= thr:
-                    done.append(i)
-            for i in reversed(done):
-                self.evict_slot(i)
+        uf = self._uf[:n]
+        sf = self._sf[:n]
+        self._lut[:n] += uf
+        self._lst[:n] += sf
+        self._hus[:n] += uf
+        self._hsy[:n] += sf
+        self._cpj[:n] += 1.0
+        rem = self._rem[:n]
+        rem -= 1.0
+        self._slc[:n] -= 1
+        done = rem <= self.exhaust_below
+        if done.any():
+            for i in _np.nonzero(done)[0][::-1].tolist():
+                self.evict_slot(int(i))
 
     # -- eviction -------------------------------------------------------
     def evict_hwt(self, hwt: "HWTState") -> None:
@@ -322,8 +265,3 @@ class NodeAccounting:
             watch = node._activation_watch
             if watch is not None:
                 heapq.heappush(watch, cpu)
-
-    def flush_all(self) -> None:
-        """Evict every member (testing and debugging aid)."""
-        for i in range(self.n - 1, -1, -1):
-            self.evict_slot(i)

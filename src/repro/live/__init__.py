@@ -1,24 +1,6 @@
 """Live monitoring of the real host through /proc (Linux only)."""
 
-from repro.live.export import write_live_log
 from repro.live.monitor import LiveZeroSum
 from repro.live.watchdog import SamplerWatchdog, StallEvent
-from repro.live.sampler import (
-    list_tasks,
-    read_cpu_times,
-    read_meminfo,
-    read_task,
-    read_uptime_seconds,
-)
 
-__all__ = [
-    "LiveZeroSum",
-    "SamplerWatchdog",
-    "StallEvent",
-    "write_live_log",
-    "list_tasks",
-    "read_task",
-    "read_cpu_times",
-    "read_meminfo",
-    "read_uptime_seconds",
-]
+__all__ = ["LiveZeroSum", "SamplerWatchdog", "StallEvent"]

@@ -40,10 +40,9 @@ from repro.collect import (
     read_task,
 )
 from repro.collect.faults import FaultPolicy, classify_failure, is_missing
-from repro.collect.report import ReportBuilder
+from repro.collect.report import StoreBackedRun
 from repro.core.config import ZeroSumConfig
 from repro.core.heartbeat import HeartbeatWriter, heartbeat_line
-from repro.core.reports import UtilizationReport
 from repro.detect import DetectThresholds, OnlineDetector
 from repro.errors import MonitorError, ProcessVanishedError, ProcFSError
 from repro.live.watchdog import SamplerWatchdog
@@ -55,8 +54,13 @@ __all__ = ["LiveZeroSum"]
 _LAST_GASP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
-class LiveZeroSum:
+class LiveZeroSum(StoreBackedRun):
     """Monitor the calling process via the real /proc."""
+
+    # identity: first-sample baseline, series in wall-clock jiffies
+    # (the base's USER_HZ)
+    driver = "live"
+    baseline = "first"
 
     def __init__(
         self,
@@ -168,7 +172,13 @@ class LiveZeroSum:
         if self.watchdog is not None:
             self.watchdog.reset()
         if self.journal is not None and not self.journal.is_open:
-            self.journal.open(self.store, self._journal_meta())
+            self.journal.open(
+                self.store,
+                {
+                    **self.journal_meta(),
+                    "period_seconds": self.config.period_seconds,
+                },
+            )
             self.engine.journal = self.journal
         self._thread = threading.Thread(
             target=self._loop, name="zerosum", daemon=True
@@ -181,19 +191,6 @@ class LiveZeroSum:
             self._watchdog_thread.start()
         if self.config.last_gasp and self.journal is not None:
             self._install_last_gasp()
-
-    def _journal_meta(self) -> dict:
-        return {
-            "driver": "live",
-            "baseline": "first",
-            "hz": USER_HZ,
-            "start_tick": 0.0,
-            "pid": self.pid,
-            "rank": None,
-            "hostname": self.hostname,
-            "cpus_allowed": self.cpus_allowed.to_list(),
-            "period_seconds": self.config.period_seconds,
-        }
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop sampling and take the final sample.
@@ -506,60 +503,7 @@ class LiveZeroSum:
             return "ZeroSum"
         return "Other"
 
-    def report(self) -> UtilizationReport:
-        """The Listing 2 report, via the shared ReportBuilder."""
-        builder = ReportBuilder(
-            self.store, baseline="first", classify=self.classify
-        )
-        return builder.build(
-            duration_seconds=(
-                (self.end_time or time.monotonic()) - self.start_time
-            ),
-            rank=None,
-            pid=self.pid,
-            hostname=self.hostname,
-            cpus_allowed=self.cpus_allowed,
-        )
-
-    # -- store access ---------------------------------------------------
-    @property
-    def lwp_series(self):
-        return self.store.lwp_series
-
-    @property
-    def lwp_affinity(self):
-        return self.store.lwp_affinity
-
-    @property
-    def lwp_names(self):
-        return self.store.lwp_names
-
-    @property
-    def hwt_series(self):
-        return self.store.hwt_series
-
-    @property
-    def gpu_series(self):
-        return self.store.gpu_series
-
-    @property
-    def mem_series(self):
-        return self.store.mem_series
-
     @property
     def duration_seconds(self) -> float:
         """Observation window in wall-clock seconds (so far, if running)."""
         return (self.end_time or time.monotonic()) - self.start_time
-
-    @property
-    def samples_taken(self) -> int:
-        return self.store.samples_taken
-
-    def observed_tids(self) -> list[int]:
-        """Every thread id the monitor ever sampled, sorted."""
-        return self.store.observed_tids()
-
-    @property
-    def hz(self) -> float:
-        """Tick rate of the recorded series (wall-clock jiffies)."""
-        return USER_HZ

@@ -301,6 +301,31 @@ class TestRoundTrip:
             for e in recovered.store.ledger.events
         )
 
+    def test_unledgered_note_survives_a_checkpoint(self, tmp_path):
+        """The snapshot carries store state only: a last-gasp note must
+        be re-emitted behind it, a ledgered one stays compacted."""
+        store = SampleStore()
+        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
+                               fsync=False)
+        writer.open(store, META)
+        drive(store, writer, [1.0, 2.0])
+        writer.note(2.0, "LastGasp", "caught signal 15")
+        store.ledger.record_error("Watchdog", 2.0, "sampler stalled")
+        writer.note(2.0, "Watchdog", "sampler stalled")
+        for _ in range(2):  # carried across every later checkpoint too
+            writer.checkpoint(store, tick=2.0)
+        records, torn = read_journal(tmp_path / "j.zsj")
+        assert torn == 0
+        assert [r["kind"] for r in records] == ["meta", "snapshot", "note"]
+        assert records[-1]["collector"] == "LastGasp"
+        events = recover_journal(tmp_path / "j.zsj").store.ledger.events
+        assert [e.reason for e in events if e.collector == "LastGasp"] == [
+            "caught signal 15"
+        ]
+        assert [e.reason for e in events if e.collector == "Watchdog"] == [
+            "sampler stalled"
+        ]
+
     def test_meta_amendment_merges(self, tmp_path):
         store = SampleStore()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,

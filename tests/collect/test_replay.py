@@ -32,7 +32,7 @@ class TestSimRoundTrip:
     def test_header_recovered(self, sim_pair):
         monitor, report, replay = sim_pair
         assert replay.pid == monitor.process.pid
-        assert not replay.live
+        assert replay.driver == "sim"
         assert replay.rank == monitor.process.rank
         assert replay.duration_seconds == pytest.approx(
             report.duration_seconds, abs=0.001

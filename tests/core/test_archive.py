@@ -146,11 +146,10 @@ class TestAtomicWrite:
 
 
 class TestStoreArchive:
-    """write_store_archive: the recovered-run / live-run export path."""
+    """write_archive on a journal-recovered run (any store-backed run)."""
 
     def test_recovered_run_round_trips(self, tmp_path):
         from repro.collect.journal import recover_journal
-        from repro.core.archive import write_store_archive
 
         step = run_miniqmc(
             "OMP_NUM_THREADS=7 srun -n1 -c7 miniqmc",
@@ -161,7 +160,7 @@ class TestStoreArchive:
         )
         monitor = step.monitors[0]
         recovered = recover_journal(tmp_path / "r.zsj")
-        write_store_archive(recovered, tmp_path / "rec.npz")
+        write_archive([recovered], tmp_path / "rec.npz")
         data = read_archive(tmp_path / "rec.npz")
         series = data.rank(0)
         assert series.duration_seconds == pytest.approx(
@@ -169,4 +168,7 @@ class TestStoreArchive:
         )
         for tid, buf in monitor.lwp_series.items():
             np.testing.assert_array_equal(series.lwp[tid], buf.array)
-        assert series.mem is not None
+        for cpu, buf in monitor.hwt_series.items():
+            np.testing.assert_array_equal(series.hwt[cpu], buf.array)
+        np.testing.assert_array_equal(series.mem, monitor.mem_series.array)
+        assert series.p2p is None  # the matrix lives in the recorder

@@ -4,18 +4,12 @@ The vectorized fast path (``repro.kernel.soa``) must be observationally
 indistinguishable from per-object accounting — the determinism suites
 (fast-forward, sharded merges, journal recovery) pin exact float
 equality, so these tests compare full ``float.hex()`` fingerprints of
-every LWP, HWT, GPU, and I/O counter across:
-
-* ``vector_accounting=True`` vs ``False`` (the batch path vs the
-  slow path), and
-* the numpy backend vs the pure-Python fallback columns
-  (``NodeAccounting(use_numpy=False)``, what ``ZEROSUM_PURE_PYTHON``
-  selects at import time).
+every LWP, HWT, GPU, and I/O counter across
+``vector_accounting=True`` vs ``False`` (the batch path vs the slow
+path, which is the oracle).
 """
 
 from repro.kernel import Compute, FileIo, SimKernel, Sleep
-from repro.kernel.scheduler import _ENROLL_ABOVE
-from repro.kernel.soa import NUMPY_AVAILABLE, NodeAccounting
 from repro.topology import CpuSet, frontier_node
 
 
@@ -58,19 +52,9 @@ def _fingerprint(kernel: SimKernel) -> dict:
     return out
 
 
-def _use_pure_python(kernel: SimKernel) -> None:
-    """Swap every node's accounting onto the fallback list columns
-    (must run before any thread is spawned)."""
-    for node in kernel.nodes:
-        assert node._acct is not None
-        node._acct = NodeAccounting(node, _ENROLL_ABOVE, use_numpy=False)
-
-
-def _busy(vector: bool, pure_python: bool = False) -> SimKernel:
+def _busy(vector: bool) -> SimKernel:
     """64 compute-bound threads, saturated node, stepped mid-compute."""
     kernel = SimKernel(frontier_node(), vector_accounting=vector)
-    if pure_python:
-        _use_pure_python(kernel)
 
     def gen():
         yield Compute(400)
@@ -85,13 +69,11 @@ def _busy(vector: bool, pure_python: bool = False) -> SimKernel:
     return kernel
 
 
-def _mixed(vector: bool, pure_python: bool = False) -> SimKernel:
+def _mixed(vector: bool) -> SimKernel:
     """Oversubscription + I/O + sleep + affinity churn + a kill: every
     eviction path (wakeups onto enrolled CPUs, affinity moves, death)
     fires while members are mid-batch."""
     kernel = SimKernel(frontier_node(), vector_accounting=vector)
-    if pure_python:
-        _use_pure_python(kernel)
     node = kernel.nodes[0]
 
     def worker(i):
@@ -151,21 +133,3 @@ class TestVectorVsScalar:
             vec.step()
             sca.step()
         assert _fingerprint(vec) == _fingerprint(sca)
-
-
-class TestBackendEquality:
-    def test_pure_python_columns_match_numpy_busy(self):
-        assert NUMPY_AVAILABLE, "suite requires the numpy backend"
-        assert _fingerprint(_busy(True)) == \
-            _fingerprint(_busy(True, pure_python=True))
-
-    def test_pure_python_columns_match_numpy_mixed(self):
-        assert _fingerprint(_mixed(True)) == \
-            _fingerprint(_mixed(True, pure_python=True))
-
-    def test_fallback_backend_is_actually_listbased(self):
-        kernel = SimKernel(frontier_node(), vector_accounting=True)
-        _use_pure_python(kernel)
-        acct = kernel.nodes[0]._acct
-        assert acct.use_numpy is False
-        assert isinstance(acct._lut, list)

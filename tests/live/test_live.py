@@ -5,16 +5,10 @@ import time
 
 import pytest
 
+from repro.collect import RealProc, read_cpu_times, read_meminfo, read_task
 from repro.core import ZeroSumConfig
 from repro.errors import MonitorError, ProcFSError
-from repro.live import (
-    LiveZeroSum,
-    list_tasks,
-    read_cpu_times,
-    read_meminfo,
-    read_task,
-    read_uptime_seconds,
-)
+from repro.live import LiveZeroSum
 
 needs_proc = pytest.mark.skipif(
     not pathlib.Path("/proc/self/stat").exists(), reason="needs Linux /proc"
@@ -23,33 +17,36 @@ needs_proc = pytest.mark.skipif(
 
 @needs_proc
 class TestSampler:
+    """The collect readers over a ``RealProc()`` on the host /proc."""
+
     def test_list_tasks_includes_self(self):
         import os
 
-        tids = list_tasks("self")
-        assert os.getpid() in tids
+        tids = RealProc().listdir("/proc/self/task")
+        assert str(os.getpid()) in tids
 
     def test_read_task(self):
         import os
 
         pid = os.getpid()
-        stat, status = read_task(pid, pid)
+        stat, status = read_task(RealProc(), pid, pid)
         assert stat.pid == pid
         assert status.tgid == pid
 
     def test_unknown_process(self):
+        bogus = 2**22 + 12345
         with pytest.raises(ProcFSError):
-            list_tasks(2**22 + 12345)
+            read_task(RealProc(), bogus, bogus)
 
     def test_cpu_times(self):
-        times = read_cpu_times()
+        times = read_cpu_times(RealProc())
         assert -1 in times and 0 in times
 
     def test_meminfo(self):
-        assert read_meminfo()["MemTotal"] > 0
+        assert read_meminfo(RealProc())["MemTotal"] > 0
 
     def test_uptime(self):
-        assert read_uptime_seconds() > 0
+        assert float(RealProc().read("/proc/uptime").split()[0]) > 0
 
 
 @needs_proc
@@ -178,8 +175,7 @@ class TestLiveReplayRoundTrip:
         import pytest as _pytest
 
         from repro.collect import ReplayZeroSum
-        from repro.core.export import MemorySink
-        from repro.live import write_live_log
+        from repro.core.export import MemorySink, write_log
 
         zs = LiveZeroSum(ZeroSumConfig(period_seconds=0.05))
         zs.start()
@@ -190,9 +186,9 @@ class TestLiveReplayRoundTrip:
         zs.stop()
 
         sink = MemorySink()
-        name = write_live_log(zs, sink)
+        name = write_log(zs, sink)
         replay = ReplayZeroSum(sink.documents[name])
-        assert replay.live
+        assert replay.driver == "live"
         assert replay.pid == zs.pid
         assert replay.observed_tids() == sorted(zs.lwp_series)
 

@@ -6,8 +6,8 @@ import time
 import pytest
 
 from repro.analysis import parse_log
-from repro.core import MemorySink, ZeroSumConfig
-from repro.live import LiveZeroSum, write_live_log
+from repro.core import MemorySink, ZeroSumConfig, write_log
+from repro.live import LiveZeroSum
 
 needs_proc = pytest.mark.skipif(
     not pathlib.Path("/proc/self/stat").exists(), reason="needs Linux /proc"
@@ -29,7 +29,7 @@ class TestLiveLog:
 
     def test_log_written(self, monitor):
         sink = MemorySink()
-        name = write_live_log(monitor, sink)
+        name = write_log(monitor, sink)
         assert name == f"zerosum.live.{monitor.pid}.log"
         doc = sink.documents[name]
         assert "LWP (thread) Summary:" in doc
@@ -38,7 +38,7 @@ class TestLiveLog:
     def test_log_parses_back(self, monitor):
         """The offline parser works on live logs too."""
         sink = MemorySink()
-        name = write_live_log(monitor, sink)
+        name = write_log(monitor, sink)
         parsed = parse_log(sink.documents[name])
         assert parsed.lwp is not None
         assert monitor.pid in parsed.lwp.column("tid").astype(int)
@@ -46,7 +46,7 @@ class TestLiveLog:
 
     def test_memory_section_present(self, monitor):
         sink = MemorySink()
-        name = write_live_log(monitor, sink)
+        name = write_log(monitor, sink)
         parsed = parse_log(sink.documents[name])
         assert parsed.memory is not None
         assert parsed.memory.column("mem_total_kib")[0] > 0

@@ -16,7 +16,7 @@ import pytest
 from repro.collect import FaultyProc, RealProc
 from repro.core import ZeroSumConfig
 from repro.errors import MonitorError, ProcFSError
-from repro.live import LiveZeroSum, read_uptime_seconds
+from repro.live import LiveZeroSum
 
 needs_proc = pytest.mark.skipif(
     not pathlib.Path("/proc/self/stat").exists(), reason="needs Linux /proc"
@@ -224,15 +224,3 @@ class TestStopLifecycle:
         zs.stop(timeout=1.0)  # retry succeeds once the thread exits
         assert zs._stopped
         assert zs.samples_taken >= 1
-
-
-@needs_proc
-class TestUptimeSeam:
-    def test_reads_through_custom_root(self, tmp_path):
-        (tmp_path / "uptime").write_text("123.45 456.78\n")
-        assert read_uptime_seconds(tmp_path) == pytest.approx(123.45)
-
-    def test_missing_raises_procfs_error_with_errno(self, tmp_path):
-        with pytest.raises(ProcFSError) as exc_info:
-            read_uptime_seconds(tmp_path)
-        assert exc_info.value.errno == errno.ENOENT

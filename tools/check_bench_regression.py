@@ -49,7 +49,6 @@ REQUIRED = (
     "BENCH_sampling.json",
     "BENCH_multirank.json",
     "BENCH_journal.json",
-    "BENCH_detect.json",
     "BENCH_recovery.json",
 )
 

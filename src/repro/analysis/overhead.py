@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import MonitorError
 
@@ -100,6 +99,10 @@ def compare_distributions(
     choice when the monitored runs are noisier — exactly what the paper
     observes in Figure 8.
     """
+    # the one scipy user in the package: imported here so that loading
+    # repro.cli (every `zerosum-sim` invocation) does not pay for it
+    from scipy import stats
+
     base = np.asarray(baseline, dtype=np.float64)
     treat = np.asarray(treated, dtype=np.float64)
     b = DistributionSummary.from_samples(labels[0], base)

@@ -12,6 +12,9 @@ Subcommands:
 * ``recover <journal>`` — post-mortem: rebuild the utilization +
   degradation report (and optional log/archive exports) from the
   spill journal of a run that was killed mid-flight.
+
+``live`` and ``recover`` end, like ``run``, with the §3.5 contention
+report of what was sampled.
 """
 
 from __future__ import annotations
@@ -19,15 +22,27 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.analysis import build_cluster_view
 from repro.apps import MiniQmcConfig, PicConfig, miniqmc_app, pic_app
-from repro.core import ZeroSumConfig, zerosum_mpi
+from repro.core import ZeroSumConfig, analyze, zerosum_mpi
 from repro.errors import ReproError
 from repro.launch import SrunOptions, launch_job
 from repro.topology import MACHINE_FACTORIES, frontier_node, render_lstopo
 
 __all__ = ["main"]
+
+
+@contextmanager
+def _writing(path):
+    """An ``OSError`` while writing where the user pointed us is misuse."""
+    try:
+        yield
+    except OSError as exc:
+        if path is None:  # nothing was supplied: not the user's error
+            raise
+        raise ReproError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -131,23 +146,26 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _cmd_live(args: argparse.Namespace) -> int:
     from repro.live import LiveZeroSum
 
-    monitor = LiveZeroSum(
-        ZeroSumConfig(
-            period_seconds=args.period,
-            journal_path=args.journal,
-            journal_checkpoint_every=args.checkpoint_every,
-            heartbeat_path=args.heartbeat,
-            heartbeat_every=1 if args.heartbeat else 0,
-            detect_online=args.detect,
+    with _writing(args.heartbeat):
+        monitor = LiveZeroSum(
+            ZeroSumConfig(
+                period_seconds=args.period,
+                journal_path=args.journal,
+                journal_checkpoint_every=args.checkpoint_every,
+                heartbeat_path=args.heartbeat,
+                heartbeat_every=1 if args.heartbeat else 0,
+                detect_online=args.detect,
+            )
         )
-    )
-    monitor.start()
+    with _writing(args.journal):
+        monitor.start()
     deadline = time.time() + args.seconds
     x = 0
     while time.time() < deadline:  # generate some load to observe
         x += sum(i * i for i in range(2000))
     monitor.stop()
     print(monitor.report().render())
+    print(analyze(monitor).render())
     return 0
 
 
@@ -163,6 +181,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         print(f"cannot recover {args.journal}: {exc}", file=sys.stderr)
         return 2
     print(recovered.report().render())
+    print(analyze(recovered).render())
     if recovered.torn_records:
         print(
             f"(discarded {recovered.torn_records} torn trailing journal "
@@ -170,10 +189,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.log_dir:
-        name = write_log(recovered, FileSink(args.log_dir))
+        with _writing(args.log_dir):
+            name = write_log(recovered, FileSink(args.log_dir))
         print(f"log written: {args.log_dir}/{name}", file=sys.stderr)
     if args.archive:
-        write_archive([recovered], args.archive)
+        with _writing(args.archive):
+            write_archive([recovered], args.archive)
         print(f"archive written: {args.archive}", file=sys.stderr)
     return 0
 

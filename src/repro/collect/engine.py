@@ -116,7 +116,6 @@ class CollectionEngine:
                 reason = f"{type(exc).__name__}: {exc}"
                 if failure_class == TRANSIENT and attempt < policy.max_retries:
                     ledger.record_retry(name, tick, reason, failure_class)
-                    policy.pause(attempt)
                     continue
                 consecutive = ledger.record_failure(
                     name,

@@ -14,8 +14,8 @@ pieces that make the collector pipeline behave that way:
   content was not what the parser expects — usually a code bug or
   corrupted source) is *permanent*: retrying cannot help.
 * :class:`FaultPolicy` — how the :class:`~repro.collect.engine.
-  CollectionEngine` reacts: bounded in-period retries with optional
-  backoff for transients, and disabling a collector after N
+  CollectionEngine` reacts: bounded in-period retries for
+  transients, and disabling a collector after N
   consecutive failed periods, mirroring how the paper's ZeroSum
   degrades when a vendor SMI is absent (§3.4).
 * :class:`DegradationLedger` — every containment decision, recorded on
@@ -118,24 +118,11 @@ class FaultPolicy:
     ``max_retries`` bounds the in-period re-attempts after a transient
     failure; ``disable_after`` consecutive failed *periods* (of either
     class) disable the collector for the rest of the run (0 keeps it
-    limping forever).  ``sleep`` is the backoff actuator — ``None``
-    (the default) never pauses, which keeps simulated sampling
-    deterministic; the live monitor passes ``time.sleep``.
+    limping forever).  Retries are immediate re-reads.
     """
 
     max_retries: int = 2
     disable_after: int = 3
-    backoff_seconds: float = 0.0
-    backoff_cap_seconds: float = 0.25
-    sleep: Optional[Callable[[float], None]] = None
-
-    def pause(self, attempt: int) -> None:
-        """Back off before retry ``attempt`` (bounded exponential)."""
-        if self.sleep is None or self.backoff_seconds <= 0:
-            return
-        self.sleep(
-            min(self.backoff_seconds * (2**attempt), self.backoff_cap_seconds)
-        )
 
 
 @dataclass(frozen=True)

@@ -26,17 +26,17 @@ do — the sampler never pays more than one syscall per period, and a
 crash cannot land between the lines of a single append.
 
 Every record is one newline-terminated frame,
-``<magic> <len> <crc32> <body>``, in one of two formats selected per
-writer: ``ZSJ1`` carries compact JSON, ``ZSJ2`` (the default) a packed
-binary body — a string table plus a tagged value tree whose float64
-series rows are struct-packed matrix blocks, several times cheaper to
-encode than JSON at scale (speed, not size: packed floats are usually
-*larger* than their short JSON reprs).  A torn trailing record — the
-half-written frame a ``kill -9`` leaves behind — fails the length/CRC
-check and is discarded at recovery, with the tear counted in the
-recovered ledger rather than aborting the recovery.  Recovery reads
-both formats, even interleaved in one file (an upgraded writer
-appending to an old journal).
+``<magic> <len> <crc32> <body>``.  The writer emits ``ZSJ2`` frames: a
+packed binary body — a string table plus a tagged value tree whose
+float64 series rows are struct-packed matrix blocks, several times
+cheaper to encode than JSON at scale (speed, not size: packed floats
+are usually *larger* than their short JSON reprs).  A torn trailing
+record — the half-written frame a ``kill -9`` leaves behind — fails
+the length/CRC check and is discarded at recovery, with the tear
+counted in the recovered ledger rather than aborting the recovery.
+Recovery also reads the compact-JSON ``ZSJ1`` frames older writers
+produced, even interleaved with ``ZSJ2`` in one file (an upgraded
+writer appending to an old journal).
 
 :func:`recover_journal` replays a journal back into a fresh store and
 returns a :class:`RecoveredRun` that rebuilds the full utilization +
@@ -75,11 +75,8 @@ __all__ = [
     "decode_store_snapshot",
 ]
 
-_MAGIC = b"ZSJ1"
+_MAGIC = b"ZSJ1"  # legacy compact-JSON frames: read, never written
 _MAGIC2 = b"ZSJ2"
-FORMAT_VERSION = 1
-#: formats a JournalWriter can be asked to emit (recovery reads both)
-FORMATS = (1, 2)
 
 #: ledger counter dicts copied verbatim into / out of records
 _LEDGER_COUNTERS = (
@@ -91,12 +88,6 @@ _LEDGER_COUNTERS = (
 )
 
 # -- record framing ---------------------------------------------------------
-def _frame(payload: dict) -> bytes:
-    """One journal line: magic, body length, CRC32, compact JSON."""
-    body = json.dumps(payload, separators=(",", ":")).encode()
-    return b"%s %d %08x " % (_MAGIC, len(body), zlib.crc32(body)) + body + b"\n"
-
-
 def _unframe(line: bytes) -> Optional[dict]:
     """Decode one line; ``None`` for anything torn or corrupt."""
     parts = line.split(b" ", 3)
@@ -140,10 +131,10 @@ def _unframe(line: bytes) -> Optional[dict]:
 #   7  dict      uvarint count + per item: uvarint key index + value
 #   8  matrix    uvarint nrows + uvarint ncols + nrows*ncols ``<d``
 #
-# Tag 8 is the fast path: a rectangular list of all-float rows (a
-# series buffer's ``array.tolist()``) packs as one ``struct`` block and
-# decodes back to the same list-of-lists JSON would have produced, so
-# recovery is bit-identical across formats.
+# Tag 8 is the fast path: a series buffer's float64 row block packs
+# straight from the ndarray's memory and decodes back to the same
+# list-of-lists JSON would have produced, so recovery is bit-identical
+# across formats.
 
 _T_NONE, _T_FALSE, _T_TRUE = 0, 1, 2
 _T_INT, _T_FLOAT, _T_STR = 3, 4, 5
@@ -170,22 +161,6 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
-
-
-def _matrix_cols(value: list) -> int:
-    """Column count if ``value`` packs as a tag-8 matrix, else 0."""
-    ncols = 0
-    for row in value:
-        if type(row) is not list or not row:
-            return 0
-        if ncols == 0:
-            ncols = len(row)
-        elif len(row) != ncols:
-            return 0
-        for cell in row:
-            if type(cell) is not float:
-                return 0
-    return ncols
 
 
 def _encode_value(out: bytearray, strings: dict, value) -> None:
@@ -236,8 +211,6 @@ def _encode_value(out: bytearray, strings: dict, value) -> None:
         else:
             out.append(index)
     elif kind is np.ndarray:
-        # trusted bulk path: a series buffer's float64 row block packs
-        # straight from the array's memory, no tolist()/flatten walk
         if value.ndim != 2 or value.dtype != np.float64:
             _encode_value(out, strings, value.tolist())
             return
@@ -252,18 +225,10 @@ def _encode_value(out: bytearray, strings: dict, value) -> None:
         n = value
         _pack_uvarint(out, (n << 1) if n >= 0 else ((~n) << 1) | 1)
     elif kind is list or kind is tuple:
-        ncols = _matrix_cols(value) if kind is list else 0
-        if ncols:
-            out.append(_T_MATRIX)
-            _pack_uvarint(out, len(value))
-            _pack_uvarint(out, ncols)
-            flat = [cell for row in value for cell in row]
-            out += struct.pack("<%dd" % len(flat), *flat)
-        else:
-            out.append(_T_LIST)
-            _pack_uvarint(out, len(value))
-            for item in value:
-                _encode_value(out, strings, item)
+        out.append(_T_LIST)
+        _pack_uvarint(out, len(value))
+        for item in value:
+            _encode_value(out, strings, item)
     elif value is None:
         out.append(_T_NONE)
     elif isinstance(value, bool):
@@ -372,13 +337,12 @@ def _frame2(payload: dict) -> bytes:
 
 
 # -- state (de)serialization ------------------------------------------------
-def _series_state(series: SeriesBuffer, *, binary: bool = False) -> dict:
-    # a binary (ZSJ2) writer takes the float64 row block as the ndarray
-    # itself — the packer serializes it straight from array memory; the
-    # JSON writer needs plain lists
+def _series_state(series: SeriesBuffer) -> dict:
+    # the float64 row block rides as the ndarray itself — the packer
+    # serializes it straight from array memory
     return {
         "columns": list(series.columns),
-        "rows": series.array if binary else series.array.tolist(),
+        "rows": series.array,
         "appended": series.appended,
     }
 
@@ -475,14 +439,14 @@ def _apply_identity(store: SampleStore, state: dict) -> None:
     store.last_thread_count = int(state["last_thread_count"])
 
 
-def _store_state(store: SampleStore, *, binary: bool) -> dict:
+def _store_state(store: SampleStore) -> dict:
     """Marshal a store's complete state (retention, series, ledgers)."""
     state: dict = {
         "keep_series": store.keep_series,
         "max_rows": store.max_rows,
         "summary_rows": store.summary_rows,
         **_identity_state(store),
-        "mem": _series_state(store.mem_series, binary=binary),
+        "mem": _series_state(store.mem_series),
         "ledger": _ledger_state(
             store.ledger,
             since=store.ledger.total_events - len(store.ledger.events),
@@ -498,7 +462,7 @@ def _store_state(store: SampleStore, *, binary: bool) -> dict:
         ("gpu", store.gpu_series),
     ):
         state[family] = {
-            str(key): _series_state(series, binary=binary)
+            str(key): _series_state(series)
             for key, series in mapping.items()
         }
     return state
@@ -513,7 +477,7 @@ def encode_store_snapshot(store: SampleStore) -> bytes:
     over a pipe every K epochs, and round-tripping through the same
     codec as crash recovery means one tested serialization, not two.
     """
-    return _encode_body({"store": _store_state(store, binary=True)})
+    return _encode_body({"store": _store_state(store)})
 
 
 def decode_store_snapshot(blob: bytes) -> SampleStore:
@@ -541,9 +505,8 @@ class JournalWriter:
     ``classify`` (optional) stamps each record with the driver's
     thread-kind labels so the recovered report reproduces them.
 
-    ``format`` selects the frame codec: 2 (default) writes packed
-    binary ZSJ2 frames, 1 the legacy JSON ZSJ1 frames.  Recovery reads
-    both, so a ZSJ2 writer may append to (or checkpoint over) a
+    Frames are packed binary ZSJ2; recovery also reads legacy JSON
+    ZSJ1 frames, so this writer may append to (or checkpoint over) a
     journal begun by an older ZSJ1 writer.
     """
 
@@ -554,18 +517,13 @@ class JournalWriter:
         checkpoint_every: int = 10,
         fsync: bool = True,
         classify: Optional[Callable[[int], str]] = None,
-        format: int = 2,
     ):
         if checkpoint_every < 1:
             raise JournalError("checkpoint_every must be >= 1")
-        if format not in FORMATS:
-            raise JournalError(f"journal format must be one of {FORMATS}")
         self.path = Path(path)
         self.checkpoint_every = checkpoint_every
         self.fsync = fsync
         self.classify = classify
-        self.format = format
-        self._frame_record = _frame if format == 1 else _frame2
         self._file = None
         self._lock = threading.Lock()
         self._seq = 0
@@ -590,7 +548,7 @@ class JournalWriter:
         with self._lock:
             if self._file is not None:
                 raise JournalError(f"journal {self.path} already open")
-            self._meta = {"version": self.format, **meta}
+            self._meta = {"version": 2, **meta}
             self._checkpoint_locked(store)
 
     def close(self, store: Optional[SampleStore] = None) -> None:
@@ -610,7 +568,7 @@ class JournalWriter:
         with self._lock:
             self._require_open()
             self._meta.update(fields)
-            self._emit(self._frame_record({"kind": "meta", **fields}))
+            self._emit(_frame2({"kind": "meta", **fields}))
 
     def record_period(self, store: SampleStore, tick: float) -> None:
         """Journal one committed period; every Nth becomes a checkpoint.
@@ -625,7 +583,7 @@ class JournalWriter:
             if self._seq % self.checkpoint_every == 0:
                 self._checkpoint_locked(store, tick=tick)
                 return
-            self._emit(self._frame_record(self._period_record(store, tick)))
+            self._emit(_frame2(self._period_record(store, tick)))
 
     def note(self, tick: float, collector: str, reason: str) -> None:
         """Durable out-of-band diagnostic; touches no store state.
@@ -636,7 +594,7 @@ class JournalWriter:
         """
         with self._lock:
             self._require_open()
-            frame = self._frame_record(
+            frame = _frame2(
                 {
                     "kind": "note",
                     "tick": tick,
@@ -660,7 +618,7 @@ class JournalWriter:
         with self._lock:
             self._require_open()
             self._emit(
-                self._frame_record(
+                _frame2(
                     {
                         "kind": "note",
                         "tick": finding.tick,
@@ -723,8 +681,8 @@ class JournalWriter:
             # meta + snapshot (+ carried notes) coalesced: one write,
             # at most one fsync
             handle.write(
-                self._frame_record({"kind": "meta", **self._meta})
-                + self._frame_record(self._snapshot_record(store, tick))
+                _frame2({"kind": "meta", **self._meta})
+                + _frame2(self._snapshot_record(store, tick))
                 + b"".join(frame for _, frame in self._notes)
             )
             handle.flush()
@@ -769,29 +727,27 @@ class JournalWriter:
             "seq": self._seq,
             "tick": store.prev_tick if tick is None else tick,
             "kinds": self._kinds(store),
-            "store": _store_state(store, binary=self.format == 2),
+            "store": _store_state(store),
         }
 
     def _series_delta(
         self, family: str, key: int, series: SeriesBuffer, keep_series: bool
     ) -> Optional[dict]:
-        binary = self.format == 2
         cursor = self._cursors.get((family, key), 0)
         new = series.appended - cursor
         self._cursors[(family, key)] = series.appended
         if not keep_series:
             # summary mode refreshes rows in place without appending, so
             # the delta is the whole (<= summary_rows) series every time
-            return {"replace": True, **_series_state(series, binary=binary)}
+            return {"replace": True, **_series_state(series)}
         if new <= 0:
             return None
         if new > len(series):
             # the ring overwrote rows the cursor never saw: replace
-            return {"replace": True, **_series_state(series, binary=binary)}
-        rows = series.array[-new:]
+            return {"replace": True, **_series_state(series)}
         return {
             "columns": list(series.columns),
-            "rows": rows if binary else rows.tolist(),
+            "rows": series.array[-new:],
             "appended": series.appended,
         }
 

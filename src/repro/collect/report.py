@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.collect.store import SampleStore
 from repro.core.reports import GpuStat, HwtRow, LwpRow, UtilizationReport
+from repro.detect.rules import TopologyFacts
 from repro.errors import MonitorError
 from repro.gpu.metrics import METRIC_LABELS, METRIC_ORDER
 from repro.topology.cpuset import CpuSet
@@ -193,6 +194,8 @@ class StoreBackedRun:
     heartbeats: Sequence[str] = ()
     crash_reports: Sequence[str] = ()
     recorder = None  # the rank's P2PRecorder, if MPI was interposed
+    #: (tick, pid) of every OOM kill on the node (simulated runs only)
+    oom_events: Sequence[tuple[int, int]] = ()
 
     # -- the view of the store ------------------------------------------
     @property
@@ -226,6 +229,17 @@ class StoreBackedRun:
     def observed_tids(self) -> list[int]:
         """Every thread id the run ever sampled, sorted."""
         return self.store.observed_tids()
+
+    @property
+    def facts(self) -> TopologyFacts:
+        """§3.5 node context; a driver that can see the node overrides it.
+
+        A replayed or recovered run cannot: the union of the affinities
+        it recorded stands in for the node's CPU set.
+        """
+        return TopologyFacts(
+            node_cpus=frozenset().union(*self.store.lwp_affinity.values())
+        )
 
     # -- identity -------------------------------------------------------
     def journal_meta(self) -> dict:

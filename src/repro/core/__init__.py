@@ -9,6 +9,10 @@ Typical flow::
     step.finalize()
     report = build_report(step.monitors[0])
     findings = analyze(step.monitors[0])
+
+``analyze(run)`` takes any store-backed run, not only a simulated one:
+a ``repro.live.LiveZeroSum`` after ``stop()``, a ``ReplayZeroSum`` of
+an exported log, or ``recover_journal(path)`` of a run that was killed.
 """
 
 from repro.core.advisor import Advice, Suggestion, advise

@@ -17,6 +17,7 @@ from typing import Optional
 from repro.core.contention import ContentionReport, analyze
 from repro.core.monitor import ZeroSum
 from repro.core.reports import UtilizationReport, build_report
+from repro.detect.rules import THRESHOLDS
 from repro.launch.options import SrunOptions
 from repro.topology.objects import Machine
 
@@ -88,7 +89,8 @@ class Advice:
 def _busy_threads_per_rank(report: UtilizationReport) -> int:
     return sum(
         1 for row in report.lwp_rows
-        if row.utime_pct + row.stime_pct >= 5.0 and row.kind != "ZeroSum"
+        if row.utime_pct + row.stime_pct >= THRESHOLDS.busy_pct
+        and row.kind != "ZeroSum"
     )
 
 
@@ -135,10 +137,10 @@ def advise(
         opt_changes["cpus_per_task"] = suggestion_c
 
     # 2. unbound threads: the Table 2 -> Table 3 fix
-    proc_cpus = monitor.initial.cpus_allowed
+    proc_cpus = monitor.cpus_allowed
     unbound_busy = [
         row for row in report.lwp_rows
-        if row.utime_pct + row.stime_pct >= 5.0
+        if row.utime_pct + row.stime_pct >= THRESHOLDS.busy_pct
         and len(row.cpus) > 1 and row.cpus == proc_cpus
     ]
     bind = (options.env.get("OMP_PROC_BIND") or "false").lower()

@@ -36,7 +36,6 @@ class ZeroSumConfig:
     collect_hwt: bool = True
     collect_gpu: bool = True
     collect_memory: bool = True
-    collect_mpi: bool = True
     #: print a heartbeat line every N samples (0 disables)
     heartbeat_every: int = 0
     #: flag a suspected deadlock after N consecutive stalled samples
@@ -63,9 +62,6 @@ class ZeroSumConfig:
     #: disable a collector after N consecutive failed periods and
     #: record why (0 keeps retrying forever)
     fault_disable_after: int = 3
-    #: base backoff between live-monitor retries, doubled per attempt
-    #: (the simulated monitor never sleeps regardless)
-    fault_backoff_seconds: float = 0.0
     #: crash durability: spool every committed period to this spill
     #: journal so a kill -9'd run stays recoverable (None disables)
     journal_path: str | None = None
@@ -91,14 +87,6 @@ class ZeroSumConfig:
     #: online detection: evaluate the §3.5 contention rules and the
     #: precursor detectors once per committed sampling period
     detect_online: bool = False
-    #: per-entity metric-history window the detector keeps (samples)
-    detect_window: int = 16
-    #: only raise a projected-OOM finding when the ETA is inside this
-    #: horizon (seconds)
-    detect_oom_horizon_s: float = 600.0
-    #: keep at most this many findings in memory (the journal keeps
-    #: them all regardless)
-    detect_max_alerts: int = 256
 
     def __post_init__(self) -> None:
         if self.period_seconds <= 0:
@@ -124,18 +112,10 @@ class ZeroSumConfig:
             raise MonitorError("fault_retries must be >= 0")
         if self.fault_disable_after < 0:
             raise MonitorError("fault_disable_after must be >= 0")
-        if self.fault_backoff_seconds < 0:
-            raise MonitorError("fault_backoff_seconds must be >= 0")
         if self.journal_checkpoint_every < 1:
             raise MonitorError("journal_checkpoint_every must be >= 1")
         if self.watchdog_stall_periods < 0:
             raise MonitorError("watchdog_stall_periods must be >= 0")
-        if self.detect_window < 4:
-            raise MonitorError("detect_window must be >= 4")
-        if self.detect_oom_horizon_s <= 0:
-            raise MonitorError("detect_oom_horizon_s must be positive")
-        if self.detect_max_alerts < 1:
-            raise MonitorError("detect_max_alerts must be >= 1")
         if self.deadlock_action not in ("report", "terminate"):
             raise MonitorError("deadlock_action must be 'report' or 'terminate'")
         if self.openmp_detection not in ("ompt", "probe"):

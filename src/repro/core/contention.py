@@ -4,8 +4,9 @@ The paper's §3.5 reads contention off the utilization data (high
 non-voluntary context switches, high system-call time, overlapping
 affinity lists, memory pressure) and §3.2 names automatic
 misconfiguration detection as future work.  Both are implemented here:
-:func:`analyze` inspects a finalized monitor and produces a list of
-typed findings with severities, covering
+:func:`analyze` takes any store-backed run — simulated, live, replayed
+or recovered from a journal — and produces a list of typed findings
+with severities, covering
 
 * **oversubscription** — multiple busy LWPs sharing hardware threads
   (the Table 1 pathology);
@@ -18,17 +19,35 @@ typed findings with severities, covering
 * **NUMA spanning** — a thread's affinity mask crossing NUMA domains;
 * **memory pressure / OOM** — low MemAvailable or recorded OOM kills,
   distinguishing application RSS growth from external consumers.
+
+The first five decisions are the shared §3.5 catalog of
+:mod:`repro.detect.rules`, fed rows built from the whole-run report
+(post hoc, the window is the whole run); the rest need the whole
+run's series and live only here.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.monitor import ZeroSum
-from repro.core.reports import UtilizationReport
-from repro.detect import DetectThresholds, is_bound
+import numpy as np
+
+from repro.core.reports import LwpRow, UtilizationReport
+from repro.detect.rules import (
+    affinity_overlaps,
+    busy_set,
+    is_bound,
+    lwp_list,
+    oversubscription,
+    remote_gpus,
+    time_sliced,
+)
 from repro.topology.cpuset import CpuSet
+
+if TYPE_CHECKING:
+    from repro.collect.report import StoreBackedRun
 
 __all__ = ["Severity", "Finding", "ContentionReport", "analyze"]
 
@@ -84,11 +103,6 @@ class ContentionReport:
         ) + "\n"
 
 
-#: the §3.5 trip points shared with the streaming catalog — busy
-#: threshold (low: time-sliced threads may each see only a small share
-#: of one core, e.g. ~11 % for 9 threads on one core), nv_ctx rate,
-#: saturation demand — live in DetectThresholds and only there
-_THRESHOLDS = DetectThresholds()
 #: a CPU with idle above this is "unused"
 _IDLE_PCT = 95.0
 #: MemAvailable below this fraction of MemTotal is pressure ("will I
@@ -96,74 +110,65 @@ _IDLE_PCT = 95.0
 _MEM_PRESSURE = 0.10
 
 
-def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> ContentionReport:
-    """Derive findings from a finalized monitor."""
-    report = report or monitor.report()
+def _nv_ctx_in_window(run: StoreBackedRun, row: LwpRow) -> int:
+    """Non-voluntary switches the run observed, not the thread's lifetime."""
+    if run.baseline == "first":  # the counters predate the monitor
+        first = run.lwp_series[row.tid].column("nv_ctx")[0]
+        return row.nv_ctx - int(first)
+    return row.nv_ctx
+
+
+def analyze(
+    run: StoreBackedRun, report: UtilizationReport | None = None
+) -> ContentionReport:
+    """Derive findings from any store-backed run."""
+    report = report or run.report()
     out = ContentionReport(rank=report.rank)
-    node_cpus = monitor.process.node.machine.cpuset()
-    duration_s = max(monitor.duration_seconds, 1e-9)
+    facts = run.facts
+    duration_s = max(run.duration_seconds, 1e-9)
 
-    busy_rows = [
-        r
+    by_tid = {r.tid: r for r in report.lwp_rows}
+    nv_ctx = {r.tid: _nv_ctx_in_window(run, r) for r in report.lwp_rows}
+    rows = [
+        (r.tid, r.utime_pct + r.stime_pct, nv_ctx[r.tid] / duration_s, r.cpus)
         for r in report.lwp_rows
-        if r.utime_pct + r.stime_pct >= _THRESHOLDS.busy_pct
     ]
-    bound_busy = [r for r in busy_rows if is_bound(r.cpus, node_cpus)]
+    busy = busy_set(rows)
 
-    # oversubscription: more busy bound threads than distinct CPUs,
-    # with the shared CPUs effectively saturated
-    cpus_used: CpuSet = CpuSet()
-    demand_pct = 0.0
-    for row in bound_busy:
-        cpus_used = cpus_used | row.cpus
-        demand_pct += row.utime_pct + row.stime_pct
-    saturated = bool(cpus_used) and demand_pct >= (
-        _THRESHOLDS.demand_saturation_pct * len(cpus_used)
-    )
-    if bound_busy and len(bound_busy) > len(cpus_used) and saturated:
+    tripped = oversubscription(busy, facts.node_cpus)
+    if tripped is not None:
+        bound_busy, cpus_used = tripped
         out.findings.append(
             Finding(
                 "oversubscription",
                 Severity.CRITICAL,
                 f"{len(bound_busy)} busy threads share only "
                 f"{len(cpus_used)} hardware thread(s) "
-                f"({format_over(bound_busy, cpus_used)})",
+                f"(LWPs {lwp_list(bound_busy)} on CPUs "
+                f"[{CpuSet(cpus_used).to_list()}])",
             )
         )
 
-    # affinity overlap between *pinned* busy threads: threads bound to
-    # one or two CPUs that are forced to share them.  Unbound threads
-    # (affinity == whole process cpuset) are the scheduler's problem,
-    # not a pinning mistake, so they are excluded here.
-    pinned = [r for r in busy_rows if 0 < len(r.cpus) <= 2]
-    per_cpu: dict[int, list[int]] = {}
-    for row in pinned:
-        for cpu in row.cpus:
-            per_cpu.setdefault(cpu, []).append(row.tid)
-    for cpu, tids in sorted(per_cpu.items()):
-        if len(tids) > 1:
-            out.findings.append(
-                Finding(
-                    "affinity-overlap",
-                    Severity.WARNING,
-                    f"{len(tids)} busy threads are pinned to CPU {cpu}: "
-                    f"LWPs {sorted(tids)}",
-                )
+    for cpu, tids in affinity_overlaps(busy):
+        out.findings.append(
+            Finding(
+                "affinity-overlap",
+                Severity.WARNING,
+                f"{len(tids)} busy threads are pinned to CPU {cpu}: "
+                f"LWPs {tids}",
             )
+        )
 
-    # forced time-slicing (high nv_ctx rate)
-    for row in report.lwp_rows:
-        rate = row.nv_ctx / duration_s
-        if rate > _THRESHOLDS.nvctx_rate:
-            out.findings.append(
-                Finding(
-                    "time-slicing",
-                    Severity.WARNING,
-                    f"LWP {row.tid} ({row.kind}) suffered "
-                    f"{row.nv_ctx} non-voluntary context switches "
-                    f"({rate:.1f}/s): CPU over-commitment",
-                )
+    for tid, _busy, rate, _cpus in time_sliced(rows):
+        out.findings.append(
+            Finding(
+                "time-slicing",
+                Severity.WARNING,
+                f"LWP {tid} ({by_tid[tid].kind}) suffered "
+                f"{nv_ctx[tid]} non-voluntary context switches "
+                f"({rate:.1f}/s): CPU over-commitment",
             )
+        )
 
     # undersubscription: allocated CPUs that stayed idle
     idle = report.idle_cpus(_IDLE_PCT)
@@ -186,52 +191,39 @@ def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> Conten
         )
 
     # GPU locality vs --gpu-bind=closest expectations
-    machine = monitor.process.node.machine
-    if monitor.smi is not None and len(machine.numa_domains()) > 1:
-        rank_numas = {
-            machine.numa_of(cpu).os_index
-            for cpu in monitor.initial.cpus_allowed
-            if machine.numa_of(cpu) is not None
-        }
-        for visible in range(monitor.smi.num_devices()):
-            dev = monitor.smi.device(visible)
-            if dev.info.numa not in rank_numas:
-                out.findings.append(
-                    Finding(
-                        "gpu-locality",
-                        Severity.WARNING,
-                        f"GPU {dev.info.physical_index} (visible {visible}) "
-                        f"is on NUMA {dev.info.numa} but the rank runs on "
-                        f"NUMA {sorted(rank_numas)}",
-                    )
-                )
+    for visible, gpu in remote_gpus(facts):
+        out.findings.append(
+            Finding(
+                "gpu-locality",
+                Severity.WARNING,
+                f"GPU {gpu.physical_index} (visible {visible}) "
+                f"is on NUMA {gpu.numa} but the rank runs on "
+                f"NUMA {sorted(facts.rank_numas)}",
+            )
+        )
 
-    # threads spanning NUMA domains
-    if len(machine.numa_domains()) > 1:
-        for row in report.lwp_rows:
-            if not is_bound(row.cpus, node_cpus):
-                continue
-            domains = {
-                machine.numa_of(cpu).os_index
-                for cpu in row.cpus
-                if machine.numa_of(cpu) is not None
-            }
-            if len(domains) > 1:
-                out.findings.append(
-                    Finding(
-                        "numa-span",
-                        Severity.INFO,
-                        f"LWP {row.tid} affinity spans NUMA domains "
-                        f"{sorted(domains)}",
-                    )
+    # threads spanning NUMA domains (needs the driver's CPU -> NUMA map)
+    cpu_numa = facts.cpu_numa
+    for row in report.lwp_rows:
+        if not is_bound(row.cpus, facts.node_cpus):
+            continue
+        domains = {cpu_numa[cpu] for cpu in row.cpus if cpu in cpu_numa}
+        if len(domains) > 1:
+            out.findings.append(
+                Finding(
+                    "numa-span",
+                    Severity.INFO,
+                    f"LWP {row.tid} affinity spans NUMA domains "
+                    f"{sorted(domains)}",
                 )
+            )
 
     # GPU memory exhaustion: §3.5's periodic used/free VRAM check
-    for visible in sorted(monitor.gpu_series):
-        series = monitor.gpu_series[visible]
-        if len(series) == 0 or monitor.smi is None:
+    for visible in sorted(run.gpu_series):
+        series = run.gpu_series[visible]
+        if len(series) == 0 or visible not in facts.gpus:
             continue
-        capacity = monitor.smi.device(visible).info.memory_bytes
+        capacity = facts.gpus[visible].memory_bytes
         peak = float(series.column("used_vram_bytes").max())
         if capacity > 0 and peak > 0.9 * capacity:
             out.findings.append(
@@ -246,11 +238,13 @@ def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> Conten
             )
 
     # I/O-bound cores: allocated CPUs spending their time in iowait
-    for cpu in sorted(monitor.hwt_series):
-        series = monitor.hwt_series[cpu]
+    for cpu in sorted(run.hwt_series):
+        series = run.hwt_series[cpu]
         if "iowait" not in series.columns or len(series) == 0:
             continue
-        iowait_pct = 100.0 * series.last("iowait") / max(1, duration_s * 100)
+        iowait = series.column("iowait")
+        waited = iowait[-1] - (iowait[0] if run.baseline == "first" else 0.0)
+        iowait_pct = 100.0 * waited / max(1, duration_s * run.hz)
         if iowait_pct > 20.0:
             out.findings.append(
                 Finding(
@@ -263,17 +257,15 @@ def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> Conten
             )
 
     # memory pressure / OOM
-    if len(monitor.mem_series):
-        import numpy as np
-
-        total = monitor.mem_series.last("mem_total_kib")
-        avail_col = monitor.mem_series.column("mem_available_kib")
+    if len(run.mem_series):
+        total = run.mem_series.last("mem_total_kib")
+        avail_col = run.mem_series.column("mem_available_kib")
         avail = float(avail_col.min())
         if total > 0 and avail < _MEM_PRESSURE * total:
             # blame assessed at the moment of peak pressure, since a
             # dead (reaped) process reports zero RSS afterwards
             at_peak = int(np.argmin(avail_col))
-            rss = float(monitor.mem_series.column("rss_kib")[at_peak])
+            rss = float(run.mem_series.column("rss_kib")[at_peak])
             blame = (
                 "this process's RSS"
                 if rss > 0.5 * (total - avail)
@@ -288,19 +280,13 @@ def analyze(monitor: ZeroSum, report: UtilizationReport | None = None) -> Conten
                     f"dominant consumer appears to be {blame}",
                 )
             )
-    for tick, pid in monitor.process.node.memory.oom_events:
+    for tick, pid in run.oom_events:
         out.findings.append(
             Finding(
                 "oom",
                 Severity.CRITICAL,
-                f"process {pid} was OOM-killed at t={tick / 100:.2f}s",
+                f"process {pid} was OOM-killed at t={tick / run.hz:.2f}s",
             )
         )
 
     return out
-
-
-def format_over(rows, cpus_used: CpuSet) -> str:
-    tids = ",".join(str(r.tid) for r in rows[:6])
-    more = "..." if len(rows) > 6 else ""
-    return f"LWPs {tids}{more} on CPUs [{cpus_used.to_list()}]"

@@ -26,6 +26,7 @@ sample), which is what the Figure 8 overhead experiment measures.
 from __future__ import annotations
 
 import traceback
+from functools import cached_property
 from typing import Optional
 
 from repro.collect import (
@@ -42,7 +43,7 @@ from repro.collect.report import StoreBackedRun
 from repro.core.config import ZeroSumConfig
 from repro.core.detect import ProcessConfig, detect_configuration
 from repro.core.heartbeat import ProgressTracker, heartbeat_line
-from repro.detect import DetectThresholds, OnlineDetector
+from repro.detect import GpuFacts, OnlineDetector, TopologyFacts
 from repro.errors import MonitorError
 from repro.gpu.backend import SmiBackend, make_smi
 from repro.kernel.directives import Call, Compute, Sleep
@@ -99,7 +100,7 @@ class ZeroSum(StoreBackedRun):
         # MPI point-to-point interposition
         self.comm = comm
         self.recorder: Optional[P2PRecorder] = None
-        if comm is not None and self.config.collect_mpi:
+        if comm is not None:
             self.recorder = P2PRecorder(comm.Get_size())
             self.recorder.attach(comm)
 
@@ -149,30 +150,7 @@ class ZeroSum(StoreBackedRun):
         # identical between a simulated run and its recovery
         self.detector: Optional[OnlineDetector] = None
         if self.config.detect_online:
-            machine = process.node.machine
-            gpu_numa: dict[int, int] = {}
-            rank_numas: set[int] = set()
-            if self.smi is not None and len(machine.numa_domains()) > 1:
-                for visible in range(self.smi.num_devices()):
-                    gpu_numa[visible] = self.smi.device(visible).info.numa
-                rank_numas = {
-                    machine.numa_of(cpu).os_index
-                    for cpu in self.initial.cpus_allowed
-                    if machine.numa_of(cpu) is not None
-                }
-            self.detector = OnlineDetector(
-                hz=kernel.clock.hz,
-                window=self.config.detect_window,
-                thresholds=DetectThresholds(
-                    oom_horizon_s=self.config.detect_oom_horizon_s
-                ),
-                node_cpus=machine.cpuset(),
-                gpu_numa=gpu_numa,
-                rank_numas=rank_numas,
-                max_alerts=self.config.detect_max_alerts,
-            )
-        # containment policy: no backoff actuator — retries are
-        # immediate re-reads, keeping simulated sampling deterministic
+            self.detector = OnlineDetector(hz=kernel.clock.hz, facts=self.facts)
         self.engine = CollectionEngine(
             self.store,
             collectors,
@@ -359,6 +337,36 @@ class ZeroSum(StoreBackedRun):
         self._finalized = True
 
     # -- what the shared run surface asks of the driver -----------------
+    @cached_property
+    def facts(self) -> TopologyFacts:
+        """§3.5 node context, from the machine tree and the SMI session."""
+        machine = self.process.node.machine
+        cpu_numa = {
+            cpu: domain.os_index
+            for domain in machine.numa_domains()
+            for cpu in domain.cpuset()
+        }
+        gpus = {}
+        if self.smi is not None:
+            for visible in range(self.smi.num_devices()):
+                info = self.smi.device(visible).info
+                gpus[visible] = GpuFacts(
+                    info.numa, info.physical_index, info.memory_bytes
+                )
+        return TopologyFacts(
+            node_cpus=frozenset(machine.cpuset()),
+            cpu_numa=cpu_numa,
+            rank_numas=frozenset(
+                cpu_numa[cpu] for cpu in self.cpus_allowed if cpu in cpu_numa
+            ),
+            gpus=gpus,
+        )
+
+    @property
+    def oom_events(self) -> list[tuple[int, int]]:
+        """The node's OOM kills so far, as (tick, pid)."""
+        return self.process.node.memory.oom_events
+
     def banner_lines(self) -> list[str]:
         """The phase-1 summary, plus the lstopo tree when rendered."""
         lines = self.initial.summary_lines()

@@ -1,21 +1,17 @@
 """Online contention detection and anomaly scoring.
 
 The per-period analysis tier over the shared collection pipeline: a
-bounded per-entity metric history, delta-over-history features,
-streaming ports of the §3.5 contention rules, and precursor detectors
-that project terminal events (OOM, thermal throttle) before they
-happen.  Findings are typed records carried by every existing channel:
-the heartbeat line, the report's "Alerts:" section, and the spill
-journal's durable note stream.
+bounded per-entity metric history, delta-over-history features, the
+§3.5 contention catalog (:mod:`repro.detect.rules` — its decisions are
+shared with the post-hoc :func:`repro.core.contention.analyze`), and
+precursor detectors that project terminal events (OOM, thermal
+throttle) before they happen.  Findings are typed records carried by
+every existing channel: the heartbeat line, the report's "Alerts:"
+section, and the spill journal's durable note stream.
 """
 
 from repro.detect.findings import SEVERITIES, AlertLedger, OnlineFinding
-from repro.detect.online import (
-    DetectThresholds,
-    EntityHistory,
-    OnlineDetector,
-    is_bound,
-)
+from repro.detect.online import EntityHistory, OnlineDetector
 from repro.detect.precursors import (
     PRECURSORS,
     precursor_gpu_thermal,
@@ -26,6 +22,10 @@ from repro.detect.precursors import (
 from repro.detect.rules import (
     RULES,
     Condition,
+    DetectThresholds,
+    GpuFacts,
+    TopologyFacts,
+    is_bound,
     rule_affinity_overlap,
     rule_gpu_locality,
     rule_oversubscription,
@@ -39,6 +39,8 @@ __all__ = [
     "OnlineDetector",
     "EntityHistory",
     "DetectThresholds",
+    "TopologyFacts",
+    "GpuFacts",
     "is_bound",
     "Condition",
     "RULES",

@@ -8,8 +8,8 @@ node memory) keeps a bounded :class:`EntityHistory` deque of its last
 newest sample against that history — window deltas, least-squares
 slopes, EWMAs — and evaluates two catalogs over the features:
 
-* the **streaming ports** of the §3.5 post-hoc rules
-  (:mod:`repro.detect.rules`): oversubscription, forced time-slicing,
+* the **§3.5 contention catalog** (:mod:`repro.detect.rules`) over
+  the trailing window: oversubscription, forced time-slicing,
   affinity overlap, GPU locality;
 * the **precursors** (:mod:`repro.detect.precursors`): conditions
   whose *trend* predicts a terminal event minutes ahead — memory-leak
@@ -32,16 +32,15 @@ history reproducible across the simulated, live, and replayed drivers
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.detect.findings import SEVERITIES, AlertLedger, OnlineFinding
 from repro.detect.precursors import PRECURSORS
-from repro.detect.rules import RULES, Condition
+from repro.detect.rules import RULES, THRESHOLDS, Condition, Row, TopologyFacts
 
-__all__ = ["DetectThresholds", "EntityHistory", "OnlineDetector", "is_bound"]
+__all__ = ["EntityHistory", "OnlineDetector"]
 
 #: LWP metrics mirrored into per-entity history (store column names).
 #: Only what the rule and precursor catalogs actually read: every name
@@ -63,49 +62,6 @@ _MEM_METRICS = (
     "io_read_kib",
     "io_write_kib",
 )
-
-
-@dataclass(frozen=True)
-class DetectThresholds:
-    """Tunable trip points of the rule and precursor catalogs.
-
-    The post-hoc :mod:`repro.core.contention` catalog reads the rule
-    thresholds from these defaults, so a streaming finding agrees with
-    its post-hoc counterpart; the precursor thresholds control how far
-    ahead of the terminal event the early warnings fire.
-    """
-
-    #: a thread busier than this % of its window counts as "busy"
-    busy_pct: float = 5.0
-    #: nv_ctx per observed second above this is forced time-slicing
-    nvctx_rate: float = 2.5
-    #: shared CPUs count as saturated above this % demand per CPU
-    demand_saturation_pct: float = 70.0
-    #: fire the leak precursor when projected OOM is within this
-    oom_horizon_s: float = 600.0
-    #: ignore leaks slower than this (KiB/s of RSS growth)
-    leak_min_slope_kib_s: float = 1.0
-    #: GPU temperature at which vendors start pulling clocks
-    gpu_throttle_temp_c: float = 90.0
-    #: fire the thermal precursor when throttle is within this horizon
-    gpu_temp_horizon_s: float = 600.0
-    #: minimum rising slope (deg C/s) for the thermal precursor
-    gpu_temp_min_slope: float = 1e-3
-    #: runnable-state fraction of the window that means "starved"
-    starvation_runnable_frac: float = 0.9
-    #: a starved thread runs below this busy % despite being runnable
-    starvation_busy_pct: float = 1.0
-    #: D-state fraction of the window that means "I/O stalled"
-    io_stall_d_frac: float = 0.9
-
-
-def is_bound(cpus, node_cpus) -> bool:
-    """Whether an affinity mask pins a thread (§3.5, both catalogs).
-
-    Unbound helper threads carry the whole node's usable mask, so a
-    mask counts as bound when it covers under half of the node.
-    """
-    return 0 < len(cpus) < max(1, len(node_cpus) // 2)
 
 
 class EntityHistory:
@@ -261,30 +217,19 @@ class OnlineDetector:
         *,
         hz: float,
         window: int = 16,
-        thresholds: Optional[DetectThresholds] = None,
-        node_cpus: Optional[Iterable[int]] = None,
-        gpu_numa: Optional[dict[int, int]] = None,
-        rank_numas: Optional[Iterable[int]] = None,
-        ignore_tids: Optional[Iterable[int]] = None,
-        max_alerts: int = 256,
+        facts: TopologyFacts = TopologyFacts(frozenset()),
     ):
         if window < 4:
             raise ValueError("detection window must be >= 4 periods")
         self.hz = float(hz)
         self.window = int(window)
-        self.thresholds = thresholds or DetectThresholds()
-        #: the node's usable CPU set, for the bound-thread heuristic
-        #: (None: approximated by the union of observed affinities)
-        self.node_cpus: Optional[frozenset[int]] = (
-            frozenset(node_cpus) if node_cpus is not None else None
-        )
-        #: visible GPU index -> NUMA domain (static locality context)
-        self.gpu_numa = dict(gpu_numa or {})
-        #: NUMA domains the rank's CPUs live on
-        self.rank_numas = frozenset(rank_numas or ())
+        self.thresholds = THRESHOLDS
+        #: the driver's static node context (the default knows no node:
+        #: no thread counts as bound, no GPU as remote)
+        self.facts = facts
         #: threads exempt from per-thread rules (the monitor itself)
-        self.ignore_tids: set[int] = set(ignore_tids or ())
-        self.alerts = AlertLedger(max_alerts=max_alerts)
+        self.ignore_tids: set[int] = set()
+        self.alerts = AlertLedger()
 
         self.lwps: dict[int, EntityHistory] = {}
         self.gpus: dict[int, EntityHistory] = {}
@@ -299,11 +244,9 @@ class OnlineDetector:
             tuple[tuple[str, ...], tuple[str, ...]],
             tuple[int, tuple[str, ...], list[int]],
         ] = {}
-        #: per-period cache of (tid, busy %, affinity) over the busy
-        #: threshold — several rules need it
-        self._busy_cache: Optional[
-            list[tuple[int, float, frozenset[int]]]
-        ] = None
+        #: per-period cache of (the window's rows, their busy set) —
+        #: several rules need each
+        self._busy_cache: Optional[tuple[list[Row], list[Row]]] = None
         #: per-period windowed busy % of every eligible LWP (filled
         #: alongside _busy_cache; precursors reuse it)
         self._busy_all: dict[int, float] = {}
@@ -365,27 +308,6 @@ class OnlineDetector:
             tick = row[tick_idx]
             if tick > self.mem.last_tick:
                 self.mem.push(tick, [row[i] for i in indices])
-
-    # -- rule context helpers ------------------------------------------
-    def effective_node_cpus(self) -> frozenset[int]:
-        """Configured node CPU set, or the union of seen affinities."""
-        if self.node_cpus is not None:
-            return self.node_cpus
-        union: set[int] = set()
-        if self.store is not None:
-            for cpus in self.store.lwp_affinity.values():
-                union.update(cpus)
-        return frozenset(union)
-
-    def affinity(self, tid: int) -> frozenset[int]:
-        if self.store is None:
-            return frozenset()
-        cpus = self.store.lwp_affinity.get(tid)
-        return frozenset(cpus) if cpus is not None else frozenset()
-
-    def is_bound(self, cpus: frozenset[int]) -> bool:
-        """:func:`is_bound` against this detector's node CPU set."""
-        return is_bound(cpus, self.effective_node_cpus())
 
     # -- the per-period evaluation -------------------------------------
     def observe(self, store, tick: float) -> list[OnlineFinding]:

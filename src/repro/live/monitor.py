@@ -26,6 +26,7 @@ import signal
 import socket
 import threading
 import time
+from functools import cached_property
 from typing import Optional
 
 from repro.collect import (
@@ -37,13 +38,14 @@ from repro.collect import (
     ProcReader,
     RealProc,
     SampleStore,
+    read_cpu_times,
     read_task,
 )
 from repro.collect.faults import FaultPolicy, classify_failure, is_missing
 from repro.collect.report import StoreBackedRun
 from repro.core.config import ZeroSumConfig
 from repro.core.heartbeat import HeartbeatWriter, heartbeat_line
-from repro.detect import DetectThresholds, OnlineDetector
+from repro.detect import OnlineDetector, TopologyFacts
 from repro.errors import MonitorError, ProcessVanishedError, ProcFSError
 from repro.live.watchdog import SamplerWatchdog
 from repro.units import USER_HZ
@@ -124,23 +126,13 @@ class LiveZeroSum(StoreBackedRun):
         #: thresholds the sim driver wires, fed the same committed rows)
         self.detector: Optional[OnlineDetector] = None
         if self.config.detect_online:
-            self.detector = OnlineDetector(
-                hz=USER_HZ,
-                window=self.config.detect_window,
-                thresholds=DetectThresholds(
-                    oom_horizon_s=self.config.detect_oom_horizon_s
-                ),
-                node_cpus=self.cpus_allowed,
-                max_alerts=self.config.detect_max_alerts,
-            )
+            self.detector = OnlineDetector(hz=USER_HZ, facts=self.facts)
         self.engine = CollectionEngine(
             self.store,
             collectors,
             policy=FaultPolicy(
                 max_retries=self.config.fault_retries,
                 disable_after=self.config.fault_disable_after,
-                backoff_seconds=self.config.fault_backoff_seconds,
-                sleep=time.sleep,
             ),
             journal=self.journal,
             detector=self.detector,
@@ -502,6 +494,19 @@ class LiveZeroSum(StoreBackedRun):
         if tid == self._monitor_tid:
             return "ZeroSum"
         return "Other"
+
+    @cached_property
+    def facts(self) -> TopologyFacts:
+        """§3.5 node context: the node's CPUs are ``/proc/stat``'s ``cpuN`` rows.
+
+        The node, not the process's allowed set — a thread is bound when
+        its mask covers under half of the *node*.
+        """
+        return TopologyFacts(
+            node_cpus=frozenset(
+                cpu for cpu in read_cpu_times(self.reader) if cpu >= 0
+            )
+        )
 
     @property
     def duration_seconds(self) -> float:

@@ -1,9 +1,16 @@
 """Overhead statistics machinery (Figure 8)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.analysis import DistributionSummary, compare_distributions
+from repro.collect import SampleStore
+from repro.collect.journal import JournalWriter
 from repro.errors import MonitorError
 
 
@@ -64,3 +71,30 @@ class TestCompare:
                                        labels=("before", "after"))
         assert result.baseline.label == "before"
         assert result.treated.label == "after"
+
+
+class TestDependencyDiet:
+    def test_cli_recover_loads_neither_scipy_nor_networkx(self, tmp_path):
+        """scipy serves one t-test: `zerosum-sim` must not import it."""
+        journal = tmp_path / "run.zsj"
+        store = SampleStore()
+        writer = JournalWriter(journal, fsync=False)
+        writer.open(store, {"pid": 1, "hostname": "node0"})
+        store.add_lwp_row(1, (1.0,) + (0.0,) * 8, name="main")
+        store.commit(1.0, [])
+        writer.record_period(store, 1.0)
+        writer.close(store)
+        script = (
+            "import sys, repro.cli\n"
+            f"assert repro.cli.main(['recover', {str(journal)!r}]) == 0\n"
+            "loaded = {m.split('.')[0] for m in sys.modules}\n"
+            "assert not loaded & {'scipy', 'networkx'}, loaded\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "LWP (thread) Summary:" in done.stdout

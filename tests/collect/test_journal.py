@@ -2,13 +2,12 @@
 
 import pytest
 
-from tests.helpers import run_miniqmc
+from tests.helpers import rewrite_as_zsj1, run_miniqmc, zsj1_frame
 from repro.collect import CollectionEngine, SampleStore
 from repro.collect.journal import (
     JournalWriter,
     _decode_body,
     _encode_body,
-    _frame,
     _frame2,
     _unframe,
     read_journal,
@@ -76,14 +75,14 @@ def assert_stores_equal(a: SampleStore, b: SampleStore) -> None:
 class TestFraming:
     def test_frame_round_trip(self):
         payload = {"kind": "note", "tick": 1.5, "reason": "x"}
-        assert _unframe(_frame(payload).rstrip(b"\n")) == payload
+        assert _unframe(zsj1_frame(payload).rstrip(b"\n")) == payload
 
     def test_truncated_line_is_rejected(self):
-        line = _frame({"kind": "period", "tick": 2.0}).rstrip(b"\n")
+        line = zsj1_frame({"kind": "period", "tick": 2.0}).rstrip(b"\n")
         assert _unframe(line[:-3]) is None
 
     def test_corrupt_body_is_rejected(self):
-        line = bytearray(_frame({"kind": "period"}).rstrip(b"\n"))
+        line = bytearray(zsj1_frame({"kind": "period"}).rstrip(b"\n"))
         line[-2] ^= 0xFF
         assert _unframe(bytes(line)) is None
 
@@ -92,9 +91,9 @@ class TestFraming:
 
     def test_read_stops_at_first_tear(self, tmp_path):
         path = tmp_path / "j.zsj"
-        good = _frame({"kind": "meta"}) + _frame({"kind": "snapshot"})
+        good = zsj1_frame({"kind": "meta"}) + zsj1_frame({"kind": "snapshot"})
         path.write_bytes(good + b"ZSJ1 999 deadbeef {tor" + b"\n"
-                         + _frame({"kind": "period"}))
+                         + zsj1_frame({"kind": "period"}))
         records, torn = read_journal(path)
         # the record after the tear is unordered debris: counted, not parsed
         assert [r["kind"] for r in records] == ["meta", "snapshot"]
@@ -131,11 +130,13 @@ class TestBinaryCodec:
     def test_matrix_block_matches_json_decode(self):
         # series rows take the packed-matrix path; recovery must see
         # the identical list-of-lists the JSON codec yields
-        payload = {"rows": [[1.0, 2.5, -0.0], [float("inf"), 1e-300, 3.0]]}
+        rows = [[1.0, 2.5, -0.0], [float("inf"), 1e-300, 3.0]]
         import json
 
-        via_json = json.loads(json.dumps(payload))
-        via_zsj2 = _decode_body(_encode_body(payload))
+        import numpy as np
+
+        via_json = json.loads(json.dumps({"rows": rows}))
+        via_zsj2 = _decode_body(_encode_body({"rows": np.array(rows)}))
         assert via_zsj2 == via_json
         assert all(
             a.hex() == b.hex()
@@ -155,10 +156,6 @@ class TestBinaryCodec:
         assert torn == 0
         assert records == [payload, {"kind": "meta"}]
 
-    def test_invalid_format_rejected(self, tmp_path):
-        with pytest.raises(JournalError):
-            JournalWriter(tmp_path / "j.zsj", format=3)
-
 
 class TestMixedFormats:
     """An upgraded writer appending ZSJ2 to a ZSJ1 journal."""
@@ -166,13 +163,14 @@ class TestMixedFormats:
     def test_zsj1_journal_with_zsj2_tail_recovers(self, tmp_path):
         store = SampleStore()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False, format=1)
+                               fsync=False)
         writer.open(store, META)
         drive(store, writer, [1.0, 2.0, 3.0])
-        # the writer is upgraded mid-run: subsequent frames are binary
-        writer.format = 2
-        writer._frame_record = _frame2
+        # what an old writer left behind; the upgraded one appends binary
+        rewrite_as_zsj1(tmp_path / "j.zsj")
         drive(store, writer, [4.0, 5.0, 6.0])
+        data = (tmp_path / "j.zsj").read_bytes()
+        assert data.startswith(b"ZSJ1 ") and data.count(b"\nZSJ2 ") == 3
         recovered = recover_journal(tmp_path / "j.zsj")
         assert recovered.torn_records == 0
         assert_stores_equal(store, recovered.store)
@@ -184,8 +182,9 @@ class TestMixedFormats:
         writer.open(store, META)
         drive(store, writer, [1.0, 2.0])
         with open(tmp_path / "j.zsj", "ab") as handle:
-            handle.write(_frame({"kind": "note", "tick": 2.0,
-                                 "collector": "Legacy", "reason": "old"}))
+            handle.write(zsj1_frame({"kind": "note", "tick": 2.0,
+                                     "collector": "Legacy",
+                                     "reason": "old"}))
         recovered = recover_journal(tmp_path / "j.zsj")
         assert recovered.torn_records == 0
         assert any(e.collector == "Legacy"
@@ -194,10 +193,11 @@ class TestMixedFormats:
     def test_legacy_format_round_trip(self, tmp_path):
         store = SampleStore()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=4,
-                               fsync=False, format=1)
+                               fsync=False)
         writer.open(store, META)
         drive(store, writer, [float(t) for t in range(1, 11)])
         writer.close(store)
+        rewrite_as_zsj1(tmp_path / "j.zsj")
         # every frame on disk is JSON-framed
         data = (tmp_path / "j.zsj").read_bytes()
         assert data.count(b"ZSJ2 ") == 0 and data.startswith(b"ZSJ1 ")

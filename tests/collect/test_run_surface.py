@@ -8,6 +8,7 @@ recovered *sim* journal exported and replayed must rebuild the
 recovered report exactly (rank line, GPU table, zero baseline).
 """
 
+import hashlib
 import pathlib
 import time
 
@@ -19,7 +20,7 @@ from repro.collect import (
     StoreBackedRun,
     recover_journal,
 )
-from repro.core import MemorySink, ZeroSumConfig, write_log
+from repro.core import ContentionReport, MemorySink, ZeroSumConfig, analyze, write_log
 from repro.live import LiveZeroSum
 from tests.helpers import run_miniqmc
 
@@ -153,6 +154,57 @@ class TestContract:
                               "pid", "rank", "hostname", "cpus_allowed"]
         expect = ("live", "first") if driver == "live" else ("sim", "zero")
         assert (meta["driver"], meta["baseline"]) == expect
+
+
+    def test_analyze_takes_any_run(self, drivers, driver):
+        """§3.5 reads the run surface only: one catalog, four drivers."""
+        run = drivers[driver]
+        findings = analyze(run)
+        assert isinstance(findings, ContentionReport)
+        assert findings.rank == run.rank
+        # the drivers that can see the node derive its facts, once; the
+        # others stand the union of recorded affinities in for the node
+        if driver in ("sim", "live"):
+            assert run.facts is run.facts
+            assert run.facts.node_cpus >= set(run.cpus_allowed)
+        else:
+            assert run.facts.node_cpus == frozenset().union(
+                *run.lwp_affinity.values()
+            )
+            assert not run.facts.cpu_numa and not run.facts.gpus
+        if driver != "live":  # three busy threads on the rank's one CPU
+            assert findings.by_code("affinity-overlap")
+            assert findings.by_code("time-slicing")
+
+
+#: post-hoc rules deciding from the samples alone (no topology facts)
+_FACT_FREE = ("affinity-overlap", "time-slicing", "undersubscription",
+              "no-utilization", "io-bound", "memory-pressure")
+
+
+class TestAnalyzeAcrossDrivers:
+    def test_recovered_equals_sim_where_no_facts_are_needed(self, sim_runs):
+        monitor, recovered = sim_runs
+        live, post_mortem = analyze(monitor), analyze(recovered)
+        for code in _FACT_FREE:
+            assert post_mortem.by_code(code) == live.by_code(code)
+        assert live.by_code("oversubscription")
+
+    @pytest.mark.parametrize("cmdline, offload, digest", [
+        ("OMP_PROC_BIND=spread OMP_PLACES=cores OMP_NUM_THREADS=4 srun -n8 "
+         "--gpus-per-task=1 --cpus-per-task=7 --gpu-bind=closest "
+         "--threads-per-core=1 zerosum-mpi miniqmc", True,
+         "56fc06c3c2ebd61a4e34109205804d878a8952281b74d47eac4e7d1e3cdb5d5e"),
+        ("OMP_NUM_THREADS=7 srun -n8 zerosum-mpi miniqmc", False,
+         "8bee6e7c610f275d8e404f21cb0eb04eea08663c39ce87dd494f6188fc323111"),
+    ], ids=["sim_bound", "sim_oversub"])
+    def test_sim_findings_are_byte_identical_to_the_forked_catalogs(
+        self, cmdline, offload, digest
+    ):
+        """Pinned on the commit before the merge: all eight ranks' text."""
+        step = run_miniqmc(cmdline, blocks=4, offload=offload)
+        text = "".join(step.findings(rank).render() for rank in range(8))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSimJournalRoundTrip:

@@ -14,7 +14,7 @@ from repro.core.records import (
     MEM_COLUMNS,
     STATE_CODES,
 )
-from repro.detect import OnlineDetector
+from repro.detect import OnlineDetector, TopologyFacts
 from repro.topology import CpuSet
 
 HZ = 100.0
@@ -58,6 +58,11 @@ def gpu_row(tick, *, temperature=40.0, busy=0.0, vram=0.0):
     return tuple(row)
 
 
+def node_facts(cpus=16, **facts):
+    """The detector's topology facts for a node of ``cpus`` CPUs."""
+    return TopologyFacts(node_cpus=frozenset(range(cpus)), **facts)
+
+
 class StoreDriver:
     """Feed synthetic committed periods to a store + detector pair."""
 
@@ -99,7 +104,7 @@ def driver():
     def make(**kwargs):
         kwargs.setdefault("hz", HZ)
         kwargs.setdefault("window", 8)
-        kwargs.setdefault("node_cpus", range(16))
+        kwargs.setdefault("facts", node_facts())
         return StoreDriver(OnlineDetector(**kwargs))
 
     return make

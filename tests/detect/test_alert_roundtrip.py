@@ -9,7 +9,8 @@ live tally.
 
 import pytest
 
-from tests.detect.conftest import HZ, StoreDriver
+from tests.detect.conftest import HZ, StoreDriver, node_facts
+from tests.helpers import rewrite_as_zsj1
 from repro.collect import CollectionEngine, SampleStore
 from repro.collect.journal import (
     JournalWriter,
@@ -33,7 +34,7 @@ META = {
 
 def sliced_driver():
     """A driver whose single thread will trip time-slicing."""
-    detector = OnlineDetector(hz=HZ, window=8, node_cpus=range(16))
+    detector = OnlineDetector(hz=HZ, window=8, facts=node_facts())
     return StoreDriver(detector)
 
 
@@ -73,10 +74,12 @@ class TestJournalNotes:
     def test_alert_note_round_trips(self, tmp_path, fmt):
         d = sliced_driver()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False, format=fmt)
+                               fsync=False)
         writer.open(d.store, META)
         drive_sliced(d, writer, 4)
         writer.close()  # no final checkpoint: keep the raw note visible
+        if fmt == 1:
+            rewrite_as_zsj1(tmp_path / "j.zsj")
 
         records, torn = read_journal(tmp_path / "j.zsj")
         assert torn == 0
@@ -91,10 +94,12 @@ class TestJournalNotes:
     def test_recovery_reproduces_ledger(self, tmp_path, fmt):
         d = sliced_driver()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False, format=fmt)
+                               fsync=False)
         writer.open(d.store, META)
         drive_sliced(d, writer, 5)
         writer.close(d.store)
+        if fmt == 1:
+            rewrite_as_zsj1(tmp_path / "j.zsj")
 
         run = recover_journal(tmp_path / "j.zsj")
         assert run.alerts is not None
@@ -167,7 +172,7 @@ class TestEngineIntegration:
             raise RuntimeError("rule catalog exploded")
 
     def test_commit_returns_findings_and_publishes_ledger(self):
-        detector = OnlineDetector(hz=HZ, window=8, node_cpus=range(16))
+        detector = OnlineDetector(hz=HZ, window=8, facts=node_facts())
         store = SampleStore()
         engine = CollectionEngine(store, [], detector=detector)
         assert store.alerts is detector.alerts  # engine publishes it

@@ -31,7 +31,7 @@ class TestMemoryLeak:
         assert d.fired == []
 
     def test_distant_oom_outside_horizon_is_quiet(self, driver):
-        d = driver(thresholds=None)
+        d = driver()
         # same slope, but an ocean of available memory: ETA >> horizon
         for p in range(1, 9):
             d.period(mem={

@@ -1,5 +1,8 @@
 """Streaming §3.5 rules: trip conditions and edge-triggered episodes."""
 
+from tests.detect.conftest import node_facts
+from repro.detect import GpuFacts
+
 
 def busy_kwargs(periods, *, jiffies=10.0, nv=0.0):
     """Row kwargs for a thread that computed the whole period."""
@@ -81,7 +84,9 @@ class TestAffinityOverlap:
 
 class TestGpuLocality:
     def test_remote_gpu_flagged_once(self, driver):
-        d = driver(gpu_numa={0: 3}, rank_numas=[0])
+        d = driver(facts=node_facts(
+            rank_numas=frozenset([0]), gpus={0: GpuFacts(3, 0, 0)}
+        ))
         first = d.period(lwps=[(1, {}, [0])])
         assert [f.code for f in first] == ["gpu-locality"]
         assert first[0].entity == "gpu:0"
@@ -90,7 +95,9 @@ class TestGpuLocality:
             assert d.period(lwps=[(1, {}, [0])]) == []
 
     def test_local_gpu_is_clean(self, driver):
-        d = driver(gpu_numa={0: 0}, rank_numas=[0])
+        d = driver(facts=node_facts(
+            rank_numas=frozenset([0]), gpus={0: GpuFacts(0, 0, 0)}
+        ))
         assert d.period(lwps=[(1, {}, [0])]) == []
 
 

@@ -10,6 +10,8 @@ alert ledger.
 
 import pytest
 
+from tests.detect.conftest import node_facts
+from tests.helpers import materialize_proc
 from repro.collect import (
     CollectionEngine,
     HwtCollector,
@@ -81,23 +83,6 @@ class TestOversubscriptionScenario:
         assert "oversubscription" in post_hoc
 
 
-def _rematerialize(fs, pid, root):
-    """Rewrite the /proc files a monitor touches from the sim's state."""
-    for name in ("stat", "meminfo", "uptime"):
-        (root / name).write_text(fs.read(f"/proc/{name}"))
-    piddir = root / str(pid)
-    piddir.mkdir(exist_ok=True)
-    for name in ("stat", "status", "io"):
-        (piddir / name).write_text(fs.read(f"/proc/{pid}/{name}"))
-    for tid in fs.listdir(f"/proc/{pid}/task"):
-        taskdir = piddir / "task" / tid
-        taskdir.mkdir(parents=True, exist_ok=True)
-        for name in ("stat", "status"):
-            (taskdir / name).write_text(
-                fs.read(f"/proc/{pid}/task/{tid}/{name}")
-            )
-
-
 class TestSubstrateIdentity:
     def test_sim_materialized_and_replayed_ledgers_agree(self, tmp_path):
         from repro.collect import RealProc
@@ -122,7 +107,7 @@ class TestSubstrateIdentity:
         def build(reader, snapshots, journal=None):
             store = SampleStore()
             detector = OnlineDetector(
-                hz=kernel.clock.hz, window=8, node_cpus=range(4)
+                hz=kernel.clock.hz, window=8, facts=node_facts(4)
             )
             engine = CollectionEngine(
                 store,
@@ -149,7 +134,7 @@ class TestSubstrateIdentity:
             "baseline": "zero", "start_tick": float(kernel.now),
             "cpus_allowed": "0-3",
         })
-        _rematerialize(fs, proc.pid, procroot)
+        materialize_proc(fs, proc.pid, procroot)
         real_store, real_det, real_engine = build(
             RealProc(procroot), snapshots=False
         )
@@ -157,7 +142,7 @@ class TestSubstrateIdentity:
         for _ in range(12):
             kernel.run(max_ticks=10, raise_on_stall=False)
             tick = float(kernel.now)
-            _rematerialize(fs, proc.pid, procroot)
+            materialize_proc(fs, proc.pid, procroot)
             for engine in (sim_engine, real_engine):
                 snapshots = engine.sample(tick)
                 engine.commit(tick, snapshots)

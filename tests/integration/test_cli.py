@@ -42,6 +42,47 @@ class TestMisuse:
         with pytest.raises(RuntimeError, match="bug"):
             main(["run", "srun -n1 miniqmc"])
 
+    @pytest.fixture
+    def journal(self, tmp_path):
+        path = tmp_path / "run.zsj"
+        assert main(["live", "--seconds", "0.2", "--period", "0.05",
+                     "--journal", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv, path", [
+        (["live", "--seconds", "0.1", "--journal", "/no/such/dir/x.zsj"],
+         "/no/such/dir/x.zsj"),
+        (["live", "--seconds", "0.1", "--heartbeat", "/no/such/dir/hb"],
+         "/no/such/dir/hb"),
+        (["recover", "JOURNAL", "--log-dir", "/proc/nope/x"],
+         "/proc/nope/x"),
+        (["recover", "JOURNAL", "--archive", "/no/such/dir/a.npz"],
+         "/no/such/dir/a.npz"),
+    ])
+    def test_unwritable_output_path_is_one_error_line(
+        self, capsys, journal, argv, path
+    ):
+        argv = [journal if arg == "JOURNAL" else arg for arg in argv]
+        capsys.readouterr()  # drop the fixture run's report
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"zerosum-sim: error: cannot write {path}: ")
+        assert "Traceback" not in err[0]
+
+    def test_an_os_error_elsewhere_is_not_dressed_up_as_misuse(
+        self, monkeypatch
+    ):
+        """Only the user-supplied output paths are mapped."""
+        import repro.live as live
+
+        def boom(self):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(live.LiveZeroSum, "start", boom)
+        with pytest.raises(OSError):
+            main(["live", "--seconds", "0.1"])
+
 
 class TestRunCommand:
     def test_table3_run(self, capsys):
@@ -94,4 +135,7 @@ class TestLiveCommand:
     def test_live(self, capsys):
         rc = main(["live", "--seconds", "0.4", "--period", "0.1"])
         assert rc == 0
-        assert "LWP (thread) Summary:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "LWP (thread) Summary:" in out
+        # the §3.5 reading follows the utilization report, as in `run`
+        assert out.index("Contention report") > out.index("LWP (thread)")

@@ -1,14 +1,19 @@
 """Live monitor on the real host /proc (Linux container)."""
 
+import os
 import pathlib
 import time
 
 import pytest
 
 from repro.collect import RealProc, read_cpu_times, read_meminfo, read_task
-from repro.core import ZeroSumConfig
+from repro.core import ZeroSumConfig, analyze
 from repro.errors import MonitorError, ProcFSError
+from repro.kernel import Compute, SimKernel
 from repro.live import LiveZeroSum
+from repro.procfs import ProcFS
+from repro.topology import CpuSet, generic_node
+from tests.helpers import materialize_proc
 
 needs_proc = pytest.mark.skipif(
     not pathlib.Path("/proc/self/stat").exists(), reason="needs Linux /proc"
@@ -117,6 +122,70 @@ class TestLiveMonitor:
         zs.end_time = time.monotonic()
         text = zs.report().render()
         assert "LWP (thread) Summary:" in text
+
+
+class TestNodeFacts:
+    def test_pinned_process_on_a_bigger_node_is_oversubscribed(self, tmp_path):
+        """The node is /proc/stat's cpuN rows, not the allowed set.
+
+        Five busy tasks pinned to CPU 1 of an 8-CPU node: "bound" means
+        under half of the *node*, so a detector told the node is just
+        CPU 1 could never raise Table 1's finding.
+        """
+        kernel = SimKernel(generic_node(cores=8))
+
+        def spin():
+            yield Compute(10_000)
+
+        proc = kernel.spawn_process(
+            kernel.nodes[0], CpuSet([1]), spin(), command="spin"
+        )
+        for _ in range(4):
+            kernel.spawn_thread(proc, spin())
+        fs = ProcFS(kernel, kernel.nodes[0], self_pid=proc.pid)
+        kernel.run(max_ticks=2)
+        materialize_proc(fs, proc.pid, tmp_path, as_pid=os.getpid())
+
+        zs = LiveZeroSum(
+            ZeroSumConfig(detect_online=True), proc_root=str(tmp_path)
+        )
+        assert zs.cpus_allowed == CpuSet([1])
+        assert zs.detector.facts is zs.facts
+        assert zs.facts.node_cpus == frozenset(range(8))
+        for _ in range(3):
+            kernel.run(max_ticks=50, raise_on_stall=False)
+            materialize_proc(fs, proc.pid, tmp_path, as_pid=os.getpid())
+            zs.sample_once()
+        assert zs.store.alerts.by_code("oversubscription")
+        assert analyze(zs).by_code("oversubscription")
+
+
+@needs_proc
+class TestHeartbeatFile:
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_heartbeat_fsync_syncs_every_line(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
+        )
+        path = tmp_path / "hb"
+        zs = LiveZeroSum(
+            ZeroSumConfig(
+                heartbeat_every=1,
+                heartbeat_path=str(path),
+                heartbeat_fsync=fsync,
+            )
+        )
+        fd = zs._heartbeat._file.fileno()
+        zs.sample_once()
+        zs.sample_once()
+        assert path.read_text().splitlines() == zs.heartbeats
+        assert len(zs.heartbeats) == 2
+        assert synced.count(fd) == (2 if fsync else 0)
+        zs.stop()
 
 
 @needs_proc

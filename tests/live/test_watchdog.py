@@ -1,9 +1,14 @@
 """SamplerWatchdog: edge-triggered stall detection on a fake clock."""
 
+import pathlib
+import time
+
 import pytest
 
+from repro.collect.journal import recover_journal
+from repro.core import ZeroSumConfig
 from repro.errors import MonitorError
-from repro.live import SamplerWatchdog, StallEvent
+from repro.live import LiveZeroSum, SamplerWatchdog, StallEvent
 
 
 class Probes:
@@ -147,3 +152,43 @@ class TestContract:
         event = StallEvent(kind="sampler-stalled", age_seconds=6.0,
                            detail="no completed sample for 6.0s")
         assert event.render().startswith("sampler-stalled:")
+
+
+@pytest.mark.skipif(
+    not pathlib.Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+)
+class TestThroughLiveZeroSum:
+    """``watchdog_stall_periods > 0`` wired end to end, on a real clock."""
+
+    def test_idle_application_is_reported_on_every_channel(self, tmp_path):
+        journal = tmp_path / "run.zsj"
+        zs = LiveZeroSum(
+            ZeroSumConfig(
+                period_seconds=0.02,
+                watchdog_stall_periods=2,
+                journal_path=str(journal),
+                journal_fsync=False,
+                last_gasp=False,
+            )
+        )
+        assert zs.watchdog is not None
+        assert zs.watchdog.stall_after == pytest.approx(0.04)
+        zs.start()
+        deadline = time.monotonic() + 5.0
+        # the test thread only sleeps: the app accrues no jiffies
+        while not zs.watchdog.events and time.monotonic() < deadline:
+            time.sleep(0.05)
+        zs.stop()
+        assert zs.watchdog.events, "watchdog never fired on an idle app"
+        reason = zs.watchdog.events[0].render()
+        stalls = [
+            e for e in zs.store.ledger.events if e.collector == "Watchdog"
+        ]
+        assert stalls and stalls[0].reason == reason
+        # heartbeat_every is 0: the only heartbeats are the watchdog's own
+        assert zs.heartbeats and "last_sample_age=" in zs.heartbeats[0]
+        recovered = recover_journal(journal)
+        assert any(
+            e.collector == "Watchdog" and e.reason == reason
+            for e in recovered.store.ledger.events
+        )

@@ -23,11 +23,6 @@ metric at a time:
   (the benches CI runs unconditionally) must be present among the
   fresh results; a missing one means the bench silently did not run,
   which is a failure, not a warning.
-* **capable hosts must enforce their floors** — a scenario that
-  reports ``host_cores >= 4`` yet carries a ``null``
-  ``floor_speedup_4workers`` skipped a gate it could have enforced;
-  that combination is a violation (it is how a stale result sneaks
-  past the speedup contract).
 
 Exit status 1 on any violation, listing every one; missing baselines
 are warnings (new benches land before their first committed numbers).
@@ -47,8 +42,6 @@ DEFAULT_BASELINE_DIR = REPO / "benchmarks" / "baselines"
 REQUIRED = (
     "BENCH_scheduler.json",
     "BENCH_sampling.json",
-    "BENCH_multirank.json",
-    "BENCH_journal.json",
     "BENCH_recovery.json",
 )
 
@@ -94,19 +87,6 @@ def check_scenario(
 
     if fresh.get("bit_identical") is False:
         problems.append(f"{where}: bit_identical is false")
-
-    host_cores = fresh.get("host_cores")
-    if (
-        isinstance(host_cores, int)
-        and host_cores >= 4
-        and "floor_speedup_4workers" in fresh
-        and fresh["floor_speedup_4workers"] is None
-    ):
-        problems.append(
-            f"{where}: floor_speedup_4workers is null on a "
-            f"{host_cores}-core host (the gate must be enforced with "
-            ">= 4 cores; the result is stale or the bench skipped it)"
-        )
 
     for key, floor in fresh.items():
         if not key.startswith("floor") or floor is None:

@@ -13,8 +13,8 @@ consumed any per-interval products (heartbeats, stream events) that
 difference the new sample against the previous one.
 
 :meth:`sample` is **transactional per collector**: each collector runs
-inside a containment boundary bracketed by the store's rollback
-watermark, so a failing collector's partial rows are rewound and a
+inside a containment boundary bracketed by the store's ``begin`` /
+``release``, so a failing collector's staged rows are dropped and a
 period is whole-per-subsystem or absent, never torn.  Transient
 failures (vanished paths, I/O hiccups) are retried within the period
 under the :class:`~repro.collect.faults.FaultPolicy`; a collector that
@@ -28,19 +28,17 @@ itself is gone, which only the driver can decide what to do about.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.collect.collectors import Collector
 from repro.collect.faults import TRANSIENT, FaultPolicy, classify_failure
+from repro.collect.journal import JournalWriter
 from repro.collect.store import SampleStore
 from repro.core.heartbeat import ThreadSnapshot
 from repro.core.stream import SampleEvent, condense_event
+from repro.detect.findings import OnlineFinding
+from repro.detect.online import OnlineDetector
 from repro.errors import ProcessVanishedError
-
-if TYPE_CHECKING:
-    from repro.collect.journal import JournalWriter
-    from repro.detect.findings import OnlineFinding
-    from repro.detect.online import OnlineDetector
 
 __all__ = ["CollectionEngine", "collector_name"]
 
@@ -62,8 +60,8 @@ class CollectionEngine:
         collectors: Iterable[Collector],
         *,
         policy: Optional[FaultPolicy] = None,
-        journal: Optional["JournalWriter"] = None,
-        detector: Optional["OnlineDetector"] = None,
+        journal: Optional[JournalWriter] = None,
+        detector: Optional[OnlineDetector] = None,
     ):
         self.store = store
         self.collectors: list[Collector] = list(collectors)
@@ -78,6 +76,38 @@ class CollectionEngine:
             # builder (and any store consumer) can read it without the
             # store ever importing the detect package
             store.alerts = detector.alerts
+
+    @classmethod
+    def for_run(cls, run, collectors: Iterable[Collector]) -> "CollectionEngine":
+        """The pipeline ``run.config`` asks for, over ``run.store``.
+
+        ``run`` is the driver (a :class:`~repro.collect.report.StoreBackedRun`
+        with a ``config``).  Its ``facts`` are read only when online
+        detection is on — deriving a node's topology is too dear for the
+        hundreds of ranks of a job that never looks at it — and the
+        journal is returned unopened: when to open it is the driver's.
+        """
+        config = run.config
+        journal = detector = None
+        if config.journal_path:
+            journal = JournalWriter(
+                config.journal_path,
+                checkpoint_every=config.journal_checkpoint_every,
+                fsync=config.journal_fsync,
+                classify=run.classify,
+            )
+        if config.detect_online:
+            detector = OnlineDetector(hz=run.hz, facts=run.facts)
+        return cls(
+            run.store,
+            collectors,
+            policy=FaultPolicy(
+                max_retries=config.fault_retries,
+                disable_after=config.fault_disable_after,
+            ),
+            journal=journal,
+            detector=detector,
+        )
 
     def sample(self, tick: float) -> list[ThreadSnapshot]:
         """One periodic observation across all collectors.
@@ -105,6 +135,7 @@ class CollectionEngine:
             store.begin()
             try:
                 result = collector.collect(tick)
+                store.release()  # inside: a row it cannot apply is contained too
             except ProcessVanishedError:
                 # the monitored process itself is gone: nothing to
                 # contain, but never leave a torn period behind
@@ -133,7 +164,6 @@ class CollectionEngine:
                     )
                 return []
             else:
-                store.release()
                 ledger.record_success(name)
                 return result
         return []  # unreachable: the last attempt records and returns
@@ -169,7 +199,7 @@ class CollectionEngine:
 
     def commit(
         self, tick: float, snapshots: list[ThreadSnapshot]
-    ) -> list["OnlineFinding"]:
+    ) -> list[OnlineFinding]:
         """Close the period: record its tick and cumulative totals.
 
         Once the store commit lands, the online detector (when one is
@@ -187,7 +217,7 @@ class CollectionEngine:
         :data:`_JOURNAL_DISABLE_AFTER` consecutive failures.
         """
         self.store.commit(tick, snapshots)
-        findings: list["OnlineFinding"] = []
+        findings: list[OnlineFinding] = []
         if self.detector is not None:
             try:
                 findings = self.detector.observe(self.store, tick)

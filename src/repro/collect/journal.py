@@ -11,9 +11,12 @@ so this module spools that state to disk as the run progresses:
   ``<path>.tmp``, fsyncs, and atomically renames it over the journal,
   so a crash mid-checkpoint leaves the previous journal intact;
 * between checkpoints, each committed sampling period appends one
-  **period** record carrying only that period's new series rows (full
-  replacements for summary-mode stores and wrapped rings) plus the
-  small per-period state, written so it survives the process dying;
+  **period** record carrying the store's sealed period block — per
+  family one key list and one float64 row matrix, exactly what the
+  collectors produced — plus the small per-period state, written so it
+  survives the process dying; recovery replays the block through the
+  store's own ``add_*_row``, so ring eviction and summary-mode
+  refreshes are reproduced by the code that did them live;
 * **note** records are out-of-band diagnostics (last-gasp signal
   flushes, watchdog stall reports) that touch no store state and are
   fsynced immediately; a checkpoint re-emits, behind its snapshot,
@@ -36,7 +39,8 @@ the length/CRC check and is discarded at recovery, with the tear
 counted in the recovered ledger rather than aborting the recovery.
 Recovery also reads the compact-JSON ``ZSJ1`` frames older writers
 produced, even interleaved with ``ZSJ2`` in one file (an upgraded
-writer appending to an old journal).
+writer appending to an old journal), and their ``series``-shaped period
+records (one delta or ``replace`` entry per series).
 
 :func:`recover_journal` replays a journal back into a fresh store and
 returns a :class:`RecoveredRun` that rebuilds the full utilization +
@@ -59,10 +63,10 @@ import numpy as np
 
 from repro.collect.faults import DegradationEvent, DegradationLedger
 from repro.collect.report import StoreBackedRun
-from repro.collect.store import SampleStore
+from repro.collect.store import KEYED_FAMILIES, SampleStore
 from repro.detect.findings import AlertLedger, OnlineFinding
-from repro.core.records import SeriesBuffer
-from repro.errors import JournalError
+from repro.core.records import PeriodBlock, SeriesBuffer
+from repro.errors import JournalError, ReproError
 from repro.topology.cpuset import CpuSet
 from repro.units import USER_HZ
 
@@ -86,26 +90,6 @@ _LEDGER_COUNTERS = (
     "dropped_rows",
     "rolled_back_rows",
 )
-
-# -- record framing ---------------------------------------------------------
-def _unframe(line: bytes) -> Optional[dict]:
-    """Decode one line; ``None`` for anything torn or corrupt."""
-    parts = line.split(b" ", 3)
-    if len(parts) != 4 or parts[0] != _MAGIC:
-        return None
-    try:
-        length = int(parts[1])
-        crc = int(parts[2], 16)
-    except ValueError:
-        return None
-    body = parts[3]
-    if len(body) != length or zlib.crc32(body) != crc:
-        return None
-    try:
-        return json.loads(body.decode())
-    except (ValueError, UnicodeDecodeError):
-        return None
-
 
 # -- ZSJ2: packed binary bodies ---------------------------------------------
 #
@@ -319,7 +303,9 @@ def _decode_body(body: bytes) -> Optional[dict]:
             strings.append(body[pos: pos + length].decode("utf-8"))
             pos += length
         value, pos = _decode_value(body, pos, strings)
-    except (IndexError, struct.error, UnicodeDecodeError, JournalError):
+    except (IndexError, struct.error, JournalError, OverflowError,
+            ValueError,  # bad UTF-8; a matrix tag with no columns
+            RecursionError):  # a nesting bomb
         return None
     if pos != len(body) or not isinstance(value, dict):
         return None
@@ -347,10 +333,8 @@ def _series_state(series: SeriesBuffer) -> dict:
     }
 
 
-def _series_from_state(
-    state: dict, max_rows: Optional[int] = None
-) -> SeriesBuffer:
-    series = SeriesBuffer(tuple(state["columns"]), max_rows=max_rows)
+def _series_from_state(store: SampleStore, state: dict) -> SeriesBuffer:
+    series = store.new_series(tuple(state["columns"]))
     for row in state["rows"]:
         series.append(row)
     series.appended = int(state.get("appended", len(state["rows"])))
@@ -410,13 +394,15 @@ def _apply_ledger(ledger: DegradationLedger, state: dict) -> None:
     ledger.total_events = int(state["total_events"])
 
 
-def _identity_state(store: SampleStore) -> dict:
+def _identity_state(store: SampleStore, names: dict, affinity: dict) -> dict:
+    """Identity facts + progress counters.
+
+    ``names`` / ``affinity`` are the store's whole maps in a snapshot
+    and, in a period record, what the period's own rows brought.
+    """
     return {
-        "names": {str(tid): name for tid, name in store.lwp_names.items()},
-        "affinity": {
-            str(tid): cpus.to_list()
-            for tid, cpus in store.lwp_affinity.items()
-        },
+        "names": {str(tid): name for tid, name in names.items()},
+        "affinity": {str(tid): cpus.to_list() for tid, cpus in affinity.items()},
         "prev_totals": {
             str(tid): total for tid, total in store.prev_totals.items()
         },
@@ -427,10 +413,12 @@ def _identity_state(store: SampleStore) -> dict:
 
 
 def _apply_identity(store: SampleStore, state: dict) -> None:
-    store.lwp_names = {int(t): name for t, name in state["names"].items()}
-    store.lwp_affinity = {
-        int(t): CpuSet.from_list(spec) for t, spec in state["affinity"].items()
-    }
+    # the maps only ever grow, so merging a period's additions and
+    # installing a snapshot's whole maps are the same operation
+    store.lwp_names.update((int(t), name) for t, name in state["names"].items())
+    store.lwp_affinity.update(
+        (int(t), CpuSet.from_list(spec)) for t, spec in state["affinity"].items()
+    )
     store.prev_totals = {
         int(t): total for t, total in state["prev_totals"].items()
     }
@@ -439,13 +427,25 @@ def _apply_identity(store: SampleStore, state: dict) -> None:
     store.last_thread_count = int(state["last_thread_count"])
 
 
+def _block_state(period: PeriodBlock) -> dict:
+    """A sealed period block: per family a key list + one row matrix."""
+    return {
+        family: {
+            "keys": list(block.keys),
+            "rows": np.array(block.rows, dtype=np.float64),
+        }
+        for family, block in zip(PeriodBlock._fields, period)
+        if block.keys
+    }
+
+
 def _store_state(store: SampleStore) -> dict:
     """Marshal a store's complete state (retention, series, ledgers)."""
     state: dict = {
         "keep_series": store.keep_series,
         "max_rows": store.max_rows,
         "summary_rows": store.summary_rows,
-        **_identity_state(store),
+        **_identity_state(store, store.lwp_names, store.lwp_affinity),
         "mem": _series_state(store.mem_series),
         "ledger": _ledger_state(
             store.ledger,
@@ -456,14 +456,10 @@ def _store_state(store: SampleStore) -> dict:
         # the snapshot must carry the alert ledger: checkpoints
         # compact away the per-finding notes written before them
         state["alerts"] = store.alerts.state()
-    for family, mapping in (
-        ("lwp", store.lwp_series),
-        ("hwt", store.hwt_series),
-        ("gpu", store.gpu_series),
-    ):
+    for family, (attr, _) in KEYED_FAMILIES.items():
         state[family] = {
             str(key): _series_state(series)
-            for key, series in mapping.items()
+            for key, series in getattr(store, attr).items()
         }
     return state
 
@@ -495,6 +491,9 @@ class JournalWriter:
     ``checkpoint_every`` periods, the whole journal is rewritten as a
     single snapshot via temp-file + fsync + atomic rename — bounding
     its size and guaranteeing a crash never leaves it half-written.
+    Snapshots are taken between periods (``open`` before the first
+    sample, every other one after a store ``commit``): a period record
+    is the block that commit sealed, which no earlier snapshot holds.
     Appends between checkpoints are coalesced into one unbuffered
     ``write()`` per period (in the kernel, surviving a ``kill -9``);
     ``fsync=True`` additionally fsyncs every checkpoint and every
@@ -527,7 +526,6 @@ class JournalWriter:
         self._file = None
         self._lock = threading.Lock()
         self._seq = 0
-        self._cursors: dict[tuple[str, int], int] = {}
         self._ledger_cursor = 0
         self._meta: dict = {}
         #: plain notes written so far, as ((collector, tick, reason),
@@ -696,28 +694,14 @@ class JournalWriter:
         if self._file is not None:
             self._file.close()
         self._file = open(self.path, "ab", buffering=0)
-        # the snapshot carries everything: reset every delta cursor
-        self._cursors = {
-            (family, key): series.appended
-            for family, mapping in self._series_maps(store)
-            for key, series in mapping.items()
-        }
-        self._cursors[("mem", 0)] = store.mem_series.appended
+        # the snapshot carries every ledger event so far
         self._ledger_cursor = store.ledger.total_events
         self.checkpoints_written += 1
 
-    @staticmethod
-    def _series_maps(store: SampleStore):
-        return (
-            ("lwp", store.lwp_series),
-            ("hwt", store.hwt_series),
-            ("gpu", store.gpu_series),
-        )
-
-    def _kinds(self, store: SampleStore) -> dict[str, str]:
+    def _kinds(self, tids) -> dict[str, str]:
         if self.classify is None:
             return {}
-        return {str(tid): self.classify(tid) for tid in store.lwp_series}
+        return {str(tid): self.classify(tid) for tid in tids}
 
     def _snapshot_record(
         self, store: SampleStore, tick: Optional[float]
@@ -726,51 +710,25 @@ class JournalWriter:
             "kind": "snapshot",
             "seq": self._seq,
             "tick": store.prev_tick if tick is None else tick,
-            "kinds": self._kinds(store),
+            "kinds": self._kinds(store.lwp_series),
             "store": _store_state(store),
         }
 
-    def _series_delta(
-        self, family: str, key: int, series: SeriesBuffer, keep_series: bool
-    ) -> Optional[dict]:
-        cursor = self._cursors.get((family, key), 0)
-        new = series.appended - cursor
-        self._cursors[(family, key)] = series.appended
-        if not keep_series:
-            # summary mode refreshes rows in place without appending, so
-            # the delta is the whole (<= summary_rows) series every time
-            return {"replace": True, **_series_state(series)}
-        if new <= 0:
-            return None
-        if new > len(series):
-            # the ring overwrote rows the cursor never saw: replace
-            return {"replace": True, **_series_state(series)}
-        return {
-            "columns": list(series.columns),
-            "rows": series.array[-new:],
-            "appended": series.appended,
-        }
-
     def _period_record(self, store: SampleStore, tick: float) -> dict:
-        series: dict = {}
-        for family, mapping in self._series_maps(store):
-            entries = {}
-            for key, buf in mapping.items():
-                entry = self._series_delta(family, key, buf, store.keep_series)
-                if entry is not None:
-                    entries[str(key)] = entry
-            if entries:
-                series[family] = entries
-        mem = self._series_delta("mem", 0, store.mem_series, store.keep_series)
-        if mem is not None:
-            series["mem"] = mem
+        period = store.period
+        lwp = period.lwp
         record = {
             "kind": "period",
             "seq": self._seq,
             "tick": tick,
-            "series": series,
-            "kinds": self._kinds(store),
-            **_identity_state(store),
+            "block": _block_state(period),
+            # recovery merges labels cumulatively: stamp this period's
+            "kinds": self._kinds(lwp.keys),
+            **_identity_state(
+                store,
+                {t: n for t, n in zip(lwp.keys, lwp.names) if n is not None},
+                {t: c for t, c in zip(lwp.keys, lwp.affinities) if c is not None},
+            ),
             "ledger": _ledger_state(store.ledger, since=self._ledger_cursor),
         }
         self._ledger_cursor = store.ledger.total_events
@@ -852,29 +810,18 @@ def _store_from_snapshot(record: dict) -> SampleStore:
     # reproduce the original retention policy: a ring store must evict
     # recovered delta rows exactly as the live one did, or the report's
     # first/last baselines drift from what the monitor would have built
-    keep_series = bool(state.get("keep_series", True))
-    max_rows = state.get("max_rows")
     store = SampleStore(
-        keep_series=keep_series,
-        max_rows=max_rows,
+        keep_series=bool(state.get("keep_series", True)),
+        max_rows=state.get("max_rows"),
         summary_rows=int(state.get("summary_rows", 1)),
     )
-    ring = max_rows if keep_series else None
     _apply_identity(store, state)
-    for family, attr in (
-        ("lwp", "lwp_series"),
-        ("hwt", "hwt_series"),
-        ("gpu", "gpu_series"),
-    ):
-        setattr(
-            store,
-            attr,
-            {
-                int(key): _series_from_state(entry, ring)
-                for key, entry in state.get(family, {}).items()
-            },
+    for family, (attr, _) in KEYED_FAMILIES.items():
+        getattr(store, attr).update(
+            (int(key), _series_from_state(store, entry))
+            for key, entry in state.get(family, {}).items()
         )
-    store.mem_series = _series_from_state(state["mem"], ring)
+    store.mem_series = _series_from_state(store, state["mem"])
     ledger_state = state["ledger"]
     store.ledger = DegradationLedger(
         max_events=int(ledger_state.get("max_events") or 1024)
@@ -886,35 +833,36 @@ def _store_from_snapshot(record: dict) -> SampleStore:
     return store
 
 
-def _apply_series_entry(
-    entry: dict,
-    existing: Optional[SeriesBuffer],
-    max_rows: Optional[int],
-) -> SeriesBuffer:
-    if entry.get("replace") or existing is None:
-        return _series_from_state(entry, max_rows)
-    for row in entry["rows"]:
-        existing.append(row)
-    existing.appended = int(entry["appended"])
-    return existing
+def _apply_legacy_series(store: SampleStore, series: dict) -> None:
+    """The period shape writers before the period block produced.
+
+    One entry per series: new rows to append, or — for summary-mode
+    stores and rings that wrapped past the writer's cursor — a full
+    ``replace`` of the series.
+    """
+    for family, entries in series.items():
+        for key, entry in ({0: entries} if family == "mem" else entries).items():
+            if not entry.get("replace"):
+                for row in entry["rows"]:
+                    store.add_row(family, int(key), row)
+            elif family == "mem":
+                store.mem_series = _series_from_state(store, entry)
+            else:
+                getattr(store, KEYED_FAMILIES[family][0])[int(key)] = (
+                    _series_from_state(store, entry)
+                )
 
 
 def _apply_period(store: SampleStore, record: dict) -> None:
-    series = record.get("series", {})
-    ring = store.max_rows if store.keep_series else None
-    for family, attr in (
-        ("lwp", "lwp_series"),
-        ("hwt", "hwt_series"),
-        ("gpu", "gpu_series"),
-    ):
-        mapping = getattr(store, attr)
-        for key, entry in series.get(family, {}).items():
-            k = int(key)
-            mapping[k] = _apply_series_entry(entry, mapping.get(k), ring)
-    if "mem" in series:
-        store.mem_series = _apply_series_entry(
-            series["mem"], store.mem_series, ring
-        )
+    if "series" in record:
+        _apply_legacy_series(store, record["series"])
+    else:  # a period block goes back through the store's own entry point
+        for family, entry in record["block"].items():
+            for key, row in zip(entry["keys"], entry["rows"]):
+                store.add_row(family, key, row)
+    # seal what was replayed, as the live commit did; the totals that
+    # commit took from the thread snapshots come from the record, next
+    store.commit(float(record["tick"]), ())
     _apply_identity(store, record)
     _apply_ledger(store.ledger, record["ledger"])
 
@@ -934,13 +882,11 @@ class RecoveredRun(StoreBackedRun):
         *,
         kinds: Optional[dict[int, str]] = None,
         torn_records: int = 0,
-        path: Optional[Path] = None,
     ):
         self.store = store
         self.meta = meta
         self.kinds = kinds or {}
         self.torn_records = torn_records
-        self.path = path
         self.driver = str(meta.get("driver", "live"))
         self.baseline = str(meta.get("baseline", "first"))
         self.hz = float(meta.get("hz", USER_HZ))
@@ -979,40 +925,55 @@ def recover_journal(path: str | Path) -> RecoveredRun:
 
     Raises :class:`~repro.errors.JournalError` only when no snapshot
     survives at all; a torn trailing record or a tail of lost periods
-    is degradation data, recorded in the recovered ledger.
+    is degradation data, recorded in the recovered ledger.  A record
+    that decodes but cannot be applied is a tear like any other: the
+    records before it are kept, it and everything after it are counted.
     """
     path = Path(path)
-    records, torn = read_journal(path)
+    return _recover(path, *read_journal(path))
+
+
+def _recover(path: Path, records: list[dict], torn: int) -> RecoveredRun:
     meta: dict = {}
     kinds: dict[int, str] = {}
     store: Optional[SampleStore] = None
-    notes: list[dict] = []
+    #: per note record, its finding or its (collector, tick, reason)
+    notes: list = []
     last_tick = 0.0
-    for record in records:
+    for index, record in enumerate(records):
         kind = record.get("kind")
-        if kind == "meta":
-            fields = dict(record)
-            fields.pop("kind", None)
-            meta.update(fields)
-        elif kind == "snapshot":
-            store = _store_from_snapshot(record)
-            kinds.update(
-                (int(t), label) for t, label in record.get("kinds", {}).items()
-            )
-            last_tick = float(record.get("tick", last_tick))
-        elif kind == "period":
-            if store is None:
-                raise JournalError(
-                    f"{path}: period record before any snapshot"
+        try:
+            if kind == "meta":
+                meta.update(
+                    (key, value) for key, value in record.items() if key != "kind"
                 )
-            _apply_period(store, record)
-            kinds.update(
-                (int(t), label) for t, label in record.get("kinds", {}).items()
-            )
-            last_tick = float(record.get("tick", last_tick))
-        elif kind == "note":
-            notes.append(record)
-        # unknown kinds: forward compatibility — skip, never fail
+            elif kind == "snapshot" or kind == "period":
+                if kind == "snapshot":
+                    store = _store_from_snapshot(record)
+                elif store is None:
+                    raise JournalError("period record before any snapshot")
+                else:
+                    _apply_period(store, record)
+                kinds.update(
+                    (int(t), label)
+                    for t, label in record.get("kinds", {}).items()
+                )
+                last_tick = float(record.get("tick", last_tick))
+            elif kind == "note" and record.get("alert") is not None:
+                notes.append(OnlineFinding.from_state(record["alert"]))
+            elif kind == "note":
+                notes.append(
+                    (
+                        str(record.get("collector", "Journal")),
+                        float(record.get("tick", last_tick)),
+                        str(record.get("reason", "")),
+                    )
+                )
+            # unknown kinds: forward compatibility — skip, never fail
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+                ReproError):  # well framed, yet not what a writer produces —
+            # and perhaps half applied: recover the records before it alone
+            return _recover(path, records[:index], torn + len(records) - index)
     if store is None:
         raise JournalError(
             f"{path}: no usable snapshot record (empty or fully torn journal)"
@@ -1024,23 +985,19 @@ def recover_journal(path: str | Path) -> RecoveredRun:
     # every finding up to the last checkpoint, these notes the rest,
     # so the recovered alert history is bit-identical to the original.
     for note in notes:
-        alert_state = note.get("alert")
-        if alert_state is not None:
+        if isinstance(note, OnlineFinding):
             if store.alerts is None:
                 store.alerts = AlertLedger()
-            store.alerts.record(OnlineFinding.from_state(alert_state))
-            continue
-        store.ledger.record_error(
-            str(note.get("collector", "Journal")),
-            float(note.get("tick", last_tick)),
-            str(note.get("reason", "")),
-        )
+            store.alerts.record(note)
+        else:
+            store.ledger.record_error(*note)
     if torn:
         store.ledger.record_error(
             "Journal",
             last_tick,
             f"recovery discarded {torn} torn trailing record(s)",
         )
-    return RecoveredRun(
-        store, meta, kinds=kinds, torn_records=torn, path=path
-    )
+    try:
+        return RecoveredRun(store, meta, kinds=kinds, torn_records=torn)
+    except (TypeError, ValueError) as exc:
+        raise JournalError(f"{path}: unusable meta record: {exc}") from exc

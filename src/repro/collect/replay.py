@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 
 from repro.collect.report import StoreBackedRun
-from repro.collect.store import SampleStore
-from repro.core.records import GPU_COLUMNS, HWT_COLUMNS, LWP_COLUMNS, MEM_COLUMNS
+from repro.collect.store import KEYED_FAMILIES, SampleStore
+from repro.core.records import MEM_COLUMNS, PeriodBlock
 from repro.core.reports import UtilizationReport
 from repro.errors import MonitorError
 from repro.topology.cpuset import CpuSet
@@ -36,6 +36,8 @@ _CPUS_RE = re.compile(r"^CPUs allowed: \[(?P<cpus>[^\]]*)\]")
 # the report's Process Summary line: every exporter of a ranked run
 # writes it, whereas the banner's "MPI rank R of N" needs the world size
 _RANK_RE = re.compile(r"^MPI (?P<rank>\d+) - PID \d+ - Node ")
+#: family -> the leading key column of its CSV section
+_KEY_COLUMN = {"lwp": "tid", "hwt": "cpu", "gpu": "gpu"}
 _LWP_LINE_RE = re.compile(
     r"^LWP (?P<tid>\d+): (?P<kind>.+?) - stime: .*"
     r"CPUs: \[(?P<cpus>[^\]]*)\]$"
@@ -74,25 +76,21 @@ class ReplayZeroSum(StoreBackedRun):
 
     # -- ingestion ------------------------------------------------------
     def _ingest_samples(self, parsed) -> None:
-        if parsed.lwp is not None:
-            self._check(parsed.lwp.columns, ("tid",) + LWP_COLUMNS, "LWP")
-            for tid, rows in parsed.lwp.group_rows("tid").items():
-                for row in rows:
-                    self.store.add_lwp_row(int(tid), tuple(row[1:]))
-        if parsed.hwt is not None:
-            self._check(parsed.hwt.columns, ("cpu",) + HWT_COLUMNS, "HWT")
-            for cpu, rows in parsed.hwt.group_rows("cpu").items():
-                for row in rows:
-                    self.store.add_hwt_row(int(cpu), tuple(row[1:]))
-        if parsed.gpu is not None:
-            self._check(parsed.gpu.columns, ("gpu",) + GPU_COLUMNS, "GPU")
-            for gpu, rows in parsed.gpu.group_rows("gpu").items():
-                for row in rows:
-                    self.store.add_gpu_row(int(gpu), tuple(row[1:]))
+        for family, (_, columns) in KEYED_FAMILIES.items():
+            table, key = getattr(parsed, family), _KEY_COLUMN[family]
+            if table is not None:
+                self._check(table.columns, (key,) + columns, family.upper())
+                for ident, rows in table.group_rows(key).items():
+                    for row in rows:
+                        self.store.add_row(family, int(ident), tuple(row[1:]))
         if parsed.memory is not None:
             self._check(parsed.memory.columns, MEM_COLUMNS, "memory")
             for row in parsed.memory.rows:
                 self.store.add_mem_row(tuple(row))
+        # a log is one ingest, not a period: close it and drop the block
+        # nobody reads, or the store holds every row a second time
+        self.store.commit(self.store.prev_tick, ())
+        self.store.period = PeriodBlock()
 
     @staticmethod
     def _check(columns, expected, section: str) -> None:

@@ -16,17 +16,24 @@ It also tracks the per-tid cumulative totals of the previous sample,
 which the streaming seam differences into per-interval busy rates.
 
 The store is **transactional per collector**: the engine brackets each
-collector's run in :meth:`SampleStore.begin` / :meth:`SampleStore.release`,
-and :meth:`SampleStore.rollback` rewinds every row, series, name, and
-affinity the failing collector touched — a sampling period is whole
-per subsystem or absent, never torn.  The store also carries the
+collector's run in :meth:`SampleStore.begin` / :meth:`SampleStore.release`.
+Inside the bracket ``add_*_row`` only *stages* what it is handed; the
+rows reach the series on ``release``, so :meth:`SampleStore.rollback`
+is "drop the staged rows" and a sampling period is whole per subsystem
+or absent, never torn.  The store also carries the
 :class:`~repro.collect.faults.DegradationLedger` recording every such
 containment decision.
+
+Everything applied between two :meth:`SampleStore.commit` calls is one
+:class:`~repro.core.records.PeriodBlock`, sealed as ``store.period`` —
+the one copy of the period's rows the detector and the journal read.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 from repro.collect.faults import DegradationLedger
 from repro.core.records import (
@@ -34,7 +41,10 @@ from repro.core.records import (
     HWT_COLUMNS,
     LWP_COLUMNS,
     MEM_COLUMNS,
+    FamilyBlock,
+    PeriodBlock,
     SeriesBuffer,
+    check_width,
 )
 from repro.errors import MonitorError
 from repro.topology.cpuset import CpuSet
@@ -43,9 +53,15 @@ if TYPE_CHECKING:
     from repro.core.heartbeat import ThreadSnapshot
     from repro.detect.findings import AlertLedger
 
-__all__ = ["SampleStore"]
+__all__ = ["SampleStore", "KEYED_FAMILIES"]
 
-_MISSING = object()
+#: family tag -> (store attribute of its per-entity series map, columns)
+KEYED_FAMILIES = {
+    "lwp": ("lwp_series", LWP_COLUMNS),
+    "hwt": ("hwt_series", HWT_COLUMNS),
+    "gpu": ("gpu_series", GPU_COLUMNS),
+}
+_FAMILIES = {**KEYED_FAMILIES, "mem": (None, MEM_COLUMNS)}
 
 
 class SampleStore:
@@ -77,8 +93,13 @@ class SampleStore:
         #: the store never imports the detect package — it only carries
         #: the ledger for the report builder and the journal snapshot
         self.alerts: "AlertLedger | None" = None
-        #: undo journal of the open watermark, None outside a transaction
-        self._txn: list[tuple] | None = None
+        #: per family, the rows applied since the last commit
+        self._open: dict[str, list[tuple]] = {f: [] for f in _FAMILIES}
+        #: inside a bracket, the rows staged so far, by family; None
+        #: outside one
+        self._staged: dict[str, list[tuple]] | None = None
+        #: the rows of the newest committed period (see the module doc)
+        self.period = PeriodBlock()
         #: tick of the previous committed sample (starts at the
         #: monitor's attach tick so the first interval is well defined)
         self.prev_tick: float = start_tick
@@ -92,74 +113,73 @@ class SampleStore:
             return SeriesBuffer(columns, max_rows=self.max_rows)
         return SeriesBuffer(columns, capacity=self.summary_rows)
 
-    def _push(self, series: SeriesBuffer, row: Sequence[float]) -> None:
-        replace = not (self.keep_series or len(series) < self.summary_rows)
-        if self._txn is not None:
-            self._txn.append(("row", series, series.prepare_undo(replace)))
-        if replace:
-            series.replace_last(row)
-        else:
-            series.append(row)
-
-    # -- rollback watermark (per-collector transactions) ----------------
+    # -- per-collector transactions: stage, then apply ------------------
     def begin(self) -> None:
-        """Open a rollback watermark: journal every mutation after it."""
-        if self._txn is not None:
+        """Open a bracket: rows added after it are staged, not applied."""
+        if self._staged is not None:
             raise MonitorError("sample transaction already open")
-        self._txn = []
+        self._staged = {}
+
+    def _close(self) -> dict[str, list[tuple]]:
+        if self._staged is None:
+            raise MonitorError("no sample transaction open")
+        staged, self._staged = self._staged, None
+        return staged
 
     def rollback(self) -> int:
-        """Undo everything since :meth:`begin`; returns rows discarded.
+        """Drop everything staged since :meth:`begin`; returns the row count.
 
-        Restores series contents (including ring overwrites and
-        summary-mode replaces), removes series created inside the
-        watermark, and reverts name/affinity identity records — the
-        store is bit-identical to its state at :meth:`begin`.
+        Nothing staged has touched a series, a name or an affinity, so
+        the store is bit-identical to its state at :meth:`begin`.
         """
-        if self._txn is None:
-            raise MonitorError("no sample transaction open")
-        journal, self._txn = self._txn, None
-        rows = 0
-        for entry in reversed(journal):
-            kind = entry[0]
-            if kind == "row":
-                _, series, token = entry
-                series.undo(token)
-                rows += 1
-            elif kind == "series":
-                _, mapping, key = entry
-                mapping.pop(key, None)
-            else:  # "ident": a name/affinity map entry
-                _, mapping, key, old = entry
-                if old is _MISSING:
-                    mapping.pop(key, None)
-                else:
-                    mapping[key] = old
-        return rows
+        return sum(map(len, self._close().values()))
 
     def release(self) -> None:
-        """Close the watermark, keeping everything written since it."""
-        if self._txn is None:
-            raise MonitorError("no sample transaction open")
-        self._txn = None
+        """Close the bracket, applying everything staged since it.
+
+        The rows go to float64 first: one numpy cannot store fails here,
+        with nothing applied and the bracket still open for a rollback.
+        """
+        rows = {
+            family: np.array([e[1] for e in entries], dtype=np.float64)
+            for family, entries in (self._staged or {}).items()
+        }
+        for family, entries in self._close().items():
+            self._apply(family, entries, rows[family])
+
+    def add_row(self, family: str, key: int, row, name=None, affinity=None) -> None:
+        """One observation of one entity of ``"lwp" | "hwt" | "gpu" | "mem"``.
+
+        The family-generic form of the four ``add_*_row`` below (a
+        recovered period block is replayed through it).
+        """
+        entry = (key, row, name, affinity)
+        if self._staged is None:
+            self._apply(family, (entry,), (row,))
+        else:  # a malformed row must fail inside the collector's bracket
+            check_width(row, _FAMILIES[family][1])
+            self._staged.setdefault(family, []).append(entry)
+
+    def _apply(self, family: str, entries, rows) -> None:
+        """The one writer of the series, the identity maps and the open block."""
+        attr, columns = _FAMILIES[family]
+        mapping = {0: self.mem_series} if attr is None else getattr(self, attr)
+        for (key, _, name, affinity), row in zip(entries, rows):
+            series = mapping.get(key)
+            if series is None:
+                series = mapping[key] = self.new_series(columns)
+            if self.keep_series or len(series) < self.summary_rows:
+                series.append(row)
+            else:
+                series.replace_last(row)
+            if name is not None:
+                self.lwp_names[key] = name
+            if affinity is not None:
+                # affinity may change after creation: re-recorded every period
+                self.lwp_affinity[key] = affinity
+        self._open[family].extend(entries)
 
     # -- per-subsystem appends -----------------------------------------
-    def lwp(self, tid: int) -> SeriesBuffer:
-        """The (created-on-demand) series of one thread."""
-        series = self.lwp_series.get(tid)
-        if series is None:
-            if self._txn is not None:
-                self._txn.append(("series", self.lwp_series, tid))
-            series = self.lwp_series[tid] = self.new_series(LWP_COLUMNS)
-        return series
-
-    def _set_identity(self, mapping: dict, key: int, value) -> None:
-        if self._txn is not None:
-            self._txn.append(
-                ("ident", mapping, key, mapping.get(key, _MISSING))
-            )
-        mapping[key] = value
-
     def add_lwp_row(
         self,
         tid: int,
@@ -169,42 +189,19 @@ class SampleStore:
         affinity: CpuSet | None = None,
     ) -> None:
         """Record one thread observation plus its identity facts."""
-        self._push(self.lwp(tid), row)
-        if name is not None:
-            self._set_identity(self.lwp_names, tid, name)
-        if affinity is not None:
-            # affinity may change after creation: re-record every period
-            self._set_identity(self.lwp_affinity, tid, affinity)
-
-    def hwt(self, cpu: int) -> SeriesBuffer:
-        """The (created-on-demand) series of one hardware thread."""
-        series = self.hwt_series.get(cpu)
-        if series is None:
-            if self._txn is not None:
-                self._txn.append(("series", self.hwt_series, cpu))
-            series = self.hwt_series[cpu] = self.new_series(HWT_COLUMNS)
-        return series
+        self.add_row("lwp", tid, row, name, affinity)
 
     def add_hwt_row(self, cpu: int, row: Sequence[float]) -> None:
         """Record one hardware-thread observation."""
-        self._push(self.hwt(cpu), row)
-
-    def gpu(self, index: int) -> SeriesBuffer:
-        """The (created-on-demand) series of one visible GPU."""
-        series = self.gpu_series.get(index)
-        if series is None:
-            if self._txn is not None:
-                self._txn.append(("series", self.gpu_series, index))
-            series = self.gpu_series[index] = self.new_series(GPU_COLUMNS)
-        return series
+        self.add_row("hwt", cpu, row)
 
     def add_gpu_row(self, index: int, row: Sequence[float]) -> None:
         """Record one GPU sensor sweep."""
-        self._push(self.gpu(index), row)
+        self.add_row("gpu", index, row)
 
     def add_mem_row(self, row: Sequence[float]) -> None:
         """Record one memory/IO observation."""
-        self._push(self.mem_series, row)
+        self.add_row("mem", 0, row)
 
     # -- queries --------------------------------------------------------
     def observed_tids(self) -> list[int]:
@@ -213,7 +210,13 @@ class SampleStore:
 
     # -- previous-sample tracking --------------------------------------
     def commit(self, tick: float, snapshots: Iterable["ThreadSnapshot"]) -> None:
-        """Close one sampling period: remember its tick and totals."""
+        """Close one sampling period: its tick, totals and row block."""
+        if self._staged is not None:
+            raise MonitorError("sample transaction open")
         self.prev_tick = tick
         for snap in snapshots:
             self.prev_totals[snap.tid] = snap.total_jiffies
+        self.period = PeriodBlock(
+            *(FamilyBlock(*zip(*entries)) for entries in self._open.values())
+        )
+        self._open = {family: [] for family in _FAMILIES}

@@ -33,17 +33,15 @@ from repro.collect import (
     CollectionEngine,
     GpuCollector,
     HwtCollector,
-    JournalWriter,
     LwpCollector,
     MemoryCollector,
     SampleStore,
 )
-from repro.collect.faults import FaultPolicy
 from repro.collect.report import StoreBackedRun
 from repro.core.config import ZeroSumConfig
 from repro.core.detect import ProcessConfig, detect_configuration
 from repro.core.heartbeat import ProgressTracker, heartbeat_line
-from repro.detect import GpuFacts, OnlineDetector, TopologyFacts
+from repro.detect import GpuFacts, TopologyFacts
 from repro.errors import MonitorError
 from repro.gpu.backend import SmiBackend, make_smi
 from repro.kernel.directives import Call, Compute, Sleep
@@ -133,34 +131,13 @@ class ZeroSum(StoreBackedRun):
             )
         if self.smi is not None:
             collectors.append(GpuCollector(self.store, self.smi))
-        # crash-durability spill journal: the sim driver journals the
-        # same way the live one does, which is what makes the recovery
-        # path deterministically testable (bit-identical reports)
-        self.journal: Optional[JournalWriter] = None
-        if self.config.journal_path:
-            self.journal = JournalWriter(
-                self.config.journal_path,
-                checkpoint_every=self.config.journal_checkpoint_every,
-                fsync=self.config.journal_fsync,
-                classify=self.classify,
-            )
-        # online detection over the committed store, if configured —
-        # the same detector class the live driver uses, fed the same
-        # committed rows, which is what makes findings substrate-
-        # identical between a simulated run and its recovery
-        self.detector: Optional[OnlineDetector] = None
-        if self.config.detect_online:
-            self.detector = OnlineDetector(hz=kernel.clock.hz, facts=self.facts)
-        self.engine = CollectionEngine(
-            self.store,
-            collectors,
-            policy=FaultPolicy(
-                max_retries=self.config.fault_retries,
-                disable_after=self.config.fault_disable_after,
-            ),
-            journal=self.journal,
-            detector=self.detector,
-        )
+        # the same journal / detector / fault policy wiring the live
+        # driver gets, fed the same committed rows — which is what makes
+        # the recovery path deterministically testable (bit-identical
+        # reports) and findings substrate-identical
+        self.engine = CollectionEngine.for_run(self, collectors)
+        self.journal = self.engine.journal
+        self.detector = self.engine.detector
         if self.journal is not None:
             self.journal.open(
                 self.store,

@@ -12,7 +12,7 @@ monitors use this to bound memory while keeping a trailing window.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from repro.gpu.metrics import METRIC_ORDER as _METRIC_ORDER
 
 __all__ = [
     "SeriesBuffer",
+    "FamilyBlock",
+    "PeriodBlock",
+    "check_width",
     "LWP_COLUMNS",
     "HWT_COLUMNS",
     "MEM_COLUMNS",
@@ -66,6 +69,43 @@ MEM_COLUMNS: tuple[str, ...] = (
 GPU_COLUMNS: tuple[str, ...] = ("tick",) + _METRIC_ORDER
 
 
+def check_width(row: Sequence[float], columns: Sequence[str]) -> None:
+    """Reject a row that does not fit a series of ``columns``."""
+    if len(row) != len(columns):
+        raise MonitorError(
+            f"row has {len(row)} values, series has {len(columns)} columns"
+        )
+
+
+class FamilyBlock(NamedTuple):
+    """One family's rows of one sampling period, in arrival order.
+
+    Parallel tuples: ``rows[i]`` is what ``add_*_row`` was handed for
+    entity ``keys[i]``, with the optional identity facts that came with
+    it (``None`` for the families that have none).
+    """
+
+    keys: tuple = ()
+    rows: tuple = ()
+    names: tuple = ()
+    affinities: tuple = ()
+
+
+class PeriodBlock(NamedTuple):
+    """Everything one sampling period put into a store.
+
+    Produced once — the store seals it at ``commit`` — and read by
+    everyone downstream of the collectors: the online detector mirrors
+    it into its histories and the journal writes it as the period
+    record.  An entity with no row this period is simply absent.
+    """
+
+    lwp: FamilyBlock = FamilyBlock()
+    hwt: FamilyBlock = FamilyBlock()
+    gpu: FamilyBlock = FamilyBlock()
+    mem: FamilyBlock = FamilyBlock()
+
+
 class SeriesBuffer:
     """A small column store with amortized O(1) row append.
 
@@ -95,15 +135,9 @@ class SeriesBuffer:
         self._head = 0  # oldest row / next overwrite position once saturated
         self.appended = 0
 
-    def _check_width(self, row: Sequence[float]) -> None:
-        if len(row) != len(self.columns):
-            raise MonitorError(
-                f"row has {len(row)} values, series has {len(self.columns)} columns"
-            )
-
     def append(self, row: Sequence[float]) -> None:
         """Append one row (width-checked); overwrites the oldest when full."""
-        self._check_width(row)
+        check_width(row, self.columns)
         self.appended += 1
         if self.max_rows is not None and self._len == self.max_rows:
             self._data[self._head] = row
@@ -119,39 +153,6 @@ class SeriesBuffer:
         self._data[self._len] = row
         self._len += 1
 
-    # -- rollback support ----------------------------------------------
-    def prepare_undo(self, will_replace: bool) -> tuple:
-        """O(1) token undoing the *next* append or ``replace_last``.
-
-        Captures the cursor state plus a copy of whichever stored row
-        the coming mutation will overwrite (the oldest row for a
-        saturated ring append, the newest for a replace), so
-        :meth:`undo` can restore the buffer bit-for-bit.  Tokens must
-        be applied in reverse order of capture.
-        """
-        saved: tuple[int, np.ndarray] | None = None
-        if will_replace and self._len > 0:
-            if self.max_rows is not None and self._len == self.max_rows:
-                idx = (self._head - 1) % self.max_rows
-            else:
-                idx = self._len - 1
-            saved = (idx, self._data[idx].copy())
-        elif (
-            not will_replace
-            and self.max_rows is not None
-            and self._len == self.max_rows
-        ):
-            saved = (self._head, self._data[self._head].copy())
-        return (self._len, self._head, self.appended, saved)
-
-    def undo(self, token: tuple) -> None:
-        """Rewind one mutation recorded by :meth:`prepare_undo`."""
-        length, head, appended, saved = token
-        self._len, self._head, self.appended = length, head, appended
-        if saved is not None:
-            idx, row = saved
-            self._data[idx] = row
-
     def replace_last(self, row: Sequence[float]) -> None:
         """Overwrite the most recently appended row (append when empty).
 
@@ -161,7 +162,7 @@ class SeriesBuffer:
         if self._len == 0:
             self.append(row)
             return
-        self._check_width(row)
+        check_width(row, self.columns)
         if self.max_rows is not None and self._len == self.max_rows:
             idx = (self._head - 1) % self.max_rows
         else:

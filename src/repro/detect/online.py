@@ -32,10 +32,12 @@ history reproducible across the simulated, live, and replayed drivers
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.core.records import GPU_COLUMNS, LWP_COLUMNS, MEM_COLUMNS
 from repro.detect.findings import SEVERITIES, AlertLedger, OnlineFinding
 from repro.detect.precursors import PRECURSORS
 from repro.detect.rules import RULES, THRESHOLDS, Condition, Row, TopologyFacts
@@ -64,6 +66,15 @@ _MEM_METRICS = (
 )
 
 
+#: per family, the metric values of one period-block row (store column
+#: positions, resolved once; ``tick`` leads every column tuple)
+_LWP_PICK = itemgetter(*map(LWP_COLUMNS.index, _LWP_METRICS))
+_GPU_PICK = itemgetter(*map(GPU_COLUMNS.index, _GPU_METRICS))
+_MEM_PICK = itemgetter(*map(MEM_COLUMNS.index, _MEM_METRICS))
+#: smoothing of :meth:`EntityHistory.ewma`
+_EWMA_ALPHA = 0.3
+
+
 class EntityHistory:
     """Bounded metric history of one entity (the PRM-style deque).
 
@@ -84,16 +95,9 @@ class EntityHistory:
         "names",
         "metrics",
         "_deques",
-        "ewma_alpha",
     )
 
-    def __init__(
-        self,
-        window: int,
-        names: tuple[str, ...],
-        *,
-        ewma_alpha: float = 0.3,
-    ):
+    def __init__(self, window: int, names: tuple[str, ...]):
         self.window = window
         self.names = tuple(names)
         self.ticks: deque[float] = deque(maxlen=window)
@@ -102,9 +106,8 @@ class EntityHistory:
         self.metrics: dict[str, deque[float]] = dict(
             zip(self.names, self._deques)
         )
-        self.ewma_alpha = ewma_alpha
 
-    def push(self, tick: float, values: Sequence[float]) -> None:
+    def push(self, tick: float, values: Iterable[float]) -> None:
         """Append one sample (ordered like ``names``)."""
         self.ticks.append(tick)
         for series, value in zip(self._deques, values):
@@ -116,10 +119,6 @@ class EntityHistory:
     @property
     def full(self) -> bool:
         return len(self.ticks) == self.window
-
-    @property
-    def last_tick(self) -> float:
-        return self.ticks[-1] if self.ticks else float("-inf")
 
     @property
     def span_ticks(self) -> float:
@@ -163,7 +162,7 @@ class EntityHistory:
         series = self.metrics.get(name)
         if not series:
             return 0.0
-        alpha = self.ewma_alpha
+        alpha = _EWMA_ALPHA
         it = iter(series)
         acc = next(it)
         for value in it:
@@ -204,9 +203,10 @@ class OnlineDetector:
     """Per-period rule + precursor evaluation over one sample store.
 
     ``observe`` is called by the collection engine after every store
-    commit; it mirrors the newest committed rows into the bounded
-    per-entity histories, evaluates the catalogs, edge-triggers the
-    resulting conditions, and records the newly fired findings in the
+    commit; it mirrors the period block the commit sealed
+    (``store.period``) into the bounded per-entity histories,
+    evaluates the catalogs, edge-triggers the resulting conditions,
+    and records the newly fired findings in the
     :class:`~repro.detect.findings.AlertLedger` (also returning them so
     the engine can spool each one to the journal's durable note
     channel).
@@ -238,12 +238,6 @@ class OnlineDetector:
         self._active: set[tuple[str, str]] = set()
         #: store (duck-typed) being observed this period
         self.store = None
-        #: column index caches, keyed by the series' columns tuple:
-        #: (tick index, present metric names, their column indices)
-        self._colidx: dict[
-            tuple[tuple[str, ...], tuple[str, ...]],
-            tuple[int, tuple[str, ...], list[int]],
-        ] = {}
         #: per-period cache of (the window's rows, their busy set) —
         #: several rules need each
         self._busy_cache: Optional[tuple[list[Row], list[Row]]] = None
@@ -252,62 +246,25 @@ class OnlineDetector:
         self._busy_all: dict[int, float] = {}
 
     # -- history maintenance -------------------------------------------
-    def _layout(
-        self, columns: tuple[str, ...], wanted: tuple[str, ...]
-    ) -> tuple[int, tuple[str, ...], list[int]]:
-        """(tick index, present metric names, their column indices)."""
-        key = (columns, wanted)
-        cached = self._colidx.get(key)
-        if cached is None:
-            names = tuple(n for n in wanted if n in columns)
-            cached = self._colidx[key] = (
-                columns.index("tick"),
-                names,
-                [columns.index(n) for n in names],
-            )
-        return cached
-
-    def _push_family(
-        self,
-        histories: dict[int, EntityHistory],
-        series_map,
-        metrics: tuple[str, ...],
-    ) -> None:
-        window = self.window
-        for key, series in series_map.items():
-            if len(series) == 0:
-                continue
-            tick_idx, names, indices = self._layout(series.columns, metrics)
-            history = histories.get(key)
-            if history is None:
-                history = histories[key] = EntityHistory(window, names)
-            # one C-level tolist() instead of a numpy scalar index +
-            # float() per metric: this runs for every entity on every
-            # period and dominates the detector's update cost
-            row = series.array[-1].tolist()
-            tick = row[tick_idx]
-            ticks = history.ticks
-            if ticks and ticks[-1] >= tick:
-                continue  # no new committed row for this entity
-            history.push(tick, [row[i] for i in indices])
-
     def _update(self, store) -> None:
         # HWT counters are deliberately *not* mirrored: no streaming
         # rule reads them (affinity overlap derives from LWP affinity,
         # I/O stalls from LWP D-state + io counters), and mirroring a
         # Table-2 node's 64 HWTs would double the per-period push cost
         # for nothing.  The post-hoc tier still gets them from the store.
-        self._push_family(self.lwps, store.lwp_series, _LWP_METRICS)
-        self._push_family(self.gpus, store.gpu_series, _GPU_METRICS)
-        mem = store.mem_series
-        if len(mem):
-            tick_idx, names, indices = self._layout(mem.columns, _MEM_METRICS)
-            if names != self.mem.names:  # columns differ from default
-                self.mem = EntityHistory(self.window, names)
-            row = mem.array[-1].tolist()
-            tick = row[tick_idx]
-            if tick > self.mem.last_tick:
-                self.mem.push(tick, [row[i] for i in indices])
+        period = store.period
+        for histories, block, metrics, pick in (
+            (self.lwps, period.lwp, _LWP_METRICS, _LWP_PICK),
+            (self.gpus, period.gpu, _GPU_METRICS, _GPU_PICK),
+            ({0: self.mem}, period.mem, _MEM_METRICS, _MEM_PICK),
+        ):
+            for key, row in zip(block.keys, block.rows):
+                history = histories.get(key)
+                if history is None:
+                    history = histories[key] = EntityHistory(self.window, metrics)
+                # as float64, the way the series (and a recovered journal)
+                # hold the row: collectors hand integer jiffies
+                history.push(float(row[0]), map(float, pick(row)))
 
     # -- the per-period evaluation -------------------------------------
     def observe(self, store, tick: float) -> list[OnlineFinding]:

@@ -51,7 +51,7 @@ def _window_ready(history, window: int) -> bool:
 def precursor_memory_leak(det: "OnlineDetector") -> list[Condition]:
     """Sustained RSS growth projecting MemAvailable exhaustion."""
     mem = det.mem
-    if not _window_ready(mem, det.window) or "rss_kib" not in mem.metrics:
+    if not _window_ready(mem, det.window):
         return []
     rss_slope = mem.slope("rss_kib", det.hz)  # KiB/s
     avail_slope = mem.slope("mem_available_kib", det.hz)
@@ -81,10 +81,7 @@ def precursor_gpu_thermal(det: "OnlineDetector") -> list[Condition]:
     out = []
     throttle = det.thresholds.gpu_throttle_temp_c
     for visible, history in det.gpus.items():
-        if (
-            not _window_ready(history, det.window)
-            or "temperature_c" not in history.metrics
-        ):
+        if not _window_ready(history, det.window):
             continue
         temp = history.last("temperature_c")
         busy = history.ewma("busy_percent")
@@ -159,7 +156,7 @@ def precursor_runqueue_starvation(det: "OnlineDetector") -> list[Condition]:
 def precursor_io_stall(det: "OnlineDetector") -> list[Condition]:
     """Uninterruptible sleep all window long with no I/O progress."""
     mem = det.mem
-    if len(mem) >= 2 and "io_read_kib" in mem.metrics:
+    if len(mem) >= 2:
         io_progress = (
             mem.delta("io_read_kib") + mem.delta("io_write_kib")
         ) > 0.0

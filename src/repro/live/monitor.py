@@ -32,7 +32,6 @@ from typing import Optional
 from repro.collect import (
     CollectionEngine,
     HwtCollector,
-    JournalWriter,
     LwpCollector,
     MemoryCollector,
     ProcReader,
@@ -41,11 +40,11 @@ from repro.collect import (
     read_cpu_times,
     read_task,
 )
-from repro.collect.faults import FaultPolicy, classify_failure, is_missing
+from repro.collect.faults import classify_failure, is_missing
 from repro.collect.report import StoreBackedRun
 from repro.core.config import ZeroSumConfig
 from repro.core.heartbeat import HeartbeatWriter, heartbeat_line
-from repro.detect import OnlineDetector, TopologyFacts
+from repro.detect import TopologyFacts
 from repro.errors import MonitorError, ProcessVanishedError, ProcFSError
 from repro.live.watchdog import SamplerWatchdog
 from repro.units import USER_HZ
@@ -113,30 +112,11 @@ class LiveZeroSum(StoreBackedRun):
             collectors.append(
                 MemoryCollector(self.reader, self.store, self.pid)
             )
+        self.engine = CollectionEngine.for_run(self, collectors)
         #: crash-durability spill journal (None runs memory-only)
-        self.journal: Optional[JournalWriter] = None
-        if self.config.journal_path:
-            self.journal = JournalWriter(
-                self.config.journal_path,
-                checkpoint_every=self.config.journal_checkpoint_every,
-                fsync=self.config.journal_fsync,
-                classify=self.classify,
-            )
-        #: online detection over the committed store (same class and
-        #: thresholds the sim driver wires, fed the same committed rows)
-        self.detector: Optional[OnlineDetector] = None
-        if self.config.detect_online:
-            self.detector = OnlineDetector(hz=USER_HZ, facts=self.facts)
-        self.engine = CollectionEngine(
-            self.store,
-            collectors,
-            policy=FaultPolicy(
-                max_retries=self.config.fault_retries,
-                disable_after=self.config.fault_disable_after,
-            ),
-            journal=self.journal,
-            detector=self.detector,
-        )
+        self.journal = self.engine.journal
+        #: online detection over the committed store (None when off)
+        self.detector = self.engine.detector
         #: watchdog over the sampler and the monitored process's jiffies
         self.watchdog: Optional[SamplerWatchdog] = None
         if self.config.watchdog_stall_periods > 0:

@@ -26,7 +26,7 @@ from repro.collect import (
 )
 from repro.collect.faults import PERMANENT, TRANSIENT, is_missing
 from repro.core.heartbeat import ThreadSnapshot, heartbeat_line
-from repro.core.records import LWP_COLUMNS, SeriesBuffer
+from repro.core.records import HWT_COLUMNS, LWP_COLUMNS, PeriodBlock
 from repro.errors import MonitorError, ProcessVanishedError, ProcFSError
 from repro.kernel import Compute, SimKernel, Sleep
 from repro.procfs import ProcFS
@@ -265,35 +265,6 @@ class TestRealProcErrno:
 
 
 # ---------------------------------------------------------------------------
-class TestSeriesUndo:
-    def test_undo_append(self):
-        s = SeriesBuffer(("a", "b"))
-        s.append((1.0, 2.0))
-        token = s.prepare_undo(False)
-        s.append((3.0, 4.0))
-        s.undo(token)
-        assert len(s) == 1 and s.appended == 1
-        np.testing.assert_array_equal(s.array, [[1.0, 2.0]])
-
-    def test_undo_ring_overwrite_restores_oldest(self):
-        s = SeriesBuffer(("a",), max_rows=2)
-        s.append((1.0,))
-        s.append((2.0,))
-        token = s.prepare_undo(False)
-        s.append((3.0,))  # overwrites (1.0,)
-        s.undo(token)
-        np.testing.assert_array_equal(s.array, [[1.0], [2.0]])
-        assert s.appended == 2
-
-    def test_undo_replace_last(self):
-        s = SeriesBuffer(("a",))
-        s.append((1.0,))
-        token = s.prepare_undo(True)
-        s.replace_last((9.0,))
-        s.undo(token)
-        np.testing.assert_array_equal(s.array, [[1.0]])
-
-
 class TestStoreWatermark:
     def _store_state(self, store):
         return (
@@ -524,6 +495,29 @@ class TestContainment:
         with pytest.raises(ProcessVanishedError):
             engine.sample(1.0)
         assert 55 not in store.lwp_series  # still no torn period
+
+    def test_row_numpy_cannot_store_is_contained_whole(self):
+        store = SampleStore()
+
+        class TextMetricCollector:
+            name = "TextMetricCollector"
+
+            def collect(self, tick):
+                store.add_hwt_row(0, (tick,) + (0.0,) * (len(HWT_COLUMNS) - 1))
+                bad = list(lwp_row(tick))
+                bad[3] = "n/a"  # right width: only the apply step can tell
+                store.add_lwp_row(55, bad, name="main", affinity=CpuSet([0]))
+                return []
+
+        engine = CollectionEngine(
+            store, [TextMetricCollector()], policy=FaultPolicy(disable_after=0)
+        )
+        assert engine.sample(1.0) == []
+        assert (store.hwt_series, store.lwp_series, store.lwp_names) == ({}, {}, {})
+        assert store.ledger.rolled_back_rows["TextMetricCollector"] == 2
+        assert store.ledger.events[-1].failure_class == PERMANENT
+        engine.commit(1.0, [])  # the bracket is closed, the block empty
+        assert store.period == PeriodBlock()
 
 
 # ---------------------------------------------------------------------------

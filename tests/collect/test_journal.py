@@ -1,21 +1,33 @@
 """Spill journal: framing, round trips, torn tails, containment."""
 
+import shutil
+import zlib
+
 import pytest
 
-from tests.helpers import rewrite_as_zsj1, run_miniqmc, zsj1_frame
-from repro.collect import CollectionEngine, SampleStore
+from tests.helpers import (
+    LegacyPeriodWriter,
+    rewrite_as_zsj1,
+    run_miniqmc,
+    zsj1_frame,
+)
+from repro.collect import CollectionEngine, FaultPolicy, SampleStore
 from repro.collect.journal import (
     JournalWriter,
+    RecoveredRun,
     _decode_body,
     _encode_body,
     _frame2,
-    _unframe,
+    _parse_frame,
+    decode_store_snapshot,
     read_journal,
     recover_journal,
 )
 from repro.core import ZeroSumConfig, build_report
+from repro.core.heartbeat import ThreadSnapshot
 from repro.core.records import HWT_COLUMNS, LWP_COLUMNS, MEM_COLUMNS
-from repro.errors import JournalError
+from repro.detect import OnlineDetector, OnlineFinding, TopologyFacts
+from repro.errors import JournalError, ProcFSError
 from repro.topology import CpuSet
 
 
@@ -58,12 +70,12 @@ def drive(store: SampleStore, writer: JournalWriter, ticks) -> None:
 
 def assert_stores_equal(a: SampleStore, b: SampleStore) -> None:
     assert set(a.lwp_series) == set(b.lwp_series)
-    for tid in a.lwp_series:
-        assert a.lwp_series[tid].array.tolist() == \
-            b.lwp_series[tid].array.tolist()
-    for cpu in a.hwt_series:
-        assert a.hwt_series[cpu].array.tolist() == \
-            b.hwt_series[cpu].array.tolist()
+    assert set(a.hwt_series) == set(b.hwt_series)
+    for mine, theirs in ((a.lwp_series, b.lwp_series),
+                         (a.hwt_series, b.hwt_series)):
+        for key, series in mine.items():
+            assert series.array.tobytes() == theirs[key].array.tobytes()
+            assert series.appended == theirs[key].appended
     assert a.mem_series.array.tolist() == b.mem_series.array.tolist()
     assert a.lwp_names == b.lwp_names
     assert a.lwp_affinity == b.lwp_affinity
@@ -73,21 +85,26 @@ def assert_stores_equal(a: SampleStore, b: SampleStore) -> None:
 
 
 class TestFraming:
-    def test_frame_round_trip(self):
+    @staticmethod
+    def _read(tmp_path, data: bytes):
+        (tmp_path / "one.zsj").write_bytes(data)
+        return read_journal(tmp_path / "one.zsj")
+
+    def test_frame_round_trip(self, tmp_path):
         payload = {"kind": "note", "tick": 1.5, "reason": "x"}
-        assert _unframe(zsj1_frame(payload).rstrip(b"\n")) == payload
+        assert self._read(tmp_path, zsj1_frame(payload)) == ([payload], 0)
 
-    def test_truncated_line_is_rejected(self):
+    def test_truncated_line_is_rejected(self, tmp_path):
         line = zsj1_frame({"kind": "period", "tick": 2.0}).rstrip(b"\n")
-        assert _unframe(line[:-3]) is None
+        assert self._read(tmp_path, line[:-3]) == ([], 1)
 
-    def test_corrupt_body_is_rejected(self):
+    def test_corrupt_body_is_rejected(self, tmp_path):
         line = bytearray(zsj1_frame({"kind": "period"}).rstrip(b"\n"))
         line[-2] ^= 0xFF
-        assert _unframe(bytes(line)) is None
+        assert self._read(tmp_path, bytes(line)) == ([], 1)
 
-    def test_garbage_is_rejected(self):
-        assert _unframe(b"not a journal line") is None
+    def test_garbage_is_rejected(self, tmp_path):
+        assert self._read(tmp_path, b"not a journal line") == ([], 1)
 
     def test_read_stops_at_first_tear(self, tmp_path):
         path = tmp_path / "j.zsj"
@@ -512,3 +529,248 @@ class TestEngineContainment:
                                   journal=_ExplodingJournal())
         engine.commit(7.0, [])
         assert engine.store.prev_tick == 7.0
+
+
+# ---------------------------------------------------------------------------
+def _raw_zsj2(body: bytes) -> bytes:
+    """A well-framed ZSJ2 record (valid length and CRC) around any body."""
+    return b"ZSJ2 %d %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
+
+
+_PERIOD = {
+    "kind": "period", "tick": 2.5, "prev_tick": 2.5, "samples_taken": 3,
+    "last_thread_count": 1, "names": {"100": "renamed"}, "affinity": {},
+    "prev_totals": {}, "kinds": {"100": "Other"},
+    "block": {"lwp": {"keys": [100], "rows": [list(lwp_row(2.5, 25.0))]}},
+}
+#: bodies no writer produces; each used to end recovery in a raw traceback
+#: or in a store that is not a prefix of the run
+CRAFTED = {
+    # {"m": matrix(nrows=1, ncols=0)}: range() step of zero
+    "matrix_without_columns": b"\x01\x01m\x07\x01\x00\x08\x01\x00",
+    # 5000 nested one-item lists: RecursionError
+    "nesting_bomb": b"\x00" + b"\x06\x01" * 5000 + b"\x00",
+    # decodes fine, cannot be applied: KeyError
+    "snapshot_without_store": _encode_body({"kind": "snapshot"}),
+    # periods that fail half-way: after the LWP rows (a one-column HWT
+    # row), or after the whole block and the identity (no ledger)
+    "period_bad_second_family": _encode_body({
+        **_PERIOD, "ledger": {"total_events": 0, "counters": {}},
+        "block": {**_PERIOD["block"], "hwt": {"keys": [0], "rows": [[2.5]]}},
+    }),
+    "period_without_ledger": _encode_body(_PERIOD),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+class TestMalformedRecords:
+    def test_alone_it_is_a_journal_error(self, tmp_path, name):
+        path = tmp_path / "j.zsj"
+        path.write_bytes(_raw_zsj2(CRAFTED[name]))
+        with pytest.raises(JournalError):
+            recover_journal(path)
+        with pytest.raises(JournalError):
+            decode_store_snapshot(CRAFTED[name])
+
+    def test_behind_a_good_prefix_it_is_the_tear_point(self, tmp_path, name):
+        path = tmp_path / "j.zsj"
+        store = SampleStore()
+        writer = JournalWriter(path, checkpoint_every=100, fsync=False)
+        writer.open(store, META)
+        drive(store, writer, [1.0, 2.0])
+        shutil.copy(path, tmp_path / "prefix.zsj")
+        with open(path, "ab") as handle:
+            handle.write(_raw_zsj2(CRAFTED[name]))
+        drive(store, writer, [3.0])  # lands behind the tear: debris
+        recovered = recover_journal(path)
+        assert recovered.torn_records == 2
+        assert recovered.store.prev_tick == 2.0
+        assert len(recovered.store.lwp_series[100]) == 2
+        prefix = recover_journal(tmp_path / "prefix.zsj")
+        assert_stores_equal(recovered.store, prefix.store)
+        assert recovered.kinds == prefix.kinds
+
+
+# ---------------------------------------------------------------------------
+def _frame_ends(data: bytes) -> list[int]:
+    """Offset just past each frame (terminator included)."""
+    ends, pos = [], 0
+    while pos < len(data):
+        _, pos = _parse_frame(data, pos)
+        ends.append(pos)
+    return ends
+
+
+class TestFuzz:
+    """Every truncation and a bit flip at every offset: a prefix or a
+    ``JournalError``, never anything else (ROADMAP correctness (c))."""
+
+    @staticmethod
+    def _drive(store, writer, ticks):
+        """``drive`` with one thread and no HWT: thousands of cases."""
+        for t in ticks:
+            store.add_lwp_row(100, lwp_row(t, 10.0 * t), name="main",
+                              affinity=CpuSet([0]))
+            store.add_mem_row((t,) + (0.0,) * (len(MEM_COLUMNS) - 1))
+            store.commit(t, [])
+            writer.record_period(store, t)
+
+    def _new_shape(self, path):
+        store = SampleStore()
+        writer = JournalWriter(path, checkpoint_every=100, fsync=False,
+                               classify=lambda tid: "Main")
+        writer.open(store, META)
+        self._drive(store, writer, [1.0, 2.0])
+        writer.note(2.0, "Watchdog", "sampler stalled")
+        writer.alert(OnlineFinding(tick=2.0, code="time-slicing",
+                                   severity="warning", entity="lwp:100",
+                                   message="forced time-slicing"))
+        self._drive(store, writer, [3.0])
+        return path.read_bytes()
+
+    def _legacy_mix(self, path):
+        """Summary-mode ``replace`` periods, every other frame ZSJ1."""
+        store = SampleStore(keep_series=False, summary_rows=2)
+        writer = LegacyPeriodWriter(path, checkpoint_every=100, fsync=False)
+        writer.open(store, META)
+        self._drive(store, writer, [1.0, 2.0, 3.0])
+        writer.note(3.0, "Watchdog", "sampler stalled")
+        records, _ = read_journal(path)
+        assert "series" in records[2] and "block" not in records[2]
+        return b"".join(
+            (zsj1_frame if i % 2 else _frame2)(record)
+            for i, record in enumerate(records)
+        )
+
+    @pytest.mark.parametrize("build", ["_new_shape", "_legacy_mix"])
+    def test_truncations_and_bit_flips(self, tmp_path, build):
+        data = getattr(self, build)(tmp_path / "whole.zsj")
+        ends = _frame_ends(data)
+        path = tmp_path / "mutated.zsj"
+
+        def recover(blob):
+            path.write_bytes(blob)
+            try:
+                return recover_journal(path)
+            except JournalError:
+                return None
+
+        #: the untouched run after 0, 1, 2, ... whole records
+        prefixes = [recover(data[:end]) for end in [0] + ends]
+        assert prefixes[1] is None and prefixes[-1].torn_records == 0
+
+        def check(blob, allowed):
+            run = recover(blob)
+            for kept in allowed:
+                want = prefixes[kept]
+                if run is None or want is None:
+                    if run is want:
+                        return None
+                    continue
+                try:
+                    assert_stores_equal(want.store, run.store)
+                except AssertionError:
+                    continue
+                return run
+            raise AssertionError(f"not a prefix of the run: {allowed}")
+
+        for cut in range(len(data)):
+            whole = sum(end - 1 <= cut for end in ends)
+            run = check(data[:cut], [whole])
+            if run is not None and cut not in ends \
+                    and cut + 1 not in ends:
+                assert run.torn_records >= 1, cut
+        for offset in range(len(data)):
+            flipped = bytearray(data)
+            flipped[offset] ^= 1 << (offset % 8)
+            frame = sum(end <= offset for end in ends)
+            # (a flipped hex-digit case bit leaves the CRC's value alone)
+            check(bytes(flipped), [frame, len(ends)])
+
+
+# ---------------------------------------------------------------------------
+class _ScriptedLwp:
+    """Threads with a life: 102 appears at period 3, is renamed at 5 and
+    re-pinned at 6; every 4th period the collector dies half-way."""
+
+    name = "LwpCollector"
+
+    def __init__(self, store):
+        self.store = store
+        self.period = 0
+
+    def collect(self, tick):
+        self.period += 1
+        p = self.period
+        rows = [(100, "main", [0]), (101, "worker", [1])]
+        if p >= 3:
+            rows.append((102, "late" if p < 5 else "renamed",
+                         [2] if p < 6 else [2, 3]))
+        snaps = []
+        for tid, name, cpus in rows:
+            # utime + a steady stream of involuntary switches
+            row = (tick, 0.0, 8.0 * p, 1.0 * p, 6.0 * p, 0.0, 0.0, 0.0, cpus[0])
+            self.store.add_lwp_row(tid, row, name=name, affinity=CpuSet(cpus))
+            snaps.append(ThreadSnapshot(tid=tid, state="R",
+                                        total_jiffies=9.0 * p))
+            if p % 4 == 0:
+                raise ProcFSError("task directory vanished mid-walk")
+        return snaps
+
+
+class _ScriptedHwt:
+    name = "HwtCollector"
+
+    def __init__(self, store):
+        self.store = store
+        self.period = 0
+
+    def collect(self, tick):
+        self.period += 1
+        if self.period % 3 == 0:
+            raise ProcFSError("/proc/stat unreadable")
+        for cpu in (0, 1):
+            self.store.add_hwt_row(cpu, hwt_row(tick, 7.0 * self.period))
+        self.store.add_mem_row((tick,) + (1.0,) * (len(MEM_COLUMNS) - 1))
+        return []
+
+
+@pytest.mark.parametrize("writer_cls", [JournalWriter, LegacyPeriodWriter])
+@pytest.mark.parametrize("retention", [
+    {}, {"max_rows": 3}, {"keep_series": False, "summary_rows": 2},
+], ids=["full", "ring", "summary"])
+class TestKilledEngineRun:
+    """Recovered ≡ in-memory: faults in the period stream, a changing
+    thread set, a kill between checkpoints — in every retention mode,
+    for the block-shaped journal and for the parent's ``series`` shape."""
+
+    def test_recovered_equals_in_memory(self, tmp_path, retention, writer_cls):
+        store = SampleStore(**retention)
+        detector = OnlineDetector(
+            hz=100.0, window=4,
+            facts=TopologyFacts(node_cpus=frozenset(range(8))),
+        )
+        journal = writer_cls(tmp_path / "j.zsj", checkpoint_every=4,
+                             fsync=False, classify=lambda tid: "Main")
+        engine = CollectionEngine(
+            store, [_ScriptedLwp(store), _ScriptedHwt(store)],
+            policy=FaultPolicy(max_retries=0, disable_after=0),
+            journal=journal, detector=detector,
+        )
+        journal.open(store, META)
+        for p in range(1, 12):  # checkpoints at 4 and 8, then 3 appends
+            tick = 10.0 * p
+            engine.commit(tick, engine.sample(tick))
+        assert journal.checkpoints_written == 3  # open + 2
+        assert store.ledger.failed_periods == {
+            "LwpCollector": 2, "HwtCollector": 3,
+        }
+        assert detector.alerts.total >= 1
+        # kill -9: no close, no final checkpoint
+        shutil.copy(tmp_path / "j.zsj", tmp_path / "killed.zsj")
+        recovered = recover_journal(tmp_path / "killed.zsj")
+        assert recovered.torn_records == 0
+        assert_stores_equal(store, recovered.store)
+        assert recovered.alerts == detector.alerts
+        in_memory = RecoveredRun(store, recovered.meta, kinds=recovered.kinds)
+        assert recovered.report().render() == in_memory.report().render()

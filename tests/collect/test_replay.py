@@ -10,6 +10,7 @@ import pytest
 from repro.collect import ReplayZeroSum
 from repro.core import build_report
 from repro.core.export import MemorySink, write_log
+from repro.core.records import PeriodBlock
 from repro.errors import MonitorError
 from tests.helpers import run_miniqmc
 
@@ -54,6 +55,12 @@ class TestSimRoundTrip:
                 list(original.column("utime"))
             )
         assert sorted(replay.hwt_series) == sorted(monitor.hwt_series)
+
+    def test_ingest_is_closed_and_holds_no_second_copy(self, sim_pair):
+        store = sim_pair[2].store
+        assert store.period == PeriodBlock()
+        store.commit(store.prev_tick, [])  # nothing was left open either
+        assert store.period == PeriodBlock()
 
     def test_report_rows_match(self, sim_pair):
         _, report, replay = sim_pair

@@ -30,9 +30,6 @@ class TestWindow:
         fill(h, [(float(t), [0.0]) for t in range(4)])
         assert h.full
 
-    def test_last_tick_empty_is_minus_inf(self):
-        assert make().last_tick == float("-inf")
-
     def test_span_needs_two_samples(self):
         h = make()
         h.push(5.0, [1.0, 2.0])

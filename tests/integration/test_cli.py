@@ -70,6 +70,20 @@ class TestMisuse:
         assert err[0].startswith(f"zerosum-sim: error: cannot write {path}: ")
         assert "Traceback" not in err[0]
 
+    def test_a_malformed_journal_record_is_one_error_line(
+        self, capsys, tmp_path
+    ):
+        """Well framed (valid CRC), yet nothing a writer produces."""
+        from repro.collect.journal import _frame2
+
+        path = tmp_path / "crafted.zsj"
+        path.write_bytes(_frame2({"kind": "snapshot"}))  # no "store"
+        assert main(["recover", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"cannot recover {path}: ")
+
     def test_an_os_error_elsewhere_is_not_dressed_up_as_misuse(
         self, monkeypatch
     ):

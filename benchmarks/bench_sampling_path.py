@@ -13,23 +13,17 @@ what a sample costs per *node* rather than per watched CPU.  The
 ``hwt_scoped`` case guards that scaling: one ``HwtCollector`` over a
 rank's 7 allowed CPUs against one over all 128 of the same node, both
 on the snapshot tier — the cost must follow the watched set.
-
-Headline numbers land in ``BENCH_sampling.json`` at the repo root.
 """
 
 import time
-from pathlib import Path
 
 import pytest
 
-from common import record_result
 from common import banner
 from repro.collect import HwtCollector, LwpCollector, SampleStore
 from repro.kernel import Compute, SimKernel, Sleep
 from repro.procfs import ProcFS
 from repro.topology import CpuSet, frontier_node
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sampling.json"
 
 SAMPLES = 100
 #: the fast tier must stay at least this many times quicker than text
@@ -76,15 +70,21 @@ def _sample_loop(fs, pids, snapshots):
     return rows
 
 
+@pytest.fixture(scope="module")
+def rates():
+    """samples/s per tier, filled in parametrize order (text first)."""
+    return {}
+
+
 @pytest.mark.parametrize("tier", ["text", "snapshot"])
-def test_sampling_throughput(benchmark, tier):
+def test_sampling_throughput(benchmark, tier, rates):
     fs, pids = _world()
     snapshots = tier == "snapshot"
     rows = benchmark.pedantic(
         lambda: _sample_loop(fs, pids, snapshots), rounds=3, iterations=1
     )
     seconds = benchmark.stats["mean"]
-    samples_per_sec = SAMPLES / seconds
+    rates[tier] = samples_per_sec = SAMPLES / seconds
     rows_per_sec = rows / seconds
     banner(f"Sampling throughput [{tier} tier] (64 LWPs, 64 HWTs)",
            "collection-pipeline regression guard, not a paper artefact")
@@ -94,28 +94,13 @@ def test_sampling_throughput(benchmark, tier):
         tier=tier, samples=SAMPLES, lwp_rows=rows,
         samples_per_sec=samples_per_sec,
     )
-    record_result(RESULTS_PATH, tier, {
-        "samples": SAMPLES,
-        "lwp_rows": rows,
-        "samples_per_sec": round(samples_per_sec, 1),
-        "mean_seconds": seconds,
-    })
-    if tier == "snapshot":
-        # the text tier runs first in the parametrize order, so its
-        # numbers are already on disk: guard the speedup itself
-        import json
-
-        data = json.loads(RESULTS_PATH.read_text())
-        if "text" in data:
-            speedup = samples_per_sec / data["text"]["samples_per_sec"]
-            print(f"snapshot tier speedup over text: {speedup:.1f}x")
-            record_result(RESULTS_PATH, "speedup", {
-                "snapshot_over_text": round(speedup, 2),
-                "floor": MIN_SPEEDUP,
-            })
-            assert speedup > MIN_SPEEDUP, (
-                f"snapshot tier only {speedup:.2f}x faster than text"
-            )
+    if tier == "snapshot" and "text" in rates:
+        # the text tier ran first: guard the speedup itself
+        speedup = samples_per_sec / rates["text"]
+        print(f"snapshot tier speedup over text: {speedup:.1f}x")
+        assert speedup > MIN_SPEEDUP, (
+            f"snapshot tier only {speedup:.2f}x faster than text"
+        )
 
 
 def _hwt_seconds(fs, cpus):
@@ -143,15 +128,6 @@ def test_hwt_cost_follows_watched_cpus():
     print(f"{len(rank_cpus)} CPUs: {rank_s / SAMPLES * 1e6:,.1f} us/collect; "
           f"{len(node_cpus)} CPUs: {node_s / SAMPLES * 1e6:,.1f} us/collect; "
           f"ratio {ratio:.1f}x")
-    record_result(RESULTS_PATH, "hwt_scoped", {
-        "samples": SAMPLES,
-        "rank_cpus": len(rank_cpus),
-        "node_cpus": len(node_cpus),
-        "rank_us_per_collect": round(rank_s / SAMPLES * 1e6, 1),
-        "node_us_per_collect": round(node_s / SAMPLES * 1e6, 1),
-        "ratio_128_over_7": round(ratio, 2),
-        "floor": MIN_SCOPED_RATIO,
-    })
     assert ratio > MIN_SCOPED_RATIO, (
         f"watching {len(node_cpus)} CPUs costs only {ratio:.2f}x "
         f"watching {len(rank_cpus)}: the sample is paying per node"

@@ -42,7 +42,7 @@ def scalar_to_csv(series: SeriesBuffer) -> str:
     for row in series.array:
         lines.append(
             ",".join(
-                str(int(v)) if float(v).is_integer() else f"{v:.6g}"
+                str(int(v)) if float(v).is_integer() else repr(float(v))
                 for v in row
             )
         )

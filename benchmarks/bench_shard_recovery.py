@@ -14,18 +14,16 @@ with a mid-run injected worker kill.  The guard asserts:
   ``fault_free_over_recovery`` (no-recovery wall / recovery wall) must
   stay >= ``OVERHEAD_FLOOR``.  The floor is enforced only with >= 2
   host cores (on fewer the workers time-share one core and the ratio
-  measures the scheduler, not the checkpoints); the measured numbers
-  are always recorded in ``BENCH_recovery.json``;
-* **latency** — ``recovery_latency_wall`` (killed-run wall minus
-  fault-free wall) is recorded for trend-watching; it carries no floor
-  because it is dominated by the injected fault's position.
+  measures the scheduler, not the checkpoints);
+* **latency** — the recovery latency (killed-run wall minus fault-free
+  wall) is printed; it carries no floor because it is dominated by the
+  injected fault's position.
 """
 
 import os
 import time
-from pathlib import Path
 
-from common import banner, record_result
+from common import banner
 from repro.apps import PicConfig, pic_app
 from repro.core import ZeroSumConfig, zerosum_mpi
 from repro.launch import (
@@ -38,8 +36,6 @@ from repro.launch import (
 )
 from repro.mpi import Fabric
 from repro.topology import generic_node
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
 
 WORLD = 32
 NODES = 2
@@ -132,20 +128,6 @@ def test_recovery_overhead_and_latency():
           f"(recovery latency ~ {latency:5.2f} s)")
     print("recovered reports bit-identical to serial: yes")
 
-    record_result(RESULTS_PATH, "pic_32rank_2node_kill", {
-        "host_cores": cores,
-        "epochs": heal_step.epochs_run,
-        "checkpoint_every": POLICY.checkpoint_every,
-        "bare_seconds": round(bare_s, 3),
-        "healing_seconds": round(heal_s, 3),
-        "killed_seconds": round(killed_s, 3),
-        "fault_free_over_recovery": round(overhead_ratio, 3),
-        "floor_fault_free_over_recovery": (
-            OVERHEAD_FLOOR if enforced else None
-        ),
-        "recovery_latency_wall": round(latency, 3),
-        "bit_identical": True,
-    })
     if enforced:
         assert overhead_ratio >= OVERHEAD_FLOOR, (
             f"self-healing overhead ratio {overhead_ratio:.2f} below the "

@@ -15,19 +15,14 @@ Three scenarios cover the loop's regimes:
   are mostly empty but I/O stays in flight, exercising the active-set
   walk and iowait accounting without the fast-forward escape hatch.
 
-Each scenario asserts a ticks/s floor and appends its headline numbers
-to ``BENCH_scheduler.json`` at the repository root for trend tracking.
+Each scenario asserts a ticks/s floor.
 """
-
-from pathlib import Path
 
 import pytest
 
-from common import banner, record_result
+from common import banner
 from repro.kernel import Compute, FileIo, SimKernel, Sleep
 from repro.topology import CpuSet, frontier_node
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
 
 TICKS = 1000
 
@@ -113,10 +108,3 @@ def test_simulator_throughput(benchmark, scenario):
         scenario=scenario, ticks=ticks, busy_lwps=lwps,
         ticks_per_sec=ticks_per_sec,
     )
-    record_result(RESULTS_PATH, scenario, {
-        "ticks": ticks,
-        "busy_lwps": lwps,
-        "ticks_per_sec": round(ticks_per_sec, 1),
-        "floor_ticks_per_sec": floor,
-        "mean_seconds": seconds,
-    })

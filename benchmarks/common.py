@@ -1,80 +1,8 @@
-"""Shared machinery for the benchmark harness.
+"""Shared by the micro-guards in this directory.
 
-Every ``bench_*.py`` file regenerates one table or figure of the paper:
-it runs the corresponding simulated experiment under pytest-benchmark
-(so regressions in simulator throughput are visible), prints the
-reproduced rows next to the paper's reference values, and attaches the
-headline numbers to ``benchmark.extra_info`` so they land in the
-benchmark JSON.
+The paper's tables and figures are not regenerated here: they are the
+rows of ``zerosum-sim reproduce`` (``src/repro/reproduce.py``).
 """
-
-from __future__ import annotations
-
-import json
-from pathlib import Path
-
-from repro.apps import MiniQmcConfig, miniqmc_app
-from repro.core import ZeroSumConfig, zerosum_mpi
-from repro.launch import SrunOptions, launch_job
-from repro.topology import frontier_node
-
-# the three configurations of §4, scaled to simulator-friendly sizes
-T1_CMD = "OMP_NUM_THREADS=7 srun -n8 zerosum-mpi miniqmc"
-T2_CMD = "OMP_NUM_THREADS=7 srun -n8 -c7 zerosum-mpi miniqmc"
-T3_CMD = ("OMP_NUM_THREADS=7 OMP_PROC_BIND=spread OMP_PLACES=cores "
-          "srun -n8 -c7 zerosum-mpi miniqmc")
-LISTING2_CMD = (
-    "OMP_PROC_BIND=spread OMP_PLACES=cores OMP_NUM_THREADS=4 "
-    "srun -n8 --gpus-per-task=1 --cpus-per-task=7 --gpu-bind=closest "
-    "--threads-per-core=1 zerosum-mpi miniqmc"
-)
-
-#: default problem size for the table benches (25 blocks ~ paper's 27 s)
-BLOCKS = 25
-BLOCK_JIFFIES = 100.0
-
-
-def run_config(
-    cmdline: str,
-    blocks: int = BLOCKS,
-    block_jiffies: float = BLOCK_JIFFIES,
-    seed: int = 1,
-    jitter: float = 0.01,
-    offload: bool = False,
-    monitor: bool = True,
-    zs_config: ZeroSumConfig | None = None,
-):
-    """Launch + run + finalize one monitored miniQMC job on Frontier."""
-    opts = SrunOptions.parse(cmdline)
-    step = launch_job(
-        [frontier_node()],
-        opts,
-        miniqmc_app(
-            MiniQmcConfig(
-                blocks=blocks,
-                block_jiffies=block_jiffies,
-                jitter=jitter,
-                seed=seed,
-                offload=offload,
-            )
-        ),
-        monitor_factory=zerosum_mpi(zs_config or ZeroSumConfig()) if monitor else None,
-    )
-    step.run(max_ticks=5_000_000)
-    step.finalize()
-    return step
-
-
-def record_result(path: Path, name: str, payload: dict) -> None:
-    """Merge one scenario's numbers into a machine-readable BENCH log."""
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[name] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def banner(title: str, paper: str) -> None:

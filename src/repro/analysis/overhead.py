@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MonitorError
+from repro.errors import MonitorError, ReproError
 
 __all__ = ["DistributionSummary", "OverheadResult", "compare_distributions"]
 
@@ -101,7 +101,13 @@ def compare_distributions(
     """
     # the one scipy user in the package: imported here so that loading
     # repro.cli (every `zerosum-sim` invocation) does not pay for it
-    from scipy import stats
+    try:
+        from scipy import stats
+    except ModuleNotFoundError as exc:
+        raise ReproError(
+            "the t-test of compare_distributions needs scipy, an optional "
+            "extra: pip install repro[analysis]"
+        ) from exc
 
     base = np.asarray(baseline, dtype=np.float64)
     treat = np.asarray(treated, dtype=np.float64)

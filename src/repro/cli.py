@@ -11,7 +11,11 @@ Subcommands:
   (``--journal PATH`` makes the run crash-durable);
 * ``recover <journal>`` — post-mortem: rebuild the utilization +
   degradation report (and optional log/archive exports) from the
-  spill journal of a run that was killed mid-flight.
+  spill journal of a run that was killed mid-flight;
+* ``reproduce [ID ...]`` — run the paper's experiments (DESIGN.md ids
+  ``L1 L2 T1 T2 T3 RT F5 F6 F7 F8 A1 A2 A3``) and print the
+  paper-vs-measured record on stdout; ``--check FILE`` fails when a
+  value committed in FILE has drifted.
 
 ``live`` and ``recover`` end, like ``run``, with the §3.5 contention
 report of what was sampled.
@@ -199,6 +203,31 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from repro import reproduce
+
+    committed = None
+    if args.check:  # a missing file should not cost the simulation first
+        try:
+            with open(args.check, encoding="utf-8") as fh:
+                committed = fh.read()
+        except OSError as exc:
+            raise ReproError(
+                f"cannot read {args.check}: {exc.strerror}") from exc
+    results = reproduce.run_rows(args.ids)
+    # the record and nothing else on stdout: `> EXPERIMENTS.generated.md`
+    print(reproduce.render(results), end="")
+    problems = [
+        f"{r.row.id}: claim does not hold: {claim}"
+        for r in results for claim in r.failed
+    ]
+    if committed is not None:
+        problems += reproduce.drift(results, committed)
+    for problem in problems:
+        print(f"zerosum-sim: reproduce: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="zerosum-sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,6 +296,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--archive", default=None, metavar="PATH",
                    help="also write a columnar npz archive to PATH")
     p.set_defaults(fn=_cmd_recover)
+
+    p = sub.add_parser(
+        "reproduce", help="run the paper's experiments, paper vs. measured"
+    )
+    p.add_argument("ids", nargs="*", metavar="ID",
+                   help="DESIGN.md experiment ids (default: all 13)")
+    p.add_argument("--check", default=None, metavar="FILE",
+                   help="exit 1 where FILE's committed values differ "
+                        "from this run at their printed precision")
+    p.set_defaults(fn=_cmd_reproduce)
 
     args = parser.parse_args(argv)
     try:

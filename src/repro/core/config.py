@@ -24,9 +24,6 @@ class ZeroSumConfig:
     #: fixed CPU cost of taking one sample, in jiffies (drives the
     #: measured overhead; 0.15 jiffy/s ≈ 0.15 % of one core)
     sample_cost_jiffies: float = 0.15
-    #: additional cost per observed LWP (each thread means reading two
-    #: more /proc files), in jiffies
-    sample_cost_per_thread: float = 0.01
     #: user fraction of the sampling work (the rest is system calls —
     #: /proc reads are syscall heavy)
     sample_user_frac: float = 0.4
@@ -93,8 +90,6 @@ class ZeroSumConfig:
             raise MonitorError("period_seconds must be positive")
         if self.sample_cost_jiffies < 0:
             raise MonitorError("sample_cost_jiffies must be >= 0")
-        if self.sample_cost_per_thread < 0:
-            raise MonitorError("sample_cost_per_thread must be >= 0")
         if not 0.0 <= self.sample_user_frac <= 1.0:
             raise MonitorError("sample_user_frac must be in [0, 1]")
         if isinstance(self.monitor_cpu, str) and self.monitor_cpu not in (

@@ -57,6 +57,11 @@ from repro.topology.cpuset import CpuSet
 
 __all__ = ["ZeroSum"]
 
+#: simulated cost of a sample per observed LWP, in jiffies, on top of
+#: ``ZeroSumConfig.sample_cost_jiffies`` (each thread means reading two
+#: more /proc files)
+SAMPLE_COST_PER_THREAD = 0.01
+
 
 class ZeroSum(StoreBackedRun):
     """User-space monitor attached to one (simulated) process."""
@@ -215,7 +220,7 @@ class ZeroSum(StoreBackedRun):
             yield Call(lambda k, l: self.take_sample())
             cost = (
                 self.config.sample_cost_jiffies
-                + self.config.sample_cost_per_thread * self.store.last_thread_count
+                + SAMPLE_COST_PER_THREAD * self.store.last_thread_count
             )
             if cost > 0:
                 yield Compute(cost, user_frac=self.config.sample_user_frac)

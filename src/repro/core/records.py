@@ -217,8 +217,9 @@ class SeriesBuffer:
         """Render as CSV text, optionally with constant prefix columns.
 
         Whole numbers render without a decimal point, everything else
-        with 6 significant digits — formatting is vectorized per column
-        rather than per value.
+        as its shortest round-trip ``repr``, so a replayed log rebuilds
+        the series exactly — formatting is vectorized per column rather
+        than per value.
         """
         prefix = prefix_cols or {}
         header = ",".join(list(prefix) + list(self.columns))
@@ -237,13 +238,13 @@ class SeriesBuffer:
                 fmt_parts.append("%d")
                 cols.append(col.tolist())
             elif not whole.any():
-                fmt_parts.append("%.6g")
+                fmt_parts.append("%r")
                 cols.append(col.tolist())
             else:
                 fmt_parts.append("%s")
                 cols.append(
                     [
-                        "%d" % v if w else "%.6g" % v
+                        "%d" % v if w else "%r" % v
                         for v, w in zip(col.tolist(), whole.tolist())
                     ]
                 )

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import DistributionSummary, compare_distributions
 from repro.collect import SampleStore
 from repro.collect.journal import JournalWriter
-from repro.errors import MonitorError
+from repro.errors import MonitorError, ReproError
 
 
 class TestDistributionSummary:
@@ -74,6 +74,12 @@ class TestCompare:
 
 
 class TestDependencyDiet:
+    def test_missing_scipy_names_the_extra(self, monkeypatch):
+        """scipy is an optional extra: without it, a one-line error."""
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import -> not found
+        with pytest.raises(ReproError, match=r"pip install repro\[analysis\]"):
+            compare_distributions([1.0, 2.0], [1.0, 2.5])
+
     def test_cli_recover_loads_neither_scipy_nor_networkx(self, tmp_path):
         """scipy serves one t-test: `zerosum-sim` must not import it."""
         journal = tmp_path / "run.zsj"

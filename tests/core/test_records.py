@@ -163,7 +163,7 @@ def reference_to_csv(series, prefix_cols=None):
     pre = [str(v) for v in prefix.values()]
     for row in series.array:
         cells = pre + [
-            str(int(v)) if float(v).is_integer() else f"{v:.6g}" for v in row
+            str(int(v)) if float(v).is_integer() else repr(float(v)) for v in row
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

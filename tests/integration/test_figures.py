@@ -13,10 +13,8 @@ from repro.analysis import (
 from repro.apps import PicConfig, pic_app
 from repro.core import ZeroSumConfig, merge_monitors, zerosum_mpi
 from repro.launch import SrunOptions, launch_job
+from repro.reproduce import PIC_CMD, T3_CMD, TWO_PER_CORE_CMD
 from repro.topology import frontier_node
-
-T3_CMD = ("OMP_NUM_THREADS=7 OMP_PROC_BIND=spread OMP_PLACES=cores "
-          "srun -n8 -c7 zerosum-mpi miniqmc")
 
 
 class TestFigure5Heatmap:
@@ -28,7 +26,7 @@ class TestFigure5Heatmap:
         nodes = [frontier_node(name=f"frontier{i:05d}") for i in range(10)]
         step = launch_job(
             nodes,
-            SrunOptions(ntasks=512, command="pic"),
+            SrunOptions.parse(PIC_CMD),
             pic_app(PicConfig(steps=3)),
             monitor_factory=zerosum_mpi(
                 ZeroSumConfig(collect_hwt=False, collect_gpu=False,
@@ -118,9 +116,7 @@ class TestFigure8Overhead:
         return out
 
     ONE_PER_CORE = T3_CMD
-    TWO_PER_CORE = ("OMP_NUM_THREADS=14 OMP_PROC_BIND=spread "
-                    "OMP_PLACES=threads srun -n8 -c7 "
-                    "--threads-per-core=2 zerosum-mpi miniqmc")
+    TWO_PER_CORE = TWO_PER_CORE_CMD
 
     def test_one_thread_per_core_no_significant_overhead(self):
         base = self._runtimes(self.ONE_PER_CORE, False, 8)

@@ -4,12 +4,7 @@ import pytest
 
 from tests.helpers import run_miniqmc
 from repro.core import analyze, build_report
-
-LISTING2_CMD = (
-    "OMP_PROC_BIND=spread OMP_PLACES=cores OMP_NUM_THREADS=4 "
-    "srun -n8 --gpus-per-task=1 --cpus-per-task=7 --gpu-bind=closest "
-    "--threads-per-core=1 zerosum-mpi miniqmc"
-)
+from repro.reproduce import LISTING2_CMD
 
 
 @pytest.fixture(scope="module")

@@ -22,9 +22,8 @@ from repro.core import (
 from repro.core.stream import LdmsAggregator, SampleStream
 from repro.launch import SrunOptions, launch_job
 from repro.apps import MiniQmcConfig, miniqmc_app
+from repro.reproduce import T1_CMD
 from repro.topology import frontier_node
-
-T1_CMD = "OMP_NUM_THREADS=7 srun -n8 zerosum-mpi miniqmc"
 
 
 @pytest.fixture(scope="module")

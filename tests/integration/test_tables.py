@@ -9,11 +9,7 @@ import pytest
 
 from tests.helpers import run_miniqmc
 from repro.core import analyze, build_report
-
-T1_CMD = "OMP_NUM_THREADS=7 srun -n8 zerosum-mpi miniqmc"
-T2_CMD = "OMP_NUM_THREADS=7 srun -n8 -c7 zerosum-mpi miniqmc"
-T3_CMD = ("OMP_NUM_THREADS=7 OMP_PROC_BIND=spread OMP_PLACES=cores "
-          "srun -n8 -c7 zerosum-mpi miniqmc")
+from repro.reproduce import T1_CMD, T2_CMD, T3_CMD
 
 BLOCKS, BJ = 12, 80.0
 

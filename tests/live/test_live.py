@@ -241,8 +241,6 @@ class TestLiveRetention:
 @needs_proc
 class TestLiveReplayRoundTrip:
     def test_live_log_replays_to_matching_report(self):
-        import pytest as _pytest
-
         from repro.collect import ReplayZeroSum
         from repro.core.export import MemorySink, write_log
 
@@ -261,21 +259,6 @@ class TestLiveReplayRoundTrip:
         assert replay.pid == zs.pid
         assert replay.observed_tids() == sorted(zs.lwp_series)
 
-        original = zs.report()
-        rebuilt = replay.report()
-        by_tid = {r.tid: r for r in rebuilt.lwp_rows}
-        for row in original.lwp_rows:
-            again = by_tid[row.tid]
-            assert again.kind == row.kind
-            # ticks survive CSV as %.6g, so the recomputed percentages
-            # agree only to rounding
-            assert again.utime_pct == _pytest.approx(row.utime_pct, abs=1.0)
-            assert again.stime_pct == _pytest.approx(row.stime_pct, abs=1.0)
-        hwt_by_cpu = {r.cpu: r for r in rebuilt.hwt_rows}
-        for row in original.hwt_rows:
-            assert hwt_by_cpu[row.cpu].idle_pct == _pytest.approx(
-                row.idle_pct, abs=1.0
-            )
-        assert rebuilt.duration_seconds == _pytest.approx(
-            original.duration_seconds, abs=0.001
-        )
+        # the series survive the CSV dump exactly (values are written as
+        # their shortest round-trip repr), so the report is rebuilt whole
+        assert replay.report().render() == zs.report().render()

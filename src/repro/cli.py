@@ -181,9 +181,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
     try:
         recovered = recover_journal(args.journal)
-    except (OSError, JournalError) as exc:
-        print(f"cannot recover {args.journal}: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        raise JournalError(f"cannot recover {args.journal}: {exc}") from exc
     print(recovered.report().render())
     print(analyze(recovered).render())
     if recovered.torn_records:
@@ -279,7 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="spill a crash-durable journal to PATH")
     p.add_argument("--checkpoint-every", type=int, default=10,
-                   help="journal checkpoint period, in samples")
+                   help="journal checkpoint period, in samples: the fsync "
+                        "(seal) cadence; also the compaction cadence of a "
+                        "bounded store")
     p.add_argument("--heartbeat", default=None, metavar="PATH",
                    help="append heartbeat lines to PATH")
     p.add_argument("--detect", action="store_true",

@@ -258,7 +258,8 @@ class CollectionEngine:
         return findings
 
     def close_journal(self, tick: float) -> None:
-        """Final checkpoint + close of the spill journal (contained)."""
+        """Close the spill journal (contained): its residue record, or a
+        bounded store's final compaction."""
         journal = self.journal
         if journal is None:
             return
@@ -268,7 +269,7 @@ class CollectionEngine:
             self.store.ledger.record_error(
                 "Journal",
                 tick,
-                f"final journal checkpoint failed: "
+                f"final journal record failed: "
                 f"{type(exc).__name__}: {exc}",
             )
         self.journal = None

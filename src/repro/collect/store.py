@@ -161,7 +161,8 @@ class SampleStore:
             self._staged.setdefault(family, []).append(entry)
 
     def _apply(self, family: str, entries, rows) -> None:
-        """The one writer of the series, the identity maps and the open block."""
+        """The one writer of the series, the identity maps and the open
+        block — but for journal recovery's bulk :meth:`extend`."""
         attr, columns = _FAMILIES[family]
         mapping = {0: self.mem_series} if attr is None else getattr(self, attr)
         for (key, _, name, affinity), row in zip(entries, rows):
@@ -178,6 +179,33 @@ class SampleStore:
                 # affinity may change after creation: re-recorded every period
                 self.lwp_affinity[key] = affinity
         self._open[family].extend(entries)
+
+    def extend(self, family: str, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Many committed rows of one family at once: ``rows[i]`` is of ``keys[i]``.
+
+        The bulk form of :meth:`add_row` for a store that keeps every
+        row (journal recovery): rows are grouped by key, stably, so
+        each series gets its rows in arrival order with one array copy,
+        and new series are created in first-appearance order, as
+        row-by-row appends would have.  The identity maps, the open block
+        and the progress counters are left alone: the caller installs the
+        identity and the period itself.
+        """
+        if self.max_rows is not None or not self.keep_series:
+            raise MonitorError("bulk extend needs a store keeping every row")
+        attr, columns = _FAMILIES[family]
+        mapping = {0: self.mem_series} if attr is None else getattr(self, attr)
+        rows = rows[np.argsort(keys, kind="stable")]
+        unique, first, counts = np.unique(
+            keys, return_index=True, return_counts=True
+        )
+        ends = np.cumsum(counts)
+        for i in np.argsort(first):
+            key = int(unique[i])
+            series = mapping.get(key)
+            if series is None:
+                series = mapping[key] = self.new_series(columns)
+            series.extend(rows[ends[i] - counts[i] : ends[i]])
 
     # -- per-subsystem appends -----------------------------------------
     def add_lwp_row(

@@ -62,10 +62,12 @@ class ZeroSumConfig:
     #: crash durability: spool every committed period to this spill
     #: journal so a kill -9'd run stays recoverable (None disables)
     journal_path: str | None = None
-    #: compact the journal into an atomic snapshot every N periods
+    #: journal checkpoint every N periods: fsync (seal) what was
+    #: appended since the last one; a bounded store (ring, summary
+    #: mode) also compacts the journal into an atomic snapshot then
     journal_checkpoint_every: int = 10
     #: fsync the journal at checkpoints (power-loss durability; plain
-    #: per-record flushes already survive a process kill)
+    #: per-record appends already survive a process kill)
     journal_fsync: bool = True
     #: write heartbeat lines to this file as well as keeping them in
     #: memory (None keeps them in memory only)

@@ -153,6 +153,31 @@ class SeriesBuffer:
         self._data[self._len] = row
         self._len += 1
 
+    def extend(self, rows) -> None:
+        """Append a ``(n, ncols)`` block of rows, oldest first.
+
+        The bulk form of :meth:`append`: an unbounded buffer grows by
+        one array copy; a ring takes the rows one by one.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        if self.max_rows is not None:
+            for row in rows:
+                self.append(row)
+            return
+        if rows.shape[1:] != (len(self.columns),):
+            raise MonitorError(
+                f"block of shape {rows.shape}, series has "
+                f"{len(self.columns)} columns"
+            )
+        end = self._len + len(rows)
+        if end > self._data.shape[0]:
+            grown = np.zeros((end, len(self.columns)), dtype=np.float64)
+            grown[: self._len] = self._data[: self._len]
+            self._data = grown
+        self._data[self._len : end] = rows
+        self._len = end
+        self.appended += len(rows)
+
     def replace_last(self, row: Sequence[float]) -> None:
         """Overwrite the most recently appended row (append when empty).
 

@@ -10,9 +10,9 @@ of every finding a run raised — the alerts-as-data analogue of the
 Deliberately import-light: nothing here imports ``repro.collect`` or
 ``repro.core``, so the store, the journal, the heartbeat, and the
 report can all reference these types without creating a cycle.
-Findings serialize to plain JSON-safe dicts (:meth:`OnlineFinding.to_state`)
-so the journal's ``note`` channel can carry them in both ZSJ1 and ZSJ2
-frames and recovery can rebuild the ledger bit-identically.
+Findings serialize to plain dicts of scalars (:meth:`OnlineFinding.to_state`)
+so the journal's ``note`` records can carry them and recovery can
+rebuild the ledger bit-identically.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ replay of the epoch commands recorded since (see
 bit-for-bit.  What travels over the pipe as :class:`ShardCheckpoint`
 is the part worth marshalling: a cheap kernel *fingerprint* used to
 verify a promoted spare really is the state it claims to be, and the
-per-rank SampleStores (ZSJ2-encoded via the journal codec) so that a
+per-rank SampleStores (packed by the journal's codec) so that a
 run whose respawn budget is exhausted still reports every sample up to
 the last checkpoint instead of losing the ranks outright.
 
@@ -86,7 +86,7 @@ class ShardCheckpoint:
     ``fingerprint`` is a crc32 digest over the shard kernel's
     scheduler-visible LWP state; a promoted spare must echo it in its
     hello before the orchestrator trusts the slot.  ``store_blobs``
-    maps each of the shard's world ranks to its ZSJ2-encoded
+    maps each of the shard's world ranks to its journal-codec encoded
     SampleStore (see ``repro.collect.journal.encode_store_snapshot``),
     decoded lazily — most checkpoints are superseded unread.
     """

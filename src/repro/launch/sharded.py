@@ -1068,30 +1068,44 @@ class ShardedJobStep:
                 now = time.monotonic()
                 if kind == "hb":
                     self._last_hb[shard] = msg[1]
-                    continue
-                if kind == "checkpoint":
+                elif kind == "checkpoint":
                     self._accept_checkpoint(shard, msg[1])
                     self._last_hb[shard] = now
-                    continue
-                if kind == "hello":
-                    continue  # stale adoption echo; harmless
-                if kind == "error":
+                elif kind == "error":
                     detail = msg[1]["exc"] + "\n" + msg[1]["traceback"]
                     raise _WorkerLost(shard, RuntimeError(detail))
-                if kind == expect:
+                elif kind == expect:
                     self._last_hb[shard] = now
                     if observe_epoch:
                         estimator.observe(now - started)
                     return msg[1]
-                raise _WorkerLost(
-                    shard,
-                    LaunchError(
-                        f"protocol violation: {kind!r} while awaiting "
-                        f"{expect!r}"
-                    ),
-                )
+                elif kind != "hello":  # hello: stale adoption echo; harmless
+                    raise _WorkerLost(
+                        shard,
+                        LaunchError(
+                            f"protocol violation: {kind!r} while awaiting "
+                            f"{expect!r}"
+                        ),
+                    )
             now = time.monotonic()
             elapsed = now - started
+            # after liveness traffic too: heartbeats answering every poll
+            # must not starve the straggler check
+            if observe_epoch and policy is not None and not straggler_noted:
+                deadline = estimator.deadline()
+                if deadline is not None and elapsed > deadline:
+                    straggler_noted = True
+                    self.ledger.record_straggler(
+                        f"shard-{shard}",
+                        tick=float(self._boundary),
+                        reason=(
+                            f"epoch running {elapsed:.2f}s, past the "
+                            f"adaptive deadline {deadline:.2f}s; "
+                            f"heartbeats healthy — waiting"
+                        ),
+                    )
+            if ready:
+                continue  # the silence checks below need a quiet poll
             proc = self._procs[shard]
             if not proc.is_alive():
                 if conn.poll(0):
@@ -1111,23 +1125,6 @@ class ShardedJobStep:
                             f"no heartbeat for {hb_age:.2f}s (grace "
                             f"{policy.hang_grace_seconds:g}s) with the "
                             f"process still alive"
-                        ),
-                    )
-                deadline = estimator.deadline()
-                if (
-                    observe_epoch
-                    and deadline is not None
-                    and elapsed > deadline
-                    and not straggler_noted
-                ):
-                    straggler_noted = True
-                    self.ledger.record_straggler(
-                        f"shard-{shard}",
-                        tick=float(self._boundary),
-                        reason=(
-                            f"epoch running {elapsed:.2f}s, past the "
-                            f"adaptive deadline {deadline:.2f}s; "
-                            f"heartbeats healthy — waiting"
                         ),
                     )
             if self.epoch_timeout is not None and elapsed > self.epoch_timeout:

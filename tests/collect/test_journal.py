@@ -1,24 +1,22 @@
 """Spill journal: framing, round trips, torn tails, containment."""
 
+import os
 import shutil
 import zlib
 
+import numpy as np
 import pytest
 
-from tests.helpers import (
-    LegacyPeriodWriter,
-    rewrite_as_zsj1,
-    run_miniqmc,
-    zsj1_frame,
-)
+from tests.helpers import JOURNAL_META as META, frame_ends, run_miniqmc
+from repro.cli import main
 from repro.collect import CollectionEngine, FaultPolicy, SampleStore
+from repro.collect import journal as journal_module
 from repro.collect.journal import (
     JournalWriter,
     RecoveredRun,
     _decode_body,
     _encode_body,
-    _frame2,
-    _parse_frame,
+    _frame,
     decode_store_snapshot,
     read_journal,
     recover_journal,
@@ -41,18 +39,6 @@ def hwt_row(tick: float, user: float) -> tuple:
     row = [0.0] * len(HWT_COLUMNS)
     row[0], row[1] = tick, user
     return tuple(row)
-
-
-META = {
-    "driver": "test",
-    "pid": 100,
-    "rank": 0,
-    "hostname": "node0",
-    "hz": 100.0,
-    "baseline": "zero",
-    "start_tick": 0.0,
-    "cpus_allowed": "0-3",
-}
 
 
 def drive(store: SampleStore, writer: JournalWriter, ticks) -> None:
@@ -92,14 +78,14 @@ class TestFraming:
 
     def test_frame_round_trip(self, tmp_path):
         payload = {"kind": "note", "tick": 1.5, "reason": "x"}
-        assert self._read(tmp_path, zsj1_frame(payload)) == ([payload], 0)
+        assert self._read(tmp_path, _frame(payload)) == ([payload], 0)
 
     def test_truncated_line_is_rejected(self, tmp_path):
-        line = zsj1_frame({"kind": "period", "tick": 2.0}).rstrip(b"\n")
+        line = _frame({"kind": "period", "tick": 2.0}).rstrip(b"\n")
         assert self._read(tmp_path, line[:-3]) == ([], 1)
 
     def test_corrupt_body_is_rejected(self, tmp_path):
-        line = bytearray(zsj1_frame({"kind": "period"}).rstrip(b"\n"))
+        line = bytearray(_frame({"kind": "period"}).rstrip(b"\n"))
         line[-2] ^= 0xFF
         assert self._read(tmp_path, bytes(line)) == ([], 1)
 
@@ -108,9 +94,9 @@ class TestFraming:
 
     def test_read_stops_at_first_tear(self, tmp_path):
         path = tmp_path / "j.zsj"
-        good = zsj1_frame({"kind": "meta"}) + zsj1_frame({"kind": "snapshot"})
-        path.write_bytes(good + b"ZSJ1 999 deadbeef {tor" + b"\n"
-                         + zsj1_frame({"kind": "period"}))
+        good = _frame({"kind": "meta"}) + _frame({"kind": "snapshot"})
+        path.write_bytes(good + b"ZSJ2 999 deadbeef {tor" + b"\n"
+                         + _frame({"kind": "period"}))
         records, torn = read_journal(path)
         # the record after the tear is unordered debris: counted, not parsed
         assert [r["kind"] for r in records] == ["meta", "snapshot"]
@@ -118,7 +104,7 @@ class TestFraming:
 
 
 class TestBinaryCodec:
-    """ZSJ2: packed frames decode to exactly what JSON would produce."""
+    """Packed bodies decode to exactly what was encoded."""
 
     PAYLOADS = [
         {"kind": "note", "tick": 1.5, "reason": "x"},
@@ -139,88 +125,61 @@ class TestBinaryCodec:
 
     def test_frame2_round_trip_through_read_journal(self, tmp_path):
         path = tmp_path / "j.zsj"
-        path.write_bytes(b"".join(_frame2(p) for p in self.PAYLOADS))
+        path.write_bytes(b"".join(_frame(p) for p in self.PAYLOADS))
         records, torn = read_journal(path)
         assert torn == 0
         assert records == self.PAYLOADS
 
     def test_matrix_block_matches_json_decode(self):
-        # series rows take the packed-matrix path; recovery must see
-        # the identical list-of-lists the JSON codec yields
+        # series rows and keys take the packed-array paths and decode as
+        # arrays holding the very values JSON would, bit for bit
         rows = [[1.0, 2.5, -0.0], [float("inf"), 1e-300, 3.0]]
         import json
 
-        import numpy as np
-
         via_json = json.loads(json.dumps({"rows": rows}))
-        via_zsj2 = _decode_body(_encode_body({"rows": np.array(rows)}))
-        assert via_zsj2 == via_json
+        decoded = _decode_body(_encode_body({
+            "rows": np.array(rows), "keys": np.array([7, -1, 1 << 40]),
+        }))
+        assert decoded["rows"].dtype == np.float64
+        assert decoded["rows"].tolist() == via_json["rows"]
         assert all(
             a.hex() == b.hex()
-            for ra, rb in zip(via_zsj2["rows"], via_json["rows"])
+            for ra, rb in zip(decoded["rows"].tolist(), via_json["rows"])
             for a, b in zip(ra, rb)
         )
+        assert decoded["keys"].tolist() == [7, -1, 1 << 40]
 
     def test_binary_body_may_contain_newlines(self, tmp_path):
         # 0x0A bytes inside a packed body must not split the frame
         payload = {"kind": "note", "tick": 10.0,
                    "reason": "line one\nline two\nline three"}
         path = tmp_path / "j.zsj"
-        body = _frame2(payload)
+        body = _frame(payload)
         assert b"\n" in body[:-1]  # the tear case this guards against
-        path.write_bytes(body + _frame2({"kind": "meta"}))
+        path.write_bytes(body + _frame({"kind": "meta"}))
         records, torn = read_journal(path)
         assert torn == 0
         assert records == [payload, {"kind": "meta"}]
 
 
-class TestMixedFormats:
-    """An upgraded writer appending ZSJ2 to a ZSJ1 journal."""
-
-    def test_zsj1_journal_with_zsj2_tail_recovers(self, tmp_path):
-        store = SampleStore()
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False)
-        writer.open(store, META)
-        drive(store, writer, [1.0, 2.0, 3.0])
-        # what an old writer left behind; the upgraded one appends binary
-        rewrite_as_zsj1(tmp_path / "j.zsj")
-        drive(store, writer, [4.0, 5.0, 6.0])
-        data = (tmp_path / "j.zsj").read_bytes()
-        assert data.startswith(b"ZSJ1 ") and data.count(b"\nZSJ2 ") == 3
-        recovered = recover_journal(tmp_path / "j.zsj")
-        assert recovered.torn_records == 0
-        assert_stores_equal(store, recovered.store)
-
-    def test_zsj2_journal_with_legacy_zsj1_note(self, tmp_path):
-        store = SampleStore()
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False)
-        writer.open(store, META)
-        drive(store, writer, [1.0, 2.0])
-        with open(tmp_path / "j.zsj", "ab") as handle:
-            handle.write(zsj1_frame({"kind": "note", "tick": 2.0,
-                                     "collector": "Legacy",
-                                     "reason": "old"}))
-        recovered = recover_journal(tmp_path / "j.zsj")
-        assert recovered.torn_records == 0
-        assert any(e.collector == "Legacy"
-                   for e in recovered.store.ledger.events)
-
-    def test_legacy_format_round_trip(self, tmp_path):
-        store = SampleStore()
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=4,
-                               fsync=False)
-        writer.open(store, META)
-        drive(store, writer, [float(t) for t in range(1, 11)])
-        writer.close(store)
-        rewrite_as_zsj1(tmp_path / "j.zsj")
-        # every frame on disk is JSON-framed
-        data = (tmp_path / "j.zsj").read_bytes()
-        assert data.count(b"ZSJ2 ") == 0 and data.startswith(b"ZSJ1 ")
-        recovered = recover_journal(tmp_path / "j.zsj")
-        assert_stores_equal(store, recovered.store)
-        assert recovered.torn_records == 0
+class TestOlderVersions:
+    def test_older_journal_is_one_typed_error(self, tmp_path, capsys):
+        path = tmp_path / "v2.zsj"
+        path.write_bytes(_frame({"kind": "meta", "version": 2, **META})
+                         + _frame({"kind": "snapshot", "store": {}}))
+        line = f"{path}: written by journal version 2; " \
+            "recover it with that release"
+        with pytest.raises(JournalError) as caught:
+            recover_journal(path)
+        assert str(caught.value) == line
+        assert main(["recover", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"zerosum-sim: error: {line}\n"
+        # version 1 wrote JSON frames: refused the same way
+        path.write_bytes(b'ZSJ1 2 00000000 {}\n')
+        with pytest.raises(JournalError, match="journal version 1;"):
+            recover_journal(path)
 
 
 class TestRoundTrip:
@@ -250,14 +209,14 @@ class TestRoundTrip:
         assert_stores_equal(store, recovered.store)
 
     def test_checkpoint_compacts_the_journal(self, tmp_path):
-        store = SampleStore()
+        store = SampleStore(max_rows=6)  # bounded: checkpoints compact
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=5,
                                fsync=False)
         writer.open(store, META)
         drive(store, writer, [float(t) for t in range(1, 21)])
         records, torn = read_journal(tmp_path / "j.zsj")
         kinds = [r["kind"] for r in records]
-        # every 5th period rewrites meta+snapshot; <=4 deltas may follow
+        # every 5th period rewrites meta+snapshot; <=4 periods may follow
         assert kinds[0] == "meta" and kinds[1] == "snapshot"
         assert kinds.count("period") <= 4
         assert writer.checkpoints_written >= 4
@@ -272,8 +231,8 @@ class TestRoundTrip:
         writer.open(store, META)
         drive(store, writer, [float(t) for t in range(1, 9)])
         recovered = recover_journal(tmp_path / "j.zsj")
-        # summary mode rewrites rows in place; deltas must carry full
-        # replacements, not appends
+        # summary mode rewrites rows in place: replaying the blocks
+        # through the store must refresh them, not append
         for tid in store.lwp_series:
             assert store.lwp_series[tid].array.tolist() == \
                 recovered.store.lwp_series[tid].array.tolist()
@@ -321,7 +280,7 @@ class TestRoundTrip:
     def test_unledgered_note_survives_a_checkpoint(self, tmp_path):
         """The snapshot carries store state only: a last-gasp note must
         be re-emitted behind it, a ledgered one stays compacted."""
-        store = SampleStore()
+        store = SampleStore(max_rows=4)  # bounded: checkpoints compact
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
                                fsync=False)
         writer.open(store, META)
@@ -343,6 +302,74 @@ class TestRoundTrip:
             "sampler stalled"
         ]
 
+    def test_a_failed_write_hides_no_fact(self, tmp_path):
+        """Identity, kinds and ledger events ride in each record until
+        one reaches the file: a period whose write failed leaves them to
+        the next (its rows are missing until a checkpoint compacts)."""
+        store = SampleStore()
+        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
+                               fsync=False, classify=lambda tid: "Main")
+        writer.open(store, META)
+        drive(store, writer, [1.0])
+        real_write = writer._file.write
+
+        def disk_full(buf):
+            raise OSError(28, "No space left on device")
+
+        for t, write in ((2.0, disk_full), (3.0, real_write)):
+            store.add_lwp_row(102, lwp_row(t, t), name="late",
+                              affinity=CpuSet([2]))
+            store.ledger.record_error("LwpCollector", t, f"hiccup {t}")
+            store.commit(t, [])
+            writer._file.write = write
+            try:
+                writer.record_period(store, t)
+            except OSError:
+                pass
+        recovered = recover_journal(tmp_path / "j.zsj")
+        assert recovered.store.lwp_names == store.lwp_names
+        assert recovered.store.lwp_affinity == store.lwp_affinity
+        assert recovered.kinds == {100: "Main", 101: "Main", 102: "Main"}
+        assert [e.reason for e in recovered.store.ledger.events] == [
+            "hiccup 2.0", "hiccup 3.0",
+        ]
+        assert len(recovered.store.lwp_series[102]) == 1  # period 3's row
+
+    @pytest.mark.parametrize("failure", ["raises", "short"])
+    def test_a_failed_write_heals_at_checkpoint_and_close(self, tmp_path,
+                                                          failure):
+        """A write that raises, or writes half its buffer and returns the
+        count (``write(2)`` on a full disk), is cut back off the file,
+        and the next checkpoint or close() compacts: nothing is lost."""
+        path = tmp_path / "j.zsj"
+        store = SampleStore()
+        writer = JournalWriter(path, checkpoint_every=3, fsync=False)
+        writer.open(store, META)
+
+        def fail_once(tick):
+            real_write = writer._file.write
+
+            def broken(buf):
+                writer._file.write = real_write
+                if failure == "raises":
+                    raise OSError(28, "No space left on device")
+                return real_write(buf[: len(buf) // 2])
+
+            writer._file.write = broken
+            with pytest.raises(OSError):
+                drive(store, writer, [tick])
+            assert read_journal(path)[1] == 0  # no partial frame stays
+
+        drive(store, writer, [1.0])
+        fail_once(2.0)
+        drive(store, writer, [3.0, 4.0])  # period 3 is a checkpoint
+        assert_stores_equal(store, recover_journal(path).store)
+        fail_once(5.0)
+        writer.close(store)
+        records, torn = read_journal(path)
+        assert torn == 0 and records[-1]["kind"] == "snapshot"
+        assert_stores_equal(store, recover_journal(path).store)
+
     def test_meta_amendment_merges(self, tmp_path):
         store = SampleStore()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
@@ -353,6 +380,72 @@ class TestRoundTrip:
         recovered = recover_journal(tmp_path / "j.zsj")
         assert recovered.monitor_tid == 555
         assert recovered.classify(555) == "ZeroSum"
+
+
+class TestAppendOnly:
+    """A store keeping every row has each row written once, never
+    rewritten; a bounded store's journal stays bounded by compaction."""
+
+    def test_unbounded_store_is_never_rewritten(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.zsj"
+        replaced, written = [], []
+        real_replace, real_open = os.replace, open
+
+        class Counting:
+            """A file handle that tallies what reaches ``write()``."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, data):
+                written.append(len(data))
+                return self._handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+        def replace(*args):
+            replaced.append(args)
+            real_replace(*args)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(journal_module, "open",
+                            lambda *a, **k: Counting(real_open(*a, **k)),
+                            raising=False)
+        store = SampleStore()
+        writer = JournalWriter(path, checkpoint_every=3, fsync=False,
+                               classify=lambda tid: "Main")
+        writer.open(store, META)
+        drive(store, writer, [float(t) for t in range(1, 201)])
+        writer.close(store)
+        assert len(replaced) == 1  # open's, and no other
+        assert writer.checkpoints_written == 1 + 200 // 3  # all seals
+        assert sum(written) <= 1.1 * path.stat().st_size
+        kinds = [r["kind"] for r in read_journal(path)[0]]
+        assert kinds == ["meta", "snapshot"] + ["period"] * 200 + ["residue"]
+        recovered = recover_journal(path)
+        assert recovered.torn_records == 0
+        assert_stores_equal(store, recovered.store)
+
+    @pytest.mark.parametrize("retention", [
+        {"max_rows": 8}, {"keep_series": False, "summary_rows": 2},
+    ], ids=["ring", "summary"])
+    def test_bounded_store_stays_bounded(self, tmp_path, retention):
+        path = tmp_path / "j.zsj"
+        store = SampleStore(**retention)
+        writer = JournalWriter(path, checkpoint_every=3, fsync=False)
+        writer.open(store, META)
+        for t in range(1, 501):
+            drive(store, writer, [float(t)])
+            assert path.stat().st_size < 8192, t
+        writer.close(store)
+        assert_stores_equal(store, recover_journal(path).store)
 
 
 class TestCoalescedAppends:
@@ -425,7 +518,7 @@ class TestTornTail:
         recovered.report().render()  # and the report still builds
 
     def test_torn_binary_record_is_skipped(self, tmp_path):
-        # tear a ZSJ2 frame mid-body (by byte count, not line split:
+        # tear a frame mid-body (by byte count, not line split:
         # binary bodies may contain newlines)
         store, path = self._journal(tmp_path)
         whole = path.read_bytes()
@@ -448,7 +541,7 @@ class TestTornTail:
 
     def test_fully_torn_journal_raises(self, tmp_path):
         path = tmp_path / "j.zsj"
-        path.write_bytes(b"ZSJ1 12 00000000 tornrecord")
+        path.write_bytes(b"ZSJ2 12 00000000 tornrecord")
         with pytest.raises(JournalError):
             recover_journal(path)
 
@@ -532,33 +625,39 @@ class TestEngineContainment:
 
 
 # ---------------------------------------------------------------------------
-def _raw_zsj2(body: bytes) -> bytes:
-    """A well-framed ZSJ2 record (valid length and CRC) around any body."""
+def _raw_frame(body: bytes) -> bytes:
+    """A well-framed record (valid length and CRC) around any body."""
     return b"ZSJ2 %d %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
 
 
 _PERIOD = {
     "kind": "period", "tick": 2.5, "prev_tick": 2.5, "samples_taken": 3,
-    "last_thread_count": 1, "names": {"100": "renamed"}, "affinity": {},
-    "prev_totals": {}, "kinds": {"100": "Other"},
-    "block": {"lwp": {"keys": [100], "rows": [list(lwp_row(2.5, 25.0))]}},
+    "last_thread_count": 1, "names": {"100": "renamed"},
+    "prev_totals": {"keys": np.array([100]), "values": np.array([[25.0]])},
+    "kinds": {"100": "Other"},
+    "block": {"lwp": {"keys": np.array([100]),
+                      "rows": np.array([lwp_row(2.5, 25.0)])}},
 }
 #: bodies no writer produces; each used to end recovery in a raw traceback
 #: or in a store that is not a prefix of the run
 CRAFTED = {
-    # {"m": matrix(nrows=1, ncols=0)}: range() step of zero
+    # {"m": matrix(nrows=1, ncols=0)}: rows without columns
     "matrix_without_columns": b"\x01\x01m\x07\x01\x00\x08\x01\x00",
     # 5000 nested one-item lists: RecursionError
     "nesting_bomb": b"\x00" + b"\x06\x01" * 5000 + b"\x00",
     # decodes fine, cannot be applied: KeyError
     "snapshot_without_store": _encode_body({"kind": "snapshot"}),
-    # periods that fail half-way: after the LWP rows (a one-column HWT
-    # row), or after the whole block and the identity (no ledger)
+    # periods that fail part-way: in the block (a one-column HWT row
+    # behind good LWP rows), or after the whole block and the identity
+    # (a ledger missing its counters)
     "period_bad_second_family": _encode_body({
-        **_PERIOD, "ledger": {"total_events": 0, "counters": {}},
-        "block": {**_PERIOD["block"], "hwt": {"keys": [0], "rows": [[2.5]]}},
+        **_PERIOD,
+        "block": {**_PERIOD["block"],
+                  "hwt": {"keys": np.array([0]), "rows": np.array([[2.5]])}},
     }),
-    "period_without_ledger": _encode_body(_PERIOD),
+    "period_without_ledger": _encode_body({
+        **_PERIOD, "ledger": {"total_events": 0},
+    }),
 }
 
 
@@ -566,7 +665,7 @@ CRAFTED = {
 class TestMalformedRecords:
     def test_alone_it_is_a_journal_error(self, tmp_path, name):
         path = tmp_path / "j.zsj"
-        path.write_bytes(_raw_zsj2(CRAFTED[name]))
+        path.write_bytes(_raw_frame(CRAFTED[name]))
         with pytest.raises(JournalError):
             recover_journal(path)
         with pytest.raises(JournalError):
@@ -580,7 +679,7 @@ class TestMalformedRecords:
         drive(store, writer, [1.0, 2.0])
         shutil.copy(path, tmp_path / "prefix.zsj")
         with open(path, "ab") as handle:
-            handle.write(_raw_zsj2(CRAFTED[name]))
+            handle.write(_raw_frame(CRAFTED[name]))
         drive(store, writer, [3.0])  # lands behind the tear: debris
         recovered = recover_journal(path)
         assert recovered.torn_records == 2
@@ -592,15 +691,6 @@ class TestMalformedRecords:
 
 
 # ---------------------------------------------------------------------------
-def _frame_ends(data: bytes) -> list[int]:
-    """Offset just past each frame (terminator included)."""
-    ends, pos = [], 0
-    while pos < len(data):
-        _, pos = _parse_frame(data, pos)
-        ends.append(pos)
-    return ends
-
-
 class TestFuzz:
     """Every truncation and a bit flip at every offset: a prefix or a
     ``JournalError``, never anything else (ROADMAP correctness (c))."""
@@ -628,24 +718,24 @@ class TestFuzz:
         self._drive(store, writer, [3.0])
         return path.read_bytes()
 
-    def _legacy_mix(self, path):
-        """Summary-mode ``replace`` periods, every other frame ZSJ1."""
-        store = SampleStore(keep_series=False, summary_rows=2)
-        writer = LegacyPeriodWriter(path, checkpoint_every=100, fsync=False)
+    def _bounded_shape(self, path):
+        """A compacted ring: snapshot, a carried note, then periods."""
+        store = SampleStore(max_rows=2)
+        writer = JournalWriter(path, checkpoint_every=3, fsync=False)
         writer.open(store, META)
-        self._drive(store, writer, [1.0, 2.0, 3.0])
-        writer.note(3.0, "Watchdog", "sampler stalled")
+        self._drive(store, writer, [1.0, 2.0])
+        writer.note(2.0, "LastGasp", "caught signal 15")
+        self._drive(store, writer, [3.0, 4.0, 5.0])  # compacts at 3
         records, _ = read_journal(path)
-        assert "series" in records[2] and "block" not in records[2]
-        return b"".join(
-            (zsj1_frame if i % 2 else _frame2)(record)
-            for i, record in enumerate(records)
-        )
+        assert [r["kind"] for r in records] == [
+            "meta", "snapshot", "note", "period", "period",
+        ]
+        return path.read_bytes()
 
-    @pytest.mark.parametrize("build", ["_new_shape", "_legacy_mix"])
+    @pytest.mark.parametrize("build", ["_new_shape", "_bounded_shape"])
     def test_truncations_and_bit_flips(self, tmp_path, build):
         data = getattr(self, build)(tmp_path / "whole.zsj")
-        ends = _frame_ends(data)
+        ends = frame_ends(data)
         path = tmp_path / "mutated.zsj"
 
         def recover(blob):
@@ -735,14 +825,14 @@ class _ScriptedHwt:
         return []
 
 
-@pytest.mark.parametrize("writer_cls", [JournalWriter, LegacyPeriodWriter])
+# one writer class since version 3; the axis keeps the test ids stable
+@pytest.mark.parametrize("writer_cls", [JournalWriter])
 @pytest.mark.parametrize("retention", [
     {}, {"max_rows": 3}, {"keep_series": False, "summary_rows": 2},
 ], ids=["full", "ring", "summary"])
 class TestKilledEngineRun:
     """Recovered ≡ in-memory: faults in the period stream, a changing
-    thread set, a kill between checkpoints — in every retention mode,
-    for the block-shaped journal and for the parent's ``series`` shape."""
+    thread set, a kill between checkpoints — in every retention mode."""
 
     def test_recovered_equals_in_memory(self, tmp_path, retention, writer_cls):
         store = SampleStore(**retention)
@@ -758,7 +848,7 @@ class TestKilledEngineRun:
             journal=journal, detector=detector,
         )
         journal.open(store, META)
-        for p in range(1, 12):  # checkpoints at 4 and 8, then 3 appends
+        for p in range(1, 12):  # checkpoints at 4 and 8, then 3 periods
             tick = 10.0 * p
             engine.commit(tick, engine.sample(tick))
         assert journal.checkpoints_written == 3  # open + 2

@@ -1,16 +1,14 @@
 """Alert durability: heartbeat clause, journal notes, recovery.
 
 The contract under test: the alert history a run raised is
-reproducible bit-identically from its journal — post-checkpoint
-findings from fsynced alert notes, pre-checkpoint ones from the
-snapshot's serialized ledger — and the heartbeat line carries the
-live tally.
+reproducible bit-identically from its journal — findings from fsynced
+alert notes, those a compaction dropped from the snapshot's serialized
+ledger — and the heartbeat line carries the live tally.
 """
 
 import pytest
 
 from tests.detect.conftest import HZ, StoreDriver, node_facts
-from tests.helpers import rewrite_as_zsj1
 from repro.collect import CollectionEngine, SampleStore
 from repro.collect.journal import (
     JournalWriter,
@@ -70,16 +68,16 @@ class TestHeartbeatClause:
 
 
 class TestJournalNotes:
-    @pytest.mark.parametrize("fmt", [1, 2])
-    def test_alert_note_round_trips(self, tmp_path, fmt):
+    @pytest.mark.parametrize("checkpoint_every", [1, 2])
+    def test_alert_note_round_trips(self, tmp_path, checkpoint_every):
+        # an unbounded store's checkpoints seal, never compact: the raw
+        # note stays in the journal whatever the cadence
         d = sliced_driver()
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False)
+        writer = JournalWriter(tmp_path / "j.zsj",
+                               checkpoint_every=checkpoint_every, fsync=False)
         writer.open(d.store, META)
         drive_sliced(d, writer, 4)
-        writer.close()  # no final checkpoint: keep the raw note visible
-        if fmt == 1:
-            rewrite_as_zsj1(tmp_path / "j.zsj")
+        writer.close()
 
         records, torn = read_journal(tmp_path / "j.zsj")
         assert torn == 0
@@ -90,16 +88,14 @@ class TestJournalNotes:
         assert "time-slicing" in notes[0]["reason"]
         assert notes[0]["alert"]["code"] == "time-slicing"
 
-    @pytest.mark.parametrize("fmt", [1, 2])
-    def test_recovery_reproduces_ledger(self, tmp_path, fmt):
+    @pytest.mark.parametrize("checkpoint_every", [1, 2])
+    def test_recovery_reproduces_ledger(self, tmp_path, checkpoint_every):
         d = sliced_driver()
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False)
+        writer = JournalWriter(tmp_path / "j.zsj",
+                               checkpoint_every=checkpoint_every, fsync=False)
         writer.open(d.store, META)
         drive_sliced(d, writer, 5)
         writer.close(d.store)
-        if fmt == 1:
-            rewrite_as_zsj1(tmp_path / "j.zsj")
 
         run = recover_journal(tmp_path / "j.zsj")
         assert run.alerts is not None
@@ -107,6 +103,8 @@ class TestJournalNotes:
 
     def test_checkpoint_compaction_carries_ledger(self, tmp_path):
         d = sliced_driver()
+        d.store = SampleStore(max_rows=4)  # bounded: checkpoints compact
+        d.store.alerts = d.detector.alerts
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=3,
                                fsync=False)
         writer.open(d.store, META)

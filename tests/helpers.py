@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import json
-import zlib
 from pathlib import Path
 
 from repro.apps import MiniQmcConfig, miniqmc_app
-from repro.collect.journal import JournalWriter, _identity_state
-from repro.collect.store import KEYED_FAMILIES
+from repro.collect.journal import _parse_frame
 from repro.core import ZeroSumConfig, zerosum_mpi
 from repro.launch import SrunOptions, launch_job
 from repro.topology import frontier_node, generic_node
@@ -47,80 +44,26 @@ def run_miniqmc(
     return step
 
 
-def zsj1_frame(payload: dict) -> bytes:
-    """One legacy journal frame: ``ZSJ1 <len> <crc32> <compact json>\\n``.
-
-    No writer emits these any more, but recovery must keep reading the
-    journals older writers left behind — so the tests build them here.
-    """
-    body = json.dumps(payload, separators=(",", ":")).encode()
-    return b"ZSJ1 %d %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
-
-
-def rewrite_as_zsj1(path: str | Path) -> None:
-    """Re-frame every record of a journal as ZSJ1, in place.
-
-    Keeps the inode, so a writer holding the file open for append
-    carries on behind the rewritten records (the upgraded-writer shape).
-    """
-    from repro.collect.journal import read_journal
-
-    records, torn = read_journal(path)
-    assert torn == 0
-    Path(path).write_bytes(b"".join(zsj1_frame(r) for r in records))
+#: the identity record the journal tests open their journals with
+JOURNAL_META = {
+    "driver": "test",
+    "pid": 100,
+    "rank": 0,
+    "hostname": "node0",
+    "hz": 100.0,
+    "baseline": "zero",
+    "start_tick": 0.0,
+    "cpus_allowed": "0-3",
+}
 
 
-class LegacyPeriodWriter(JournalWriter):
-    """A journal writer emitting the pre-block, ``series``-shaped periods.
-
-    The record PR 21 and earlier wrote between checkpoints: one entry
-    per series holding the rows past a per-series ``appended`` cursor,
-    or a full ``replace`` (summary mode; a ring that wrapped past the
-    cursor), plus the whole identity maps and every tid's kind.  Like
-    ZSJ1 frames, recovery must keep reading what those writers left.
-    """
-
-    def _checkpoint_locked(self, store, tick=None):
-        super()._checkpoint_locked(store, tick=tick)
-        self._cursors = {
-            ident: series.appended for ident, series in self._all_series(store)
-        }
-
-    @staticmethod
-    def _all_series(store):
-        for family, (attr, _) in KEYED_FAMILIES.items():
-            for key, series in getattr(store, attr).items():
-                yield (family, key), series
-        yield ("mem", 0), store.mem_series
-
-    def _period_record(self, store, tick):
-        record = super()._period_record(store, tick)
-        del record["block"]
-        series: dict = {}
-        for (family, key), buf in self._all_series(store):
-            new = buf.appended - self._cursors.get((family, key), 0)
-            self._cursors[(family, key)] = buf.appended
-            entry = {
-                "columns": list(buf.columns),
-                "rows": buf.array,
-                "appended": buf.appended,
-            }
-            if not store.keep_series or new > len(buf):
-                entry["replace"] = True
-            elif new <= 0:
-                continue
-            else:
-                entry["rows"] = buf.array[-new:]
-            if family == "mem":
-                series["mem"] = entry
-            else:
-                series.setdefault(family, {})[str(key)] = entry
-        record["series"] = series
-        record["kinds"] = self._kinds(store.lwp_series)
-        record.update(
-            _identity_state(store, store.lwp_names, store.lwp_affinity)
-        )
-        return record
+def frame_ends(data: bytes) -> list[int]:
+    """Offset just past each frame of a journal (terminator included)."""
+    ends, pos = [], 0
+    while pos < len(data):
+        _, pos = _parse_frame(data, pos)
+        ends.append(pos)
+    return ends
 
 
 def materialize_proc(fs, pid: int, root: Path, as_pid: int | None = None) -> None:

@@ -74,15 +74,15 @@ class TestMisuse:
         self, capsys, tmp_path
     ):
         """Well framed (valid CRC), yet nothing a writer produces."""
-        from repro.collect.journal import _frame2
+        from repro.collect.journal import _frame
 
         path = tmp_path / "crafted.zsj"
-        path.write_bytes(_frame2({"kind": "snapshot"}))  # no "store"
+        path.write_bytes(_frame({"kind": "snapshot"}))  # no "store"
         assert main(["recover", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(f"cannot recover {path}: ")
+        assert captured.err.startswith(f"zerosum-sim: error: {path}: ")
 
     def test_an_os_error_elsewhere_is_not_dressed_up_as_misuse(
         self, monkeypatch

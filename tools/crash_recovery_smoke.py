@@ -9,6 +9,9 @@ Case 1 (journal): spawn a busy child that monitors itself with
 ``LiveZeroSum`` (journal + heartbeat on), let it commit a handful of
 periods, kill it with ``-9``, and assert that ``python -m repro.cli
 recover`` rebuilds a complete utilization report from what hit disk.
+It runs twice: with every row kept (the append-only journal, sealed
+every 5 periods) and with an 8-row ring checkpointed every 3 periods
+(the compacting journal: the kill may land in a rewrite too).
 
 Case 2 (sharded): spawn a child running a sharded job with
 self-healing on; the child prints its worker PIDs, this driver
@@ -39,8 +42,9 @@ from repro.live import LiveZeroSum
 
 monitor = LiveZeroSum(ZeroSumConfig(
     period_seconds=0.05,
+    max_series_rows=int(sys.argv[3]) or None,
     journal_path=sys.argv[1],
-    journal_checkpoint_every=5,
+    journal_checkpoint_every=int(sys.argv[4]),
     journal_fsync=False,
     heartbeat_path=sys.argv[2],
     heartbeat_every=1,
@@ -108,12 +112,13 @@ print("sharded-recovered", flush=True)
 """
 
 
-def _journal_case(env: dict) -> int:
+def _journal_case(env: dict, max_rows: int, checkpoint_every: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         journal = os.path.join(tmp, "run.zsj")
         heartbeat = os.path.join(tmp, "heartbeat.log")
         child = subprocess.Popen(
-            [sys.executable, "-c", CHILD_SOURCE, journal, heartbeat],
+            [sys.executable, "-c", CHILD_SOURCE, journal, heartbeat,
+             str(max_rows), str(checkpoint_every)],
             env=env,
             stdout=subprocess.PIPE,
             text=True,
@@ -163,7 +168,9 @@ def _journal_case(env: dict) -> int:
                   file=sys.stderr)
             return 1
 
-    print("crash-recovery smoke: kill -9'd journaled run recovered cleanly.")
+    print(f"crash-recovery smoke: kill -9'd journaled run (max rows "
+          f"{max_rows or 'all'}, checkpoint every {checkpoint_every}) "
+          "recovered cleanly.")
     return 0
 
 
@@ -214,9 +221,10 @@ def _sharded_case(env: dict) -> int:
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    rc = _journal_case(env)
-    if rc != 0:
-        return rc
+    for max_rows, checkpoint_every in ((0, 5), (8, 3)):
+        rc = _journal_case(env, max_rows, checkpoint_every)
+        if rc != 0:
+            return rc
     return _sharded_case(env)
 
 

@@ -25,7 +25,6 @@ from repro.analysis.timeseries import (
     all_lwp_series,
     hwt_series,
     lwp_series,
-    render_series_table,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "hwt_series",
     "all_lwp_series",
     "all_hwt_series",
-    "render_series_table",
     "observed_processors",
     "observed_migrations",
 ]

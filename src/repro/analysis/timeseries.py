@@ -3,8 +3,8 @@
 Figures 6 and 7 of the paper plot, per sampling interval, the
 user/system/idle split of every LWP and every HWT.  The monitor stores
 cumulative jiffy counters; these functions difference them into
-per-interval percentages.  Output is plain numpy arrays plus a text
-renderer, so no plotting stack is required to inspect the shapes.
+per-interval percentages.  Output is plain numpy arrays, so no
+plotting stack is required to inspect the shapes.
 
 These functions accept *any* monitor driver — simulated
 (:class:`repro.core.ZeroSum`), live
@@ -30,7 +30,6 @@ __all__ = [
     "hwt_series",
     "all_lwp_series",
     "all_hwt_series",
-    "render_series_table",
 ]
 
 
@@ -144,26 +143,6 @@ def all_hwt_series(monitor) -> list[UtilizationSeries]:
         if len(monitor.hwt_series[cpu]) >= 2:
             out.append(hwt_series(monitor, cpu))
     return out
-
-
-def render_series_table(series_list: list[UtilizationSeries], width: int = 10) -> str:
-    """Text table: one row per interval, one column group per entity."""
-    if not series_list:
-        return "(no series)\n"
-    n = min(len(s) for s in series_list)
-    header = ["t(s)".rjust(8)] + [
-        f"{s.label[:width]:>{width + 12}} (u/s/i)" for s in series_list
-    ]
-    lines = ["  ".join(header)]
-    for i in range(n):
-        cells = [f"{series_list[0].seconds[i]:8.1f}"]
-        for s in series_list:
-            cells.append(
-                f"{s.user_pct[i]:6.1f}/{s.system_pct[i]:5.1f}/{s.idle_pct[i]:5.1f}"
-                .rjust(width + 12)
-            )
-        lines.append("  ".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def observed_processors(monitor, tid: int) -> np.ndarray:

@@ -74,18 +74,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     machines = [
         factory(name=f"{args.machine}{i:05d}") for i in range(args.nodes)
     ]
-    from repro.launch import ChaosPlan, parse_chaos_spec
-
-    chaos = None
-    if args.chaos:
-        chaos = parse_chaos_spec(args.chaos)
-    elif args.chaos_seed is not None:
-        chaos = ChaosPlan.seeded(
-            args.chaos_seed, shards=max(2, args.workers), epochs=16
-        )
-    job_kwargs = {}
-    if args.no_self_heal:
-        job_kwargs["recovery"] = None  # else: launch_sharded's default
     step = launch_job(
         machines,
         opts,
@@ -94,8 +82,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ZeroSumConfig(detect_online=args.detect)
         ),
         workers=args.workers,
-        chaos=chaos,
-        **job_kwargs,
     )
     t0 = time.time()
     step.run()
@@ -106,8 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(step.advice(0).render())
     events = getattr(step, "degradations", [])
     if events:
-        # a healed (or degraded) sharded run must say so out loud
-        print("Worker recovery/degradation events:")
+        # a degraded sharded run must say so out loud
+        print("Worker degradation events:")
         for event in events:
             print(f"  [{event.action}] {event.reason}")
     if args.top:
@@ -254,14 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--detect", action="store_true",
                    help="online contention/precursor detection: raise "
                         "typed alerts during the run, not post mortem")
-    p.add_argument("--no-self-heal", action="store_true",
-                   help="disable checkpoint-restart of sharded workers "
-                        "(lost workers degrade the run instead)")
-    # fault-injection drills for the self-healing path; hidden because
-    # they deliberately break the run (kind@epoch/shard[*repeat],...)
-    p.add_argument("--chaos", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--chaos-seed", type=int, default=None,
-                   help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("heatmap", help="PIC proxy communication heatmap")

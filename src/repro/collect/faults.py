@@ -56,13 +56,13 @@ PERMANENT = "permanent"
 
 
 class HangDetected(RuntimeError):
-    """A worker stopped heartbeating but its process is still alive.
+    """A worker stopped answering but its process is still alive.
 
     Distinct from death (``EOFError``/a reaped exit code): the process
     exists but makes no observable progress — a wedged ``/proc`` read,
-    a livelock, a stuck barrier.  Classified *transient* because a
-    terminate-and-respawn of the worker routinely clears it, unlike a
-    deterministic crash that will reproduce on every replay.
+    a livelock, a stuck barrier.  Classified *transient*: a wedge is
+    usually a property of the moment (a blocked read, an overloaded
+    host), unlike a deterministic crash that reproduces on every rerun.
     """
 
 #: OS errors a retry may clear: the path vanished (dead thread, exited
@@ -85,7 +85,7 @@ def classify_failure(exc: BaseException) -> str:
     ``ProcFSError`` at all (``ValueError`` from deeper code, an SMI
     backend error, a plain bug) are permanent: the same input will
     fail the same way.  :class:`HangDetected` — a live-but-silent
-    worker — is transient: a respawn routinely clears it.
+    worker — is transient: a rerun routinely clears it.
     """
     if isinstance(exc, ProcParseError):
         return PERMANENT
@@ -165,8 +165,6 @@ class DegradationLedger:
         self.dropped_rows: dict[str, int] = {}
         #: rows discarded by period rollbacks per collector
         self.rolled_back_rows: dict[str, int] = {}
-        #: checkpoint-restart respawns per worker (sharded execution)
-        self.respawns: dict[str, int] = {}
         #: collector name -> the event that disabled it
         self.disabled: dict[str, DegradationEvent] = {}
 
@@ -235,20 +233,6 @@ class DegradationLedger:
         self.disabled[collector] = self._record(
             tick, collector, "disabled", "", reason
         )
-
-    def record_respawn(self, collector: str, tick: float, reason: str) -> None:
-        """A lost worker was respawned from its checkpoint (recovered)."""
-        self.respawns[collector] = self.respawns.get(collector, 0) + 1
-        self._record(tick, collector, "respawned", TRANSIENT, reason)
-
-    def record_straggler(self, collector: str, tick: float, reason: str) -> None:
-        """A worker past its adaptive deadline but still heartbeating.
-
-        A diagnostic note, not a failure: the orchestrator keeps
-        waiting (the worker is making progress), but the run's ledger
-        should show where the wall-clock went.
-        """
-        self._record(tick, collector, "straggler", TRANSIENT, reason)
 
     def record_error(self, collector: str, tick: float, reason: str) -> None:
         """A driver-level problem (loop error, stop timeout, ...)."""

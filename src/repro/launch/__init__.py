@@ -1,7 +1,5 @@
 """Job launcher (srun substitute): options, assignment, orchestration."""
 
-from repro.launch.chaos import ChaosEvent, ChaosPlan, parse_chaos_spec
-from repro.launch.checkpoint import RecoveryPolicy, ShardCheckpoint
 from repro.launch.job import AppFactory, JobStep, RankContext, launch_job
 from repro.launch.options import SrunOptions
 from repro.launch.sharded import (
@@ -26,9 +24,4 @@ __all__ = [
     "ShardedJobStep",
     "plan_shards",
     "launch_sharded",
-    "RecoveryPolicy",
-    "ShardCheckpoint",
-    "ChaosEvent",
-    "ChaosPlan",
-    "parse_chaos_spec",
 ]

@@ -30,10 +30,6 @@ from repro.topology.objects import Machine
 
 __all__ = ["RankContext", "JobStep", "launch_job", "AppFactory"]
 
-#: "caller did not choose": lets launch_sharded keep its own default
-#: recovery policy without this module importing it eagerly
-_UNSET_RECOVERY = object()
-
 
 @dataclass
 class RankContext:
@@ -155,8 +151,6 @@ def launch_job(
     smt_efficiency: float = 1.0,
     workers: int = 1,
     epoch_ticks: Optional[int] = None,
-    recovery=_UNSET_RECOVERY,
-    chaos=None,
 ) -> JobStep:
     """Build the simulated world for one job step (does not run it).
 
@@ -165,12 +159,9 @@ def launch_job(
     :class:`~repro.launch.sharded.ShardedJobStep` with the same
     run/report surface.  Jobs that occupy a single node always take
     the serial path, whatever ``workers`` says.
-
-    ``recovery`` (a :class:`~repro.launch.checkpoint.RecoveryPolicy`,
-    ``None`` to disable) and ``chaos`` (a
-    :class:`~repro.launch.chaos.ChaosPlan`) apply only to the sharded
-    path; the serial path has no workers to heal or to break.
     """
+    if workers < 1:
+        raise LaunchError("workers must be >= 1")
     if isinstance(machines, Machine):
         machines = [machines]
     assignments = assign_tasks(machines, options)
@@ -178,9 +169,6 @@ def launch_job(
         from repro.launch.sharded import launch_sharded, plan_shards
 
         if len(plan_shards(assignments, len(machines), workers)) >= 2:
-            sharded_kwargs = {}
-            if recovery is not _UNSET_RECOVERY:
-                sharded_kwargs["recovery"] = recovery
             return launch_sharded(  # type: ignore[return-value]
                 machines,
                 options,
@@ -193,8 +181,6 @@ def launch_job(
                 timeslice=timeslice,
                 smt_efficiency=smt_efficiency,
                 epoch_ticks=epoch_ticks,
-                chaos=chaos,
-                **sharded_kwargs,
             )
     kernel = SimKernel(machines, timeslice=timeslice,
                        smt_efficiency=smt_efficiency)

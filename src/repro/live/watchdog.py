@@ -30,66 +30,7 @@ from typing import Callable, Optional
 
 from repro.errors import MonitorError
 
-__all__ = ["StallEvent", "SamplerWatchdog", "DeadlineEstimator"]
-
-
-class DeadlineEstimator:
-    """Adaptive deadline over observed durations: EWMA × factor + slack.
-
-    Extracted from the watchdog family for the sharded orchestrator:
-    a fixed barrier timeout misclassifies a straggling worker (slow
-    host, oversubscribed CI runner) as dead, while a deadline derived
-    from the run's *own* epoch durations tracks whatever the hardware
-    is actually delivering.  Like :class:`SamplerWatchdog`, detection
-    built on it should be edge-triggered — the estimator only answers
-    "how long is too long right now", it keeps no episode state.
-
-    ``observe`` folds one completed duration into the EWMA;
-    :meth:`deadline` returns ``ewma * factor + slack`` clamped to
-    ``floor_seconds`` (and ``cap_seconds`` when given), or ``None``
-    before the first observation — the caller supplies its own
-    startup allowance until the estimator has seen real data.
-    """
-
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.25,
-        factor: float = 4.0,
-        slack_seconds: float = 0.25,
-        floor_seconds: float = 0.05,
-        cap_seconds: Optional[float] = None,
-    ):
-        if not 0.0 < alpha <= 1.0:
-            raise MonitorError("alpha must be in (0, 1]")
-        if factor < 1.0:
-            raise MonitorError("factor must be >= 1")
-        self.alpha = alpha
-        self.factor = factor
-        self.slack = slack_seconds
-        self.floor = floor_seconds
-        self.cap = cap_seconds
-        self.ewma: Optional[float] = None
-        self.observations = 0
-
-    def observe(self, seconds: float) -> None:
-        """Fold one completed duration into the moving estimate."""
-        if seconds < 0:
-            raise MonitorError("duration must be >= 0")
-        if self.ewma is None:
-            self.ewma = float(seconds)
-        else:
-            self.ewma += self.alpha * (seconds - self.ewma)
-        self.observations += 1
-
-    def deadline(self) -> Optional[float]:
-        """Seconds a duration may run before it counts as straggling."""
-        if self.ewma is None:
-            return None
-        value = max(self.floor, self.ewma * self.factor + self.slack)
-        if self.cap is not None:
-            value = min(value, self.cap)
-        return value
+__all__ = ["StallEvent", "SamplerWatchdog"]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ __all__ = [
     "Fabric",
     "RemoteEnvelope",
     "ShardFabric",
-    "EpochReplayBuffer",
 ]
 
 
@@ -215,92 +214,3 @@ class ShardFabric(Fabric):
         """Hand the buffered cross-shard sends to the orchestrator."""
         out, self.outbox = self.outbox, []
         return out
-
-
-@dataclass
-class EpochRecord:
-    """Everything the orchestrator told one shard for one epoch.
-
-    A respawned worker is deterministic, so resending the identical
-    command stream reproduces the identical kernel evolution; the
-    ``reply_clock`` the original worker answered with lets the
-    orchestrator verify the replayed shard is on the same trajectory
-    before trusting it.
-    """
-
-    epoch: int
-    until: int
-    inbound: list
-    completions: list
-    reply_clock: Optional[int] = None
-
-
-class EpochReplayBuffer:
-    """Bounded per-shard log of epoch commands for checkpoint-restart.
-
-    The orchestrator records every epoch command it sends a shard; on
-    worker loss it replays the records newer than the last accepted
-    checkpoint into the respawned worker.  The buffer is trimmed when
-    a checkpoint is accepted (those epochs can never be replayed
-    again) and bounded by ``max_epochs`` as a memory backstop — if the
-    bound ever evicts an epoch that a restart would still need,
-    :meth:`covers` reports the gap and the orchestrator degrades
-    instead of replaying from a hole.
-    """
-
-    def __init__(self, max_epochs: int = 64):
-        if max_epochs < 1:
-            raise MpiError("replay buffer needs max_epochs >= 1")
-        self.max_epochs = max_epochs
-        self.records: list[EpochRecord] = []
-        #: newest epoch ever issued (survives eviction and trimming)
-        self.latest: Optional[int] = None
-        #: epochs silently evicted by the bound, for diagnostics
-        self.evicted = 0
-
-    def record(
-        self, epoch: int, until: int, inbound: list, completions: list
-    ) -> None:
-        """Log one epoch command as sent to the worker."""
-        self.records.append(
-            EpochRecord(
-                epoch=epoch,
-                until=until,
-                inbound=list(inbound),
-                completions=list(completions),
-            )
-        )
-        if self.latest is None or epoch > self.latest:
-            self.latest = epoch
-        while len(self.records) > self.max_epochs:
-            self.records.pop(0)
-            self.evicted += 1
-
-    def note_clock(self, epoch: int, clock: int) -> None:
-        """Record the clock the worker replied with for that epoch."""
-        for rec in reversed(self.records):
-            if rec.epoch == epoch:
-                rec.reply_clock = clock
-                return
-
-    def trim_through(self, epoch: int) -> None:
-        """Drop records at or before ``epoch`` (checkpoint accepted)."""
-        self.records = [r for r in self.records if r.epoch > epoch]
-
-    def covers(self, from_epoch: int) -> bool:
-        """Whether every epoch after ``from_epoch`` is still buffered.
-
-        True when the records contain the full run ``from_epoch + 1 ..
-        latest`` (vacuously true when nothing newer was ever issued) —
-        the precondition for a trustworthy replay.
-        """
-        if self.latest is None or self.latest <= from_epoch:
-            return True
-        have = {r.epoch for r in self.records}
-        return all(
-            e in have for e in range(from_epoch + 1, self.latest + 1)
-        )
-
-    def records_after(self, epoch: int) -> list[EpochRecord]:
-        """The records a restart from ``epoch`` must replay, in order."""
-        return [r for r in self.records if r.epoch > epoch]

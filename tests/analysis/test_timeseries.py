@@ -9,7 +9,6 @@ from repro.analysis import (
     all_lwp_series,
     hwt_series,
     lwp_series,
-    render_series_table,
 )
 from repro.errors import MonitorError
 
@@ -130,14 +129,3 @@ class TestDegenerateIntervals:
         assert np.all(s.user_pct + s.system_pct <= 100.0 + 1e-6)
         baseline = lwp_series(monitor, pid)
         assert len(s) == len(baseline)
-
-
-class TestRenderTable:
-    def test_render(self, monitor):
-        table = render_series_table(all_hwt_series(monitor)[:2])
-        lines = table.splitlines()
-        assert "CPU 1" in lines[0]
-        assert len(lines) >= 3
-
-    def test_empty(self):
-        assert "(no series)" in render_series_table([])

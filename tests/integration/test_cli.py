@@ -31,6 +31,15 @@ class TestMisuse:
         ]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_non_positive_workers_is_one_error_line(self, capsys, workers):
+        assert main(["heatmap", "--ranks", "8", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "zerosum-sim: error: workers must be >= 1"
+        ]
+
     def test_a_bug_is_not_dressed_up_as_misuse(self, monkeypatch):
         """Only the package's own ReproError is misuse; the rest propagates."""
         import repro.cli as cli

@@ -83,9 +83,9 @@ class TestCommittedRecord:
     @pytest.fixture(scope="class")
     def check(self):
         """``reproduce --check`` of the eleven rows, in a process of its own:
-        their 8- to 512-rank jobs leave a heap behind that makes the
-        forked-worker races of ``tests/launch/test_chaos.py`` lose more
-        often when they run in the pytest process."""
+        it is the command CI runs, and the heap their 8- to 512-rank jobs
+        leave behind stays out of the pytest process, whose later tests
+        fork sharded workers from it."""
         return subprocess.run(
             [sys.executable, "-m", "repro.cli", "reproduce", *FAST,
              "--check", str(COMMITTED)],

@@ -135,7 +135,7 @@ def write_archive(
         if len(run.mem_series):
             arrays[f"{prefix}/mem"] = run.mem_series.array.copy()
         if run.recorder is not None:
-            arrays[f"{prefix}/p2p"] = run.recorder.bytes.copy()
+            arrays[f"{prefix}/p2p"] = run.recorder.bytes
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode(), dtype=np.uint8
     )

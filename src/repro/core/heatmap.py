@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.monitor import ZeroSum
 from repro.errors import MonitorError
+from repro.mpi.interpose import dense_matrices
 
 __all__ = ["CommMatrix", "merge_monitors"]
 
@@ -130,10 +131,6 @@ def merge_monitors(monitors: list[ZeroSum]) -> CommMatrix:
     if not sized:
         raise MonitorError("no monitor carries MPI point-to-point data")
     n = sized[0].world_size
-    out = CommMatrix.zeros(n)
-    for rec in sized:
-        if rec.world_size != n:
-            raise MonitorError("monitors disagree on world size")
-        out.bytes += rec.bytes
-        out.messages += rec.messages
-    return out
+    if any(rec.world_size != n for rec in sized):
+        raise MonitorError("monitors disagree on world size")
+    return CommMatrix(*dense_matrices(n, [rec.coo() for rec in sized]))

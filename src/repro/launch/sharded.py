@@ -66,6 +66,7 @@ from repro.launch.options import SrunOptions
 from repro.launch.slurm import TaskAssignment
 from repro.mpi.comm import ShardMpiJob
 from repro.mpi.fabric import Fabric, RemoteEnvelope, ShardFabric
+from repro.mpi.interpose import dense_matrices
 from repro.openmp.runtime import OpenMPRuntime
 from repro.topology.objects import Machine
 
@@ -340,8 +341,7 @@ class _Shard:
         from repro.core.reports import build_report
 
         ranks: dict[int, RankResult] = {}
-        p2p_bytes = None
-        p2p_messages = None
+        p2p = []
         for ctx, monitor in zip(self.contexts, self.monitors):
             report = build_report(monitor)
             result = RankResult(
@@ -358,12 +358,7 @@ class _Shard:
             )
             ranks[ctx.rank] = result
             if monitor.recorder is not None:
-                if p2p_bytes is None:
-                    p2p_bytes = monitor.recorder.bytes.copy()
-                    p2p_messages = monitor.recorder.messages.copy()
-                else:
-                    p2p_bytes += monitor.recorder.bytes
-                    p2p_messages += monitor.recorder.messages
+                p2p.append(monitor.recorder.coo())
         if not self.monitors:
             for ctx in self.contexts:
                 ranks[ctx.rank] = RankResult(
@@ -380,8 +375,8 @@ class _Shard:
             "clock": self.kernel.clock.tick,
             "ranks": ranks,
             "node_mem": node_mem,
-            "p2p_bytes": p2p_bytes,
-            "p2p_messages": p2p_messages,
+            # one COO block of recorded pairs per recorder, not n×n
+            "p2p": p2p,
             "traffic": (
                 dict(self.job.fabric.traffic) if self.job is not None else {}
             ),
@@ -496,8 +491,7 @@ class ShardedJobStep:
         self._results: Optional[dict[int, RankResult]] = None
         self._node_mem: dict[str, float] = {}
         self._traffic: dict[tuple[int, int], int] = {}
-        self._p2p_bytes = None
-        self._p2p_messages = None
+        self._p2p: list = []  # every recorder's COO block
         self._shard_of_rank = {
             r: p.index for p in plans for r in p.ranks
         }
@@ -722,13 +716,7 @@ class ShardedJobStep:
             self._node_mem.update(reply["node_mem"])
             for key, nbytes in reply["traffic"].items():
                 self._traffic[key] = self._traffic.get(key, 0) + nbytes
-            if reply["p2p_bytes"] is not None:
-                if self._p2p_bytes is None:
-                    self._p2p_bytes = reply["p2p_bytes"]
-                    self._p2p_messages = reply["p2p_messages"]
-                else:
-                    self._p2p_bytes += reply["p2p_bytes"]
-                    self._p2p_messages += reply["p2p_messages"]
+            self._p2p.extend(reply["p2p"])
         self._results = results
         self.close()
 
@@ -791,12 +779,9 @@ class ShardedJobStep:
         from repro.core.heatmap import CommMatrix
         from repro.errors import MonitorError
 
-        if self._p2p_bytes is None:
+        if not self._p2p:
             raise MonitorError("no monitor carries MPI point-to-point data")
-        out = CommMatrix.zeros(self._p2p_bytes.shape[0])
-        out.bytes += self._p2p_bytes
-        out.messages += self._p2p_messages
-        return out
+        return CommMatrix(*dense_matrices(self.options.ntasks, self._p2p))
 
     def cluster_view(self):
         """The allocation-wide view, merged across shards."""

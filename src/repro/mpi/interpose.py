@@ -2,30 +2,51 @@
 
 This is the simulation analogue of ZeroSum wrapping the MPI
 point-to-point API (§3.1.3): a :class:`P2PRecorder` attaches to one or
-more rank communicators and accumulates a dense ``size × size`` matrix
-of transferred bytes and message counts, which post-processing renders
-as the Figure 5 communication heatmap.
+more rank communicators and accumulates bytes and message counts per
+(sender, receiver) pair it saw, which post-processing merges into the
+dense matrix behind the Figure 5 communication heatmap.  A rank only
+talks to a few peers, so the recorder keeps sparse pairs; the one
+place a dense ``size × size`` matrix is built is :func:`dense_matrices`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.errors import MpiError
 from repro.mpi.comm import RankComm
 
-__all__ = ["P2PRecorder"]
+__all__ = ["P2PRecorder", "dense_matrices"]
+
+
+def dense_matrices(
+    world_size: int, blocks: Iterable[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum COO blocks into dense ``(bytes, messages)`` int64 matrices.
+
+    Each block is a ``(k, 4)`` int64 array of ``src, dst, bytes,
+    messages`` rows (:meth:`P2PRecorder.coo`); a pair may repeat within
+    and across blocks, and its rows add up exactly.
+    """
+    coo = np.concatenate([np.empty((0, 4), dtype=np.int64), *blocks])
+    nbytes = np.zeros((world_size, world_size), dtype=np.int64)
+    messages = np.zeros((world_size, world_size), dtype=np.int64)
+    where = (coo[:, 0], coo[:, 1])
+    np.add.at(nbytes, where, coo[:, 2])
+    np.add.at(messages, where, coo[:, 3])
+    return nbytes, messages
 
 
 class P2PRecorder:
-    """Accumulates the (sender, receiver) → bytes/messages matrices."""
+    """Accumulates (sender, receiver) → [bytes, messages] pairs."""
 
     def __init__(self, world_size: int):
         if world_size < 1:
             raise MpiError("world size must be >= 1")
         self.world_size = world_size
-        self.bytes = np.zeros((world_size, world_size), dtype=np.int64)
-        self.messages = np.zeros((world_size, world_size), dtype=np.int64)
+        self.pairs: dict[tuple[int, int], list[int]] = {}
         self._attached: list[RankComm] = []
 
     def attach(self, comm: RankComm) -> None:
@@ -48,33 +69,31 @@ class P2PRecorder:
         self._attached.clear()
 
     def _record(self, src: int, dst: int, nbytes: int) -> None:
-        self.bytes[src, dst] += nbytes
-        self.messages[src, dst] += 1
+        entry = self.pairs.setdefault((src, dst), [0, 0])
+        entry[0] += nbytes
+        entry[1] += 1
 
-    # -- analysis helpers ---------------------------------------------------
+    def coo(self) -> np.ndarray:
+        """The pairs as a ``(k, 4)`` int64 ``src, dst, bytes, messages``
+        array, the form :func:`dense_matrices` sums."""
+        rows = [(s, d, b, m) for (s, d), (b, m) in self.pairs.items()]
+        return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+    def _dense(self, column: int) -> np.ndarray:
+        view = dense_matrices(self.world_size, [self.coo()])[column]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def bytes(self) -> np.ndarray:
+        """Read-only dense ``size × size`` bytes matrix."""
+        return self._dense(0)
+
+    @property
+    def messages(self) -> np.ndarray:
+        """Read-only dense ``size × size`` message-count matrix."""
+        return self._dense(1)
+
     def total_bytes(self) -> int:
         """All point-to-point bytes recorded."""
-        return int(self.bytes.sum())
-
-    def merged(self, other: "P2PRecorder") -> "P2PRecorder":
-        """Combine matrices from two recorders (e.g. per-rank logs)."""
-        if other.world_size != self.world_size:
-            raise MpiError("cannot merge recorders of different world sizes")
-        out = P2PRecorder(self.world_size)
-        out.bytes = self.bytes + other.bytes
-        out.messages = self.messages + other.messages
-        return out
-
-    def diagonal_dominance(self, band: int = 1) -> float:
-        """Fraction of bytes within ``band`` of the diagonal (with
-        periodic wraparound), the quantitative signature of the
-        nearest-neighbour pattern in Figure 5."""
-        total = self.bytes.sum()
-        if total == 0:
-            return 0.0
-        n = self.world_size
-        idx = np.arange(n)
-        dist = np.abs(idx[None, :] - idx[:, None])
-        dist = np.minimum(dist, n - dist)  # ring distance
-        near = self.bytes[dist <= band].sum()
-        return float(near / total)
+        return sum(entry[0] for entry in self.pairs.values())

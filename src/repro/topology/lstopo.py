@@ -45,7 +45,29 @@ def render_lstopo(
     ``show_numa=None`` (the default) hides single-NUMA-domain levels the
     way lstopo collapses trivial levels — this makes the i7 test node
     output match Listing 1 character for character.
+
+    The tree text is rendered once per machine and argument set (a
+    Machine's tree is frozen); the ``show_gpus`` section is not cached,
+    since a job launch sets each GPU's ``visible_index`` afterwards.
     """
+    key = (header, show_numa)
+    text = machine._lstopo_text.get(key)
+    if text is None:
+        text = machine._lstopo_text[key] = _render_tree(machine, header, show_numa)
+    if not (show_gpus and machine.gpus):
+        return text
+    lines = [text, "GPUs:"]
+    for gpu in machine.gpus:
+        visible = (
+            f" (visible #{gpu.visible_index})" if gpu.visible_index is not None else ""
+        )
+        lines.append(
+            f"  GPU P#{gpu.physical_index} NUMA#{gpu.numa} {gpu.name}{visible}"
+        )
+    return "\n".join(lines)
+
+
+def _render_tree(machine: Machine, header: str, show_numa: bool | None) -> str:
     if show_numa is None:
         show_numa = len(machine.numa_domains()) > 1
 
@@ -71,14 +93,4 @@ def render_lstopo(
         out.append(indent + label)
 
     render(machine.root, 0)
-
-    if show_gpus and machine.gpus:
-        lines.append("GPUs:")
-        for gpu in machine.gpus:
-            visible = (
-                f" (visible #{gpu.visible_index})" if gpu.visible_index is not None else ""
-            )
-            lines.append(
-                f"  GPU P#{gpu.physical_index} NUMA#{gpu.numa} {gpu.name}{visible}"
-            )
     return "\n".join(lines)

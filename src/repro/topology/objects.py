@@ -11,6 +11,10 @@ i7-1165G7 test node the two PUs of core 0 are ``P#0`` and ``P#4``
 
 GPUs hang off the machine with a NUMA affinity and both a *physical*
 index and a *visible* (runtime enumeration, e.g. HIP) index.
+
+A :class:`Machine` freezes the tree it is given: it indexes every object
+by type in one walk and serves its lookups from that index, so the tree
+can no longer change shape under it.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ class TopoObject:
         "attrs",
         "parent",
         "children",
+        "frozen",
     )
 
     def __init__(
@@ -67,9 +72,16 @@ class TopoObject:
         self.attrs: dict = attrs or {}
         self.parent: Optional[TopoObject] = None
         self.children: list[TopoObject] = []
+        #: set once a Machine owns the tree: its shape may not change
+        self.frozen = False
 
     def add_child(self, child: "TopoObject") -> "TopoObject":
         """Attach a child object (containment order enforced)."""
+        if self.frozen or child.frozen:
+            raise TopologyError(
+                f"cannot add {child!r} under {self!r}: the tree belongs "
+                "to a Machine"
+            )
         if _DEPTH[child.type] <= _DEPTH[self.type]:
             raise TopologyError(
                 f"cannot nest {child.type.value} under {self.type.value}"
@@ -147,42 +159,54 @@ class Machine:
         #: CPUs the scheduler reserves for system processes (e.g. the
         #: first core of each L3 region on Frontier's low-noise mode).
         self.reserved_cpus = reserved_cpus or CpuSet()
+        #: every object of the tree by type, tree order (one walk)
+        self._by_type: dict[ObjType, list[TopoObject]] = {t: [] for t in ObjType}
+        for obj in root.walk():
+            self._by_type[obj.type].append(obj)
         self._pu_by_os: dict[int, TopoObject] = {}
-        for pu in root.by_type(ObjType.PU):
+        for pu in self._by_type[ObjType.PU]:
             if pu.os_index is None:
                 raise TopologyError(f"PU without OS index: {pu!r}")
             if pu.os_index in self._pu_by_os:
                 raise TopologyError(f"duplicate PU OS index {pu.os_index}")
             self._pu_by_os[pu.os_index] = pu
+        self._cpuset = CpuSet(self._pu_by_os)
+        # freeze only a tree that passed the checks above
+        for objs in self._by_type.values():
+            for obj in objs:
+                obj.frozen = True
+        #: render_lstopo's tree text per (header, show_numa); valid for
+        #: good because the tree is frozen
+        self._lstopo_text: dict[tuple, str] = {}
 
     # -- lookups ---------------------------------------------------------
     def pus(self) -> list[TopoObject]:
         """All hardware threads, tree order."""
-        return self.root.by_type(ObjType.PU)
+        return list(self._by_type[ObjType.PU])
 
     def cores(self) -> list[TopoObject]:
         """All physical cores, tree order."""
-        return self.root.by_type(ObjType.CORE)
+        return list(self._by_type[ObjType.CORE])
 
     def numa_domains(self) -> list[TopoObject]:
         """All NUMA domains, tree order."""
-        return self.root.by_type(ObjType.NUMA)
+        return list(self._by_type[ObjType.NUMA])
 
     def l3_regions(self) -> list[TopoObject]:
         """All L3 cache regions, tree order."""
-        return self.root.by_type(ObjType.L3)
+        return list(self._by_type[ObjType.L3])
 
     def packages(self) -> list[TopoObject]:
         """All sockets/packages, tree order."""
-        return self.root.by_type(ObjType.PACKAGE)
+        return list(self._by_type[ObjType.PACKAGE])
 
     def cpuset(self) -> CpuSet:
         """All PUs on the node."""
-        return self.root.cpuset()
+        return self._cpuset
 
     def usable_cpuset(self) -> CpuSet:
         """PUs available to user jobs (node minus reserved CPUs)."""
-        return self.cpuset() - self.reserved_cpus
+        return self._cpuset - self.reserved_cpus
 
     def pu(self, os_index: int) -> TopoObject:
         """Hardware thread by OS index."""
@@ -212,7 +236,7 @@ class Machine:
 
     def numa_cpuset(self, numa_os_index: int) -> CpuSet:
         """All hardware threads of one NUMA domain."""
-        for dom in self.numa_domains():
+        for dom in self._by_type[ObjType.NUMA]:
             if dom.os_index == numa_os_index:
                 return dom.cpuset()
         raise TopologyError(f"no NUMA domain with OS index {numa_os_index}")

@@ -1,9 +1,11 @@
 """P2P interposition: the ZeroSum wrapper seam."""
 
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
 
-from repro.errors import MpiError
+from repro.core import CommMatrix, merge_monitors
+from repro.errors import MonitorError, MpiError
 from repro.kernel import SimKernel
 from repro.mpi import MpiJob, P2PRecorder
 from repro.topology import CpuSet, generic_node
@@ -52,14 +54,29 @@ class TestRecorder:
     def test_per_rank_recorders_merge(self):
         recs = {r: P2PRecorder(4) for r in range(4)}
         run_ring(recorders=recs)
-        merged = recs[0].merged(recs[1]).merged(recs[2]).merged(recs[3])
+        merged = merge_monitors(
+            [SimpleNamespace(recorder=recs[r]) for r in range(4)]
+        )
         assert merged.total_bytes() == 12000
+        assert merged.bytes[3, 0] == 3000
+        assert merged.messages[0, 1] == 3
         # each per-rank recorder only saw its own sends
         assert recs[0].bytes.sum() == 3000
+        assert recs[0].pairs == {(0, 1): [3000, 3]}
 
     def test_merge_size_mismatch(self):
-        with pytest.raises(MpiError):
-            P2PRecorder(2).merged(P2PRecorder(3))
+        with pytest.raises(MonitorError):
+            merge_monitors(
+                [SimpleNamespace(recorder=P2PRecorder(n)) for n in (2, 3)]
+            )
+
+    def test_dense_views_are_read_only(self):
+        rec = P2PRecorder(4)
+        run_ring(recorders={r: rec for r in range(4)})
+        with pytest.raises(ValueError):
+            rec.bytes[0, 1] = 0
+        with pytest.raises(ValueError):
+            rec.messages[0, 1] = 0
 
     def test_detach_stops_recording(self):
         kernel = SimKernel(generic_node(cores=2))
@@ -88,10 +105,11 @@ class TestRecorder:
     def test_diagonal_dominance_ring(self):
         rec = P2PRecorder(4)
         run_ring(recorders={r: rec for r in range(4)})
-        assert rec.diagonal_dominance(band=1) == 1.0
+        matrix = CommMatrix(bytes=rec.bytes, messages=rec.messages)
+        assert matrix.diagonal_dominance(band=1) == 1.0
 
     def test_diagonal_dominance_empty(self):
-        assert P2PRecorder(4).diagonal_dominance() == 0.0
+        assert CommMatrix.zeros(4).diagonal_dominance() == 0.0
 
     def test_bad_world_size(self):
         with pytest.raises(MpiError):

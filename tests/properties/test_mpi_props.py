@@ -1,8 +1,12 @@
 """Property-based MPI invariants: conservation, matching, collectives."""
 
+from types import SimpleNamespace
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import merge_monitors
 from repro.kernel import SimKernel
 from repro.mpi import MpiJob, P2PRecorder
 from repro.topology import CpuSet, generic_node
@@ -114,3 +118,67 @@ class TestConservation:
             values = {results[r][it] for r in range(size)}
             assert len(values) == 1
         assert not job._coll_states
+
+
+@st.composite
+def spread_sends(draw):
+    """Random sends over a world, each rank's comm owned by one of a few
+    recorders: recorder 0 always owns ranks 0 and 1, and one extra
+    recorder owns no rank.  Byte counts reach past 2**53, where a
+    float64 accumulation would round."""
+    size = draw(st.integers(2, 8))
+    sends = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, size - 1),
+                st.integers(0, size - 1),
+                st.integers(1, 2**58),
+            ),
+            max_size=16,
+        )
+    )
+    owned = draw(st.integers(1, size - 1))
+    owner = [0, 0] + [
+        draw(st.integers(0, owned - 1)) for _ in range(size - 2)
+    ]
+    return size, sends, owner, owned + 1
+
+
+class TestSparseMerge:
+    @given(spread_sends())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_and_views_equal_dense_reference(self, case):
+        size, sends, owner, n_recorders = case
+        recorders = [P2PRecorder(size) for _ in range(n_recorders)]
+        # one stand-in communicator per rank; a send runs its hooks the
+        # way RankComm.send does
+        comms = [
+            SimpleNamespace(Get_size=lambda: size, p2p_hooks=[])
+            for _ in range(size)
+        ]
+        for rank, comm in enumerate(comms):
+            recorders[owner[rank]].attach(comm)
+        def zeros():
+            return [[0] * size for _ in range(size)]
+
+        # plain (bytes, messages) accumulations: per recorder and overall
+        expected = [(zeros(), zeros()) for _ in recorders]
+        total = (zeros(), zeros())
+        for src, dst, nbytes in sends:
+            for hook in comms[src].p2p_hooks:
+                hook(src, dst, nbytes)
+            for ref in (expected[owner[src]], total):
+                ref[0][src][dst] += nbytes
+                ref[1][src][dst] += 1
+
+        for rec, (nbytes, messages) in zip(recorders, expected):
+            assert rec.bytes.dtype == rec.messages.dtype == np.int64
+            assert rec.bytes.tolist() == nbytes
+            assert rec.messages.tolist() == messages
+        assert recorders[-1].pairs == {}
+
+        merged = merge_monitors([SimpleNamespace(recorder=r) for r in recorders])
+        assert merged.bytes.dtype == merged.messages.dtype == np.int64
+        assert merged.bytes.tolist() == total[0]
+        assert merged.messages.tolist() == total[1]
+        assert merged.total_bytes() == sum(n for _, _, n in sends)

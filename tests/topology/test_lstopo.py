@@ -1,8 +1,11 @@
 """Listing 1 reproduction: lstopo-style text output."""
 
+from repro.core import ZeroSumConfig, zerosum_mpi
+from repro.launch import SrunOptions, launch_job
 from repro.topology import (
     format_cache_size,
     frontier_node,
+    generic_node,
     render_lstopo,
     testnode_i7,
 )
@@ -71,6 +74,35 @@ class TestRenderOptions:
         out = render_lstopo(frontier_node())
         assert out.count("Core L#") == 64
         assert out.count("PU L#") == 128
+
+
+class TestRenderedOncePerNode:
+    def test_every_rank_banner_matches_a_fresh_render_of_its_node(self):
+        fresh = {
+            "i7": lambda: testnode_i7(name="i7"),
+            "two-numa": lambda: generic_node(cores=4, numa=2, name="two-numa"),
+        }
+        step = launch_job(
+            [build() for build in fresh.values()],
+            SrunOptions(ntasks=8, cpus_per_task=1),
+            lambda ctx: iter(()),
+            monitor_factory=zerosum_mpi(ZeroSumConfig(collect_gpu=False)),
+        )
+        hosts = {m.hostname for m in step.monitors}
+        assert hosts == set(fresh)
+        for monitor in step.monitors:
+            expected = render_lstopo(fresh[monitor.hostname]())
+            assert monitor.initial.topology_text == expected
+        assert "NUMANode" in render_lstopo(fresh["two-numa"]())
+
+    def test_visible_index_change_after_first_render_shows(self):
+        m = frontier_node()
+        assert "visible #" not in render_lstopo(m, show_gpus=True)
+        m.gpus[0].visible_index = 0
+        out = render_lstopo(m, show_gpus=True)
+        assert f"GPU P#{m.gpus[0].physical_index} " in out
+        assert out.count("(visible #0)") == 1
+        assert render_lstopo(m) == render_lstopo(frontier_node())
 
 
 class TestCacheSize:

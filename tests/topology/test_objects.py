@@ -45,6 +45,18 @@ class TestTreeInvariants:
         with pytest.raises(TopologyError):
             Machine(root)
 
+    def test_machine_owned_tree_is_frozen(self):
+        m = generic_node(cores=2)
+        core = m.cores()[0]
+        parent = core.parent
+        with pytest.raises(TopologyError):
+            core.add_child(TopoObject(ObjType.PU, 9, os_index=9))
+        # nor may a Machine's object be moved under another tree
+        with pytest.raises(TopologyError):
+            TopoObject(ObjType.MACHINE).add_child(core)
+        assert [pu.os_index for pu in m.pus()] == [0, 1]
+        assert core.parent is parent
+
     def test_walk_preorder(self):
         m = testnode_i7()
         types = [o.type for o in m.root.walk()]

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.monitor import ZeroSum
-from repro.core.reports import UtilizationReport, build_report
+from repro.collect.report import StoreBackedRun
+from repro.core.reports import UtilizationReport
 from repro.errors import MonitorError
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "NodeSummary",
     "ClusterView",
     "build_cluster_view",
-    "assemble_cluster_view",
     "rank_summary",
 ]
 
@@ -127,7 +126,7 @@ class ClusterView:
         return "\n".join(lines) + "\n"
 
 
-def rank_summary(monitor: ZeroSum, report: UtilizationReport) -> RankSummary:
+def rank_summary(monitor: StoreBackedRun, report: UtilizationReport) -> RankSummary:
     # normalize by the *job* window, not each thread's own observation
     # window, so ranks that finish early correctly read as less busy —
     # that asymmetry is what the imbalance metric measures
@@ -152,7 +151,7 @@ def rank_summary(monitor: ZeroSum, report: UtilizationReport) -> RankSummary:
                 vals.append(float(col.mean()))
         if vals:
             gpu_busy = float(np.mean(vals))
-    rss = monitor.mem_series.last("rss_kib") if len(monitor.mem_series) else 0.0
+    rss = 0.0
     if len(monitor.mem_series):
         rss = float(monitor.mem_series.column("rss_kib").max())
     return RankSummary(
@@ -169,27 +168,23 @@ def rank_summary(monitor: ZeroSum, report: UtilizationReport) -> RankSummary:
     )
 
 
-_rank_summary = rank_summary  # historical (pre-sharding) name
+def build_cluster_view(monitors: list[StoreBackedRun]) -> ClusterView:
+    """Merge all ranks' runs into the allocation-wide view.
 
-
-def assemble_cluster_view(
-    summaries: list[RankSummary], node_mem_used: dict[str, float]
-) -> ClusterView:
-    """Assemble the allocation view from already-computed rank rollups.
-
-    ``node_mem_used`` maps hostname → used-memory fraction at the end
-    of the run.  This is the merge half of :func:`build_cluster_view`,
-    shared with the sharded launcher, whose workers marshal
-    :class:`RankSummary` rows across process boundaries instead of
-    live monitors.
+    Each run is a simulated rank's monitor, or the run a sharded
+    launcher's worker sent home; the node rollups take the used-memory
+    fraction of the first run seen on each node.
     """
-    if not summaries:
+    if not monitors:
         raise MonitorError("no monitors to aggregate")
     view = ClusterView()
     per_node: dict[str, list[RankSummary]] = {}
-    for summary in summaries:
+    node_mem: dict[str, float] = {}
+    for monitor in monitors:
+        summary = rank_summary(monitor, monitor.report())
         view.ranks.append(summary)
         per_node.setdefault(summary.hostname, []).append(summary)
+        node_mem.setdefault(summary.hostname, monitor.mem_used_frac)
     view.ranks.sort(key=lambda r: r.rank)
 
     for hostname, node_summaries in sorted(per_node.items()):
@@ -202,28 +197,8 @@ def assemble_cluster_view(
                 mean_busy_pct=float(
                     np.mean([s.busy_pct for s in node_summaries])
                 ),
-                mem_used_frac=float(node_mem_used.get(hostname, 0.0)),
+                mem_used_frac=float(node_mem[hostname]),
                 gpu_busy_pct=float(np.mean(gpu_vals)) if gpu_vals else -1.0,
             )
         )
     return view
-
-
-def node_mem_used_frac(monitor: ZeroSum) -> float:
-    """Used-memory fraction of the node a monitor's process lives on."""
-    mem = monitor.process.node.memory
-    return 1.0 - (mem.available_bytes / mem.total_bytes)
-
-
-def build_cluster_view(monitors: list[ZeroSum]) -> ClusterView:
-    """Merge all ranks' monitors into the allocation-wide view."""
-    if not monitors:
-        raise MonitorError("no monitors to aggregate")
-    summaries = []
-    node_mem: dict[str, float] = {}
-    for monitor in monitors:
-        report = build_report(monitor)
-        summary = rank_summary(monitor, report)
-        summaries.append(summary)
-        node_mem.setdefault(summary.hostname, node_mem_used_frac(monitor))
-    return assemble_cluster_view(summaries, node_mem)

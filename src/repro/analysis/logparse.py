@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.heatmap import CommMatrix
 from repro.errors import MonitorError
+from repro.mpi.interpose import dense_matrices
 
 __all__ = ["ParsedLog", "parse_log", "merge_p2p_logs"]
 
@@ -77,15 +78,18 @@ class ParsedLog:
 
     def p2p_matrix(self, world_size: int) -> CommMatrix:
         """This rank's point-to-point contribution as a matrix."""
-        matrix = CommMatrix.zeros(world_size)
-        for src, dst, nbytes, messages in self.p2p_rows:
-            if not (0 <= src < world_size and 0 <= dst < world_size):
-                raise MonitorError(
-                    f"p2p entry ({src},{dst}) outside world of {world_size}"
-                )
-            matrix.bytes[src, dst] += nbytes
-            matrix.messages[src, dst] += messages
-        return matrix
+        return CommMatrix(*dense_matrices(world_size, [self._coo(world_size)]))
+
+    def _coo(self, world_size: int) -> np.ndarray:
+        """The rows as one COO block, every rank inside the world."""
+        coo = np.array(self.p2p_rows, dtype=np.int64).reshape(-1, 4)
+        outside = (coo[:, :2] < 0) | (coo[:, :2] >= world_size)
+        if outside.any():
+            src, dst = coo[outside.any(axis=1)][0, :2].tolist()
+            raise MonitorError(
+                f"p2p entry ({src},{dst}) outside world of {world_size}"
+            )
+        return coo
 
     def duration_seconds(self) -> float:
         """Run duration recovered from the report header."""
@@ -152,7 +156,6 @@ def merge_p2p_logs(logs: list[ParsedLog], world_size: int) -> CommMatrix:
     :func:`repro.core.heatmap.merge_monitors`."""
     if not logs:
         raise MonitorError("no logs to merge")
-    matrix = CommMatrix.zeros(world_size)
-    for log in logs:
-        matrix.add(log.p2p_matrix(world_size))
-    return matrix
+    return CommMatrix(
+        *dense_matrices(world_size, [log._coo(world_size) for log in logs])
+    )

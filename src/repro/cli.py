@@ -90,17 +90,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(step.report(0).render())
     print(step.findings(0).render())
     print(step.advice(0).render())
-    events = getattr(step, "degradations", [])
-    if events:
+    if step.degradations:
         # a degraded sharded run must say so out loud
         print("Worker degradation events:")
-        for event in events:
+        for event in step.degradations:
             print(f"  [{event.action}] {event.reason}")
     if args.top:
-        if step.monitors:
-            print(build_cluster_view(step.monitors).render())
-        else:  # sharded: summaries were marshalled out of the workers
-            print(step.cluster_view().render())
+        print(build_cluster_view(step.monitors).render())
     print(f"(simulated {step.duration_seconds:.2f} s "
           f"in {time.time() - t0:.2f} s of wall time)")
     return 0

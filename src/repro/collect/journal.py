@@ -70,8 +70,6 @@ __all__ = [
     "RecoveredRun",
     "read_journal",
     "recover_journal",
-    "encode_store_snapshot",
-    "decode_store_snapshot",
 ]
 
 _MAGIC = b"ZSJ2"
@@ -395,21 +393,6 @@ def _store_state(store: SampleStore) -> dict:
             for key, series in getattr(store, attr).items()
         }
     return state
-
-
-def encode_store_snapshot(store: SampleStore) -> bytes:
-    """One SampleStore as a packed body: the sharded launcher's
-    checkpoint payload shares the crash-recovery codec, so one
-    serialization is tested, not two."""
-    return _encode_body({"store": _store_state(store)})
-
-
-def decode_store_snapshot(blob: bytes) -> SampleStore:
-    """Rebuild the SampleStore encoded by :func:`encode_store_snapshot`."""
-    record = _decode_body(blob)
-    if record is None or "store" not in record:
-        raise JournalError("undecodable store snapshot blob")
-    return _store_from_snapshot(record)
 
 
 def _bounded(store: SampleStore) -> bool:

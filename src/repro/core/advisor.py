@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.collect.report import StoreBackedRun
 from repro.core.contention import ContentionReport, analyze
-from repro.core.monitor import ZeroSum
 from repro.core.reports import UtilizationReport, build_report
 from repro.detect.rules import THRESHOLDS
 from repro.launch.options import SrunOptions
-from repro.topology.objects import Machine
 
 __all__ = ["Suggestion", "Advice", "advise"]
 
@@ -95,7 +94,7 @@ def _busy_threads_per_rank(report: UtilizationReport) -> int:
 
 
 def advise(
-    monitor: ZeroSum,
+    monitor: StoreBackedRun,
     options: SrunOptions,
     report: Optional[UtilizationReport] = None,
     contention: Optional[ContentionReport] = None,
@@ -103,7 +102,6 @@ def advise(
     """Produce launch-configuration advice from one rank's observations."""
     report = report or build_report(monitor)
     contention = contention or analyze(monitor, report)
-    machine: Machine = monitor.process.node.machine
     advice = Advice(original=options)
     opt_changes: dict[str, object] = {}
     env_changes: dict[str, str] = {}
@@ -116,12 +114,7 @@ def advise(
     ):
         wanted = max(busy, 2)
         # cap at what one NUMA/L3 region offers so ranks stay local
-        per_l3 = max(
-            len(region.cpuset() - machine.reserved_cpus) // max(
-                1, len(machine.smt_siblings(region.cpuset().first()))
-            )
-            for region in machine.l3_regions()
-        ) if machine.l3_regions() else wanted
+        per_l3 = monitor.facts.l3_cores
         suggestion_c = min(wanted, per_l3) if per_l3 else wanted
         advice.suggestions.append(
             Suggestion(

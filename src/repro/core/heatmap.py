@@ -46,13 +46,6 @@ class CommMatrix:
             messages=np.zeros((n, n), dtype=np.int64),
         )
 
-    def add(self, other: "CommMatrix") -> None:
-        """Accumulate another matrix of the same size in place."""
-        if other.size != self.size:
-            raise MonitorError("matrix size mismatch")
-        self.bytes += other.bytes
-        self.messages += other.messages
-
     # -- analysis -----------------------------------------------------------
     def total_bytes(self) -> int:
         """Sum of all point-to-point bytes in the matrix."""

@@ -55,7 +55,7 @@ from repro.openmp.runtime import OpenMPRuntime
 from repro.procfs.filesystem import ProcFS
 from repro.topology.cpuset import CpuSet
 
-__all__ = ["ZeroSum"]
+__all__ = ["ZeroSum", "DetachedRun"]
 
 #: simulated cost of a sample per observed LWP, in jiffies, on top of
 #: ``ZeroSumConfig.sample_cost_jiffies`` (each thread means reading two
@@ -323,11 +323,7 @@ class ZeroSum(StoreBackedRun):
     def facts(self) -> TopologyFacts:
         """§3.5 node context, from the machine tree and the SMI session."""
         machine = self.process.node.machine
-        cpu_numa = {
-            cpu: domain.os_index
-            for domain in machine.numa_domains()
-            for cpu in domain.cpuset()
-        }
+        cpu_numa = machine.cpu_numa
         gpus = {}
         if self.smi is not None:
             for visible in range(self.smi.num_devices()):
@@ -336,18 +332,25 @@ class ZeroSum(StoreBackedRun):
                     info.numa, info.physical_index, info.memory_bytes
                 )
         return TopologyFacts(
-            node_cpus=frozenset(machine.cpuset()),
+            node_cpus=machine.node_cpus,
             cpu_numa=cpu_numa,
             rank_numas=frozenset(
                 cpu_numa[cpu] for cpu in self.cpus_allowed if cpu in cpu_numa
             ),
             gpus=gpus,
+            l3_cores=machine.l3_cores,
         )
 
     @property
     def oom_events(self) -> list[tuple[int, int]]:
         """The node's OOM kills so far, as (tick, pid)."""
         return self.process.node.memory.oom_events
+
+    @property
+    def mem_used_frac(self) -> float:
+        """Used-memory fraction of the node the process lives on."""
+        mem = self.process.node.memory
+        return 1.0 - (mem.available_bytes / mem.total_bytes)
 
     def banner_lines(self) -> list[str]:
         """The phase-1 summary, plus the lstopo tree when rendered."""
@@ -372,3 +375,49 @@ class ZeroSum(StoreBackedRun):
     def deadlock_note(self) -> str:
         """The progress tracker's verdict, once a deadlock is flagged."""
         return self.progress.describe() if self.deadlock_suspected() else ""
+
+    def detach(self) -> "DetachedRun":
+        """The finished run as plain values, free of the simulated world."""
+        return DetachedRun(self)
+
+
+class DetachedRun(StoreBackedRun):
+    """A finalized :class:`ZeroSum`'s run without its kernel.
+
+    The store, the identity record and every value the report, the
+    analyses (``analyze``, ``advise``, ``build_cluster_view``),
+    ``merge_monitors`` and ``write_log`` read of the monitor, frozen at
+    detach time.  It pickles, so a rank simulated in a sharded
+    launcher's worker comes home as the same kind of run a serial rank
+    is.
+    """
+
+    # plain values where the base class derives them
+    duration_ticks = 0
+    facts = TopologyFacts(frozenset())
+
+    def __init__(self, monitor: ZeroSum):
+        for name in (
+            "store", "hz", "start_tick", "pid", "rank", "hostname",
+            "cpus_allowed", "duration_ticks", "duration_seconds", "facts",
+            "recorder", "mem_used_frac",
+        ):
+            setattr(self, name, getattr(monitor, name))
+        self.heartbeats = list(monitor.heartbeats)
+        self.crash_reports = list(monitor.crash_reports)
+        self.oom_events = list(monitor.oom_events)
+        self.kinds = {
+            tid: monitor.classify(tid) for tid in monitor.observed_tids()
+        }
+        self.banner = monitor.banner_lines()
+        self.note = monitor.deadlock_note()
+
+    def classify(self, tid: int) -> str:
+        """Thread kind as the monitor labelled it."""
+        return self.kinds.get(tid) or super().classify(tid)
+
+    def banner_lines(self) -> list[str]:
+        return list(self.banner)
+
+    def deadlock_note(self) -> str:
+        return self.note

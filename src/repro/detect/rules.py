@@ -81,6 +81,9 @@ class TopologyFacts:
     rank_numas: frozenset[int] = frozenset()
     #: visible GPU index -> its facts
     gpus: Mapping[int, GpuFacts] = field(default_factory=dict)
+    #: cores the node's largest L3 region offers outside the reserved
+    #: CPUs, the most a rank can ask for and stay local (0: unknown)
+    l3_cores: int = 0
 
 
 @dataclass(frozen=True)

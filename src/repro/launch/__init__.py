@@ -3,7 +3,6 @@
 from repro.launch.job import AppFactory, JobStep, RankContext, launch_job
 from repro.launch.options import SrunOptions
 from repro.launch.sharded import (
-    RankResult,
     ShardedJobStep,
     ShardPlan,
     launch_sharded,
@@ -20,7 +19,6 @@ __all__ = [
     "AppFactory",
     "launch_job",
     "ShardPlan",
-    "RankResult",
     "ShardedJobStep",
     "plan_shards",
     "launch_sharded",

@@ -18,8 +18,10 @@ group — and runs them bulk-synchronously in fixed tick **epochs**:
 4. workers re-inject the envelopes as arrival timers (their arrival
    ticks are exact — see below) and run the next epoch.
 
-At the end every worker finalizes its monitors and marshals one
-:class:`RankResult` per rank back over its pipe.
+At the end every worker finalizes its monitors and sends each rank
+home as a picklable store-backed run (:meth:`ZeroSum.detach
+<repro.core.monitor.ZeroSum.detach>`); the step's accessors work on
+those runs exactly as the serial step's work on live monitors.
 
 **Determinism.**  The epoch length is clamped to the fabric lookahead
 ``int(remote_latency)``: a cross-node message sent at tick ``t`` of
@@ -54,25 +56,21 @@ import os
 import pickle
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import DeadlockError, LaunchError
 from repro.kernel.clock import Clock
-from repro.kernel.lwp import ThreadRole
 from repro.kernel.scheduler import SimKernel
-from repro.launch.job import AppFactory, RankContext, _mpi_helper_behavior
+from repro.launch.job import AppFactory, _StepSurface, build_world
 from repro.launch.options import SrunOptions
 from repro.launch.slurm import TaskAssignment
 from repro.mpi.comm import ShardMpiJob
 from repro.mpi.fabric import Fabric, RemoteEnvelope, ShardFabric
-from repro.mpi.interpose import dense_matrices
-from repro.openmp.runtime import OpenMPRuntime
 from repro.topology.objects import Machine
 
 __all__ = [
     "ShardPlan",
-    "RankResult",
     "ShardedJobStep",
     "plan_shards",
     "launch_sharded",
@@ -92,22 +90,6 @@ class ShardPlan:
     index: int
     node_indices: tuple[int, ...]  # global node indices, ascending
     ranks: tuple[int, ...]  # world ranks resident on those nodes
-
-
-@dataclass
-class RankResult:
-    """Everything one rank's monitor produced, marshalled picklably."""
-
-    rank: int
-    pid: int
-    hostname: str
-    report: object = None  # UtilizationReport
-    findings: object = None  # ContentionReport
-    advice: object = None  # Advice
-    summary: object = None  # RankSummary
-    store: object = None  # SampleStore
-    heartbeats: list = field(default_factory=list)
-    crash_reports: list = field(default_factory=list)
 
 
 def plan_shards(
@@ -190,8 +172,6 @@ class _Shard:
         timeslice: int,
         smt_efficiency: float,
     ):
-        self.plan = plan
-        local_of = {g: i for i, g in enumerate(plan.node_indices)}
         kernel = SimKernel(
             [machines[g] for g in plan.node_indices],
             timeslice=timeslice,
@@ -201,68 +181,24 @@ class _Shard:
         for local, global_index in enumerate(plan.node_indices):
             kernel.nodes[local].node_index = global_index
         self.kernel = kernel
-        self.options = options
-
-        rank_node = {a.rank: a.node_index for a in assignments}
         self.job: Optional[ShardMpiJob] = None
         if use_mpi:
             fabric = ShardFabric(
-                rank_node=rank_node, local_ranks=plan.ranks, **fabric_spec
+                rank_node={a.rank: a.node_index for a in assignments},
+                local_ranks=plan.ranks,
+                **fabric_spec,
             )
             self.job = ShardMpiJob(kernel, fabric, world_size=options.ntasks)
-
-        local_assignments = [
-            a for a in assignments if a.node_index in local_of
-        ]
-        stride = 2 if helper_thread else 1
-        self.contexts: list[RankContext] = []
-        self.monitors: list = []
-        for assignment in local_assignments:
-            ctx = RankContext(
-                rank=assignment.rank,
-                size=options.ntasks,
-                env=dict(options.env),
-                assignment=assignment,
-            )
-            ctx.kernel = kernel
-            node = kernel.nodes[local_of[assignment.node_index]]
-            # replay the serial launcher's PID layout for this rank
-            kernel.set_next_pid(_FIRST_PID + stride * assignment.rank)
-            proc = kernel.spawn_process(
-                node,
-                assignment.cpuset,
-                app(ctx),
-                command=options.command,
-                env=dict(options.env),
-                rank=assignment.rank if use_mpi else None,
-            )
-            ctx.process = proc
-            if self.job is not None:
-                ctx.comm = self.job.add_rank(assignment.rank, proc)
-            ctx.omp = OpenMPRuntime(kernel, proc)
-            ctx.gpus = [node.gpu(g) for g in assignment.gpu_physical]
-            for visible, dev in enumerate(ctx.gpus):
-                dev.info.visible_index = visible
-            if helper_thread:
-                kernel.spawn_thread(
-                    proc,
-                    _mpi_helper_behavior(),
-                    name="mpi-helper",
-                    affinity=node.machine.usable_cpuset(),
-                    roles={ThreadRole.OTHER},
-                    daemon=True,
-                )
-            self.contexts.append(ctx)
-
-        if self.job is not None:
-            self.job.finalize_ranks()
-
-        if monitor_factory is not None:
-            monitor_base = _FIRST_PID + stride * options.ntasks
-            for ctx in self.contexts:
-                kernel.set_next_pid(monitor_base + ctx.rank)
-                self.monitors.append(monitor_factory(ctx))
-
+        self.step = build_world(
+            kernel,
+            self.job,
+            assignments,
+            options,
+            app,
+            helper_thread=helper_thread,
+            monitor_factory=monitor_factory,
+            first_pid=_FIRST_PID,
+        )
         # post-launch dynamic spawns (if any) get a per-shard range that
         # cannot collide with any rank's static PIDs
         kernel.set_next_pid(_FIRST_PID + _DYNAMIC_PID_STRIDE * (plan.index + 1))
@@ -315,8 +251,9 @@ class _Shard:
         }
         return reply
 
-    def finish(self, end_tick: int) -> dict:
-        """Align to the global end tick, finalize monitors, marshal."""
+    def finish(self, end_tick: int) -> list:
+        """Align to the global end tick, finalize monitors, send the
+        ranks home as runs."""
         kernel = self.kernel
         if kernel.clock.tick < end_tick:
             if kernel.alive_work():
@@ -330,57 +267,9 @@ class _Shard:
                     kernel._fast_forward_to(end_tick)
             elif kernel._quiescent():
                 kernel._fast_forward_to(end_tick)
-        for monitor in self.monitors:
-            monitor.finalize()
-        return self._marshal()
-
-    def _marshal(self) -> dict:
-        from repro.analysis.cluster_view import node_mem_used_frac, rank_summary
-        from repro.core.advisor import advise
-        from repro.core.contention import analyze
-        from repro.core.reports import build_report
-
-        ranks: dict[int, RankResult] = {}
-        p2p = []
-        for ctx, monitor in zip(self.contexts, self.monitors):
-            report = build_report(monitor)
-            result = RankResult(
-                rank=ctx.rank,
-                pid=ctx.process.pid,
-                hostname=report.hostname,
-                report=report,
-                findings=analyze(monitor, report),
-                advice=advise(monitor, self.options),
-                summary=rank_summary(monitor, report),
-                store=monitor.store,
-                heartbeats=list(monitor.heartbeats),
-                crash_reports=list(monitor.crash_reports),
-            )
-            ranks[ctx.rank] = result
-            if monitor.recorder is not None:
-                p2p.append(monitor.recorder.coo())
-        if not self.monitors:
-            for ctx in self.contexts:
-                ranks[ctx.rank] = RankResult(
-                    rank=ctx.rank,
-                    pid=ctx.process.pid,
-                    hostname=ctx.process.node.hostname,
-                )
-        node_mem = {}
-        for monitor in self.monitors:
-            node_mem.setdefault(
-                monitor.process.node.hostname, node_mem_used_frac(monitor)
-            )
-        return {
-            "clock": self.kernel.clock.tick,
-            "ranks": ranks,
-            "node_mem": node_mem,
-            # one COO block of recorded pairs per recorder, not n×n
-            "p2p": p2p,
-            "traffic": (
-                dict(self.job.fabric.traffic) if self.job is not None else {}
-            ),
-        }
+        self.step.finalize()
+        # detach after every monitor finalized: the node state is final
+        return [monitor.detach() for monitor in self.step.monitors]
 
 
 def _serve(shard: _Shard, conn) -> None:
@@ -453,34 +342,36 @@ class _WorkerLost(Exception):
         self.cause = cause
 
 
-class ShardedJobStep:
-    """A sharded job: mirrors :class:`~repro.launch.job.JobStep`.
+class ShardedJobStep(_StepSurface):
+    """A sharded job: the serial :class:`~repro.launch.job.JobStep`'s
+    accessor surface over the runs its workers sent home.
 
     ``run()`` drives the epoch barrier loop *and* finalizes the
     workers (remote monitors cannot be flushed lazily), so
     ``finalize()`` is a no-op kept for call-site compatibility.
-    Results — reports, findings, advice, stores, the P2P matrix — are
-    computed inside the workers and marshalled back.
+    Afterwards ``monitors`` holds one store-backed run per surviving
+    rank, in rank order; a lost shard's ranks raise
+    :class:`~repro.errors.LaunchError` from the accessors.
     """
 
     def __init__(
         self,
         plans: list[ShardPlan],
         options: SrunOptions,
-        assignments: list[TaskAssignment],
-        epoch_ticks: int,
+        lookahead: int,
         *,
         epoch_timeout: Optional[float],
     ):
         self.plans = plans
         self.options = options
-        self.assignments = assignments
-        self.epoch_ticks = epoch_ticks
+        self.lookahead = lookahead
         self.epoch_timeout = epoch_timeout
         # lazy: repro.collect pulls in repro.core, which imports launch
         from repro.collect.faults import DegradationLedger
 
-        self.monitors: list = []  # parity with JobStep; always empty
+        self.monitors: list = []
+        #: the runs the workers sent home, by rank
+        self.rank_results: dict = {}
         self.ticks_run = 0
         self.epochs_run = 0
         self.ledger = DegradationLedger()
@@ -488,10 +379,8 @@ class ShardedJobStep:
         self._conns: list = []
         self._sent_at: list[float] = []
         self._boundary = 0
-        self._results: Optional[dict[int, RankResult]] = None
-        self._node_mem: dict[str, float] = {}
-        self._traffic: dict[tuple[int, int], int] = {}
-        self._p2p: list = []  # every recorder's COO block
+        self._lost: set[int] = set()
+        self._collected = False
         self._shard_of_rank = {
             r: p.index for p in plans for r in p.ranks
         }
@@ -603,16 +492,16 @@ class ShardedJobStep:
         )
         _reap(self._procs[shard], 1.0)
         self._conns[shard].close()
+        self._lost.add(shard)
 
     # -- the epoch barrier loop ------------------------------------------
     def run(self, max_ticks: int = 10_000_000, raise_on_stall: bool = True) -> int:
         """Drive all shards to completion; returns elapsed ticks."""
-        if self._results is not None:
+        if self._collected:
             return self.ticks_run
-        L = self.epoch_ticks
+        L = self.lookahead
         n = len(self.plans)
         active = [i for i in range(n)]
-        lost: set[int] = set()
         clocks = [0] * n
         inbound: dict[int, list[RemoteEnvelope]] = {i: [] for i in range(n)}
         completions: dict[int, list[dict]] = {i: [] for i in range(n)}
@@ -638,11 +527,10 @@ class ShardedJobStep:
                 except _WorkerLost as exc:
                     self._record_loss(shard, exc.cause)
                     active.remove(shard)
-                    lost.add(shard)
                     continue
                 replies[shard] = reply
                 clocks[shard] = reply["clock"]
-            if lost:
+            if self._lost:
                 break  # degrade: the survivors finish at this epoch
 
             # route cross-shard messages in serial injection order
@@ -698,112 +586,37 @@ class ShardedJobStep:
         self.epochs_run = epochs
         end_tick = max(clocks) if clocks else 0
         self.ticks_run = end_tick
-        self._collect(end_tick, lost)
+        self._collect(end_tick)
         return self.ticks_run
 
-    def _collect(self, end_tick: int, lost: set[int]) -> None:
-        results: dict[int, RankResult] = {}
+    def _collect(self, end_tick: int) -> None:
         for shard in range(len(self.plans)):
-            if shard in lost:
+            if shard in self._lost:
                 continue
             self._send(shard, ("finish", end_tick))
             try:
-                reply = self._await(shard, "results")
+                runs = self._await(shard, "results")
             except _WorkerLost as exc:
                 self._record_loss(shard, exc.cause)
                 continue
-            results.update(reply["ranks"])
-            self._node_mem.update(reply["node_mem"])
-            for key, nbytes in reply["traffic"].items():
-                self._traffic[key] = self._traffic.get(key, 0) + nbytes
-            self._p2p.extend(reply["p2p"])
-        self._results = results
+            self.rank_results.update((run.rank, run) for run in runs)
+        self.monitors = [self.rank_results[r] for r in sorted(self.rank_results)]
+        self._collected = True
         self.close()
 
     def finalize(self) -> None:
         """No-op: workers finalize their monitors inside ``run()``."""
 
-    # -- result accessors (JobStep parity) -------------------------------
     @property
     def degradations(self) -> list:
         """Worker-loss events recorded during the run."""
         return list(self.ledger.events)
 
-    def _result(self, rank: int) -> RankResult:
-        if self._results is None:
-            raise LaunchError("sharded job has not run yet")
-        result = self._results.get(rank)
-        if result is None:
-            raise LaunchError(
-                f"no results for rank {rank} (its shard was lost or the "
-                "rank does not exist)"
-            )
-        return result
-
-    def monitor(self, rank: int = 0):
-        """Unavailable on sharded jobs: monitors live in the workers."""
-        raise LaunchError(
-            "sharded jobs marshal results instead of live monitors; use "
-            "report()/findings()/advice()/store() or cluster_view()"
-        )
-
-    def store(self, rank: int = 0):
-        """The marshalled SampleStore of one rank."""
-        result = self._require_monitored(rank)
-        return result.store
-
-    def _require_monitored(self, rank: int) -> RankResult:
-        result = self._result(rank)
-        if result.report is None:
-            raise LaunchError("job was launched without monitors")
-        return result
-
-    def report(self, rank: int = 0):
-        """Utilization report for one rank (Listing 2 layout)."""
-        return self._require_monitored(rank).report
-
-    def findings(self, rank: int = 0):
-        """Contention/misconfiguration findings for one rank."""
-        return self._require_monitored(rank).findings
-
-    def advice(self, rank: int = 0):
-        """Launch-configuration advice derived from one rank's run."""
-        return self._require_monitored(rank).advice
-
-    def heartbeats(self, rank: int = 0) -> list:
-        """Heartbeat lines emitted by one rank's monitor."""
-        return self._require_monitored(rank).heartbeats
-
-    def comm_matrix(self):
-        """The merged point-to-point bytes matrix (Figure 5 input)."""
-        from repro.core.heatmap import CommMatrix
-        from repro.errors import MonitorError
-
-        if not self._p2p:
-            raise MonitorError("no monitor carries MPI point-to-point data")
-        return CommMatrix(*dense_matrices(self.options.ntasks, self._p2p))
-
-    def cluster_view(self):
-        """The allocation-wide view, merged across shards."""
-        from repro.analysis.cluster_view import assemble_cluster_view
-
-        if self._results is None:
-            raise LaunchError("sharded job has not run yet")
-        summaries = [
-            r.summary for r in self._results.values() if r.summary is not None
-        ]
-        return assemble_cluster_view(summaries, dict(self._node_mem))
-
-    @property
-    def rank_results(self) -> dict[int, RankResult]:
-        if self._results is None:
-            raise LaunchError("sharded job has not run yet")
-        return dict(self._results)
-
-    @property
-    def traffic(self) -> dict[tuple[int, int], int]:
-        """Accepted bytes per (src_node, dst_node), merged across shards."""
-        return dict(self._traffic)
+    def _lookup(self, rank: int):
+        shard = self._shard_of_rank.get(rank)
+        if shard in self._lost:
+            raise LaunchError(f"no monitor for rank {rank}: shard {shard} was lost")
+        return self.rank_results.get(rank)
 
     @property
     def duration_seconds(self) -> float:
@@ -843,14 +656,15 @@ def launch_sharded(
     fabric: Optional[Fabric] = None,
     timeslice: int = 3,
     smt_efficiency: float = 1.0,
-    epoch_ticks: Optional[int] = None,
     epoch_timeout: Optional[float] = 120.0,
 ) -> ShardedJobStep:
     """Build the sharded world for one job step (does not run it).
 
     Workers are forked immediately so they inherit ``machines``, the
     app factory, and the monitor factory without pickling; the epoch
-    loop starts on :meth:`ShardedJobStep.run`.  ``epoch_timeout`` is
+    loop starts on :meth:`ShardedJobStep.run`.  The monitors the
+    factory makes must ``detach()`` into a picklable run, as
+    :class:`~repro.core.monitor.ZeroSum` does.  ``epoch_timeout`` is
     how long a live worker may stay silent on one command before it
     is ledgered as hung (``None``: wait forever).
     """
@@ -860,17 +674,7 @@ def launch_sharded(
         raise LaunchError(
             "sharded execution needs the fork start method (POSIX only)"
         )
-    # warm the marshalling imports before forking: children inherit the
-    # loaded modules instead of each paying the import chain at finish
-    import repro.analysis.cluster_view  # noqa: F401
-    import repro.core.advisor  # noqa: F401
-    import repro.core.contention  # noqa: F401
-    import repro.core.reports  # noqa: F401
     spec = _fabric_spec(fabric)
-    lookahead = int(spec["remote_latency"])
-    epoch = min(epoch_ticks or lookahead, lookahead)
-    if epoch < 1:
-        raise LaunchError("epoch_ticks must be >= 1")
 
     assignments = assign_tasks(machines, options)
     plans = plan_shards(assignments, len(machines), workers)
@@ -883,8 +687,8 @@ def launch_sharded(
     step = ShardedJobStep(
         plans,
         options,
-        assignments,
-        epoch,
+        # the epoch is the fabric lookahead (module docstring)
+        int(spec["remote_latency"]),
         epoch_timeout=epoch_timeout,
     )
     ctx = multiprocessing.get_context("fork")

@@ -14,8 +14,8 @@ Two delivery planes exist:
 * :class:`ShardFabric` additionally buffers *cross-shard* sends as
   :class:`RemoteEnvelope` records in an outbox that the sharded
   orchestrator drains at every epoch barrier and re-injects into the
-  destination shard.  Because every epoch is at most ``lookahead =
-  int(remote_latency)`` ticks long, a message sent during epoch *k*
+  destination shard.  Because every epoch is the fabric lookahead,
+  ``int(remote_latency)`` ticks long, a message sent during epoch *k*
   can never be due before epoch *k+1* starts, so barrier exchange
   preserves exact arrival ticks (conservative PDES lookahead).
 """
@@ -161,7 +161,8 @@ class ShardFabric(Fabric):
     ``rank_node`` maps every world rank to its *global* node index;
     ``local_ranks`` are the ranks resident in this shard.  Sends whose
     destination is non-resident are buffered as envelopes and drained
-    by the orchestrator at the epoch barrier.
+    by the orchestrator at the epoch barrier.  The launcher rejects
+    jittered fabrics and a lookahead below one tick before any fork.
     """
 
     def __init__(
@@ -171,24 +172,10 @@ class ShardFabric(Fabric):
         **kwargs: object,
     ):
         super().__init__(**kwargs)  # type: ignore[arg-type]
-        if self.jitter > 0:
-            # jitter draws from one shared RNG whose draw order is the
-            # global send order — unreproducible across shards
-            raise MpiError("sharded execution requires a jitter-free fabric")
-        if int(self.remote_latency) < 1:
-            raise MpiError(
-                "sharded execution needs remote_latency >= 1 tick of "
-                "lookahead to bound the epoch"
-            )
         self.rank_node = dict(rank_node)
         self.local_ranks = frozenset(local_ranks)
         self.outbox: list[RemoteEnvelope] = []
         self._order = itertools.count()
-
-    @property
-    def lookahead(self) -> int:
-        """Maximum epoch length preserving exact arrival ticks."""
-        return int(self.remote_latency)
 
     def send_remote(
         self, kernel: "SimKernel", src_rank: int, dst_rank: int, message: Message

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from repro.errors import TopologyError
@@ -233,6 +234,34 @@ class Machine:
     def smt_siblings(self, cpu: int) -> CpuSet:
         """All PUs sharing a core with ``cpu`` (including itself)."""
         return self.core_of(cpu).cpuset()
+
+    @cached_property
+    def node_cpus(self) -> frozenset[int]:
+        """All PUs on the node, as one set every rank on it shares."""
+        return frozenset(self._cpuset)
+
+    @cached_property
+    def cpu_numa(self) -> dict[int, int]:
+        """CPU -> OS index of its NUMA domain (one map per node, shared
+        by every rank on it: do not mutate)."""
+        return {
+            cpu: dom.os_index
+            for dom in self._by_type[ObjType.NUMA]
+            for cpu in dom.cpuset()
+        }
+
+    @cached_property
+    def l3_cores(self) -> int:
+        """Cores the largest L3 region offers outside the reserved CPUs,
+        the most a rank can ask for and stay cache-local (0: no L3)."""
+        return max(
+            (
+                len(region.cpuset() - self.reserved_cpus)
+                // max(1, len(self.smt_siblings(region.cpuset().first())))
+                for region in self._by_type[ObjType.L3]
+            ),
+            default=0,
+        )
 
     def numa_cpuset(self, numa_os_index: int) -> CpuSet:
         """All hardware threads of one NUMA domain."""

@@ -90,9 +90,13 @@ class TestP2PFromLogs:
     def test_out_of_range_rank_rejected(self):
         from repro.analysis.logparse import ParsedLog
 
-        log = ParsedLog(p2p_rows=[(0, 9, 100, 1)])
-        with pytest.raises(MonitorError):
-            log.p2p_matrix(world_size=4)
+        # a negative rank too: numpy indexing would wrap -1 silently
+        for row in [(0, 9, 100, 1), (-1, 2, 100, 1)]:
+            log = ParsedLog(p2p_rows=[row])
+            with pytest.raises(MonitorError, match="outside world"):
+                log.p2p_matrix(world_size=4)
+            with pytest.raises(MonitorError, match="outside world"):
+                merge_p2p_logs([log], world_size=4)
 
     def test_empty_merge_rejected(self):
         with pytest.raises(MonitorError):

@@ -17,7 +17,6 @@ from repro.collect.journal import (
     _decode_body,
     _encode_body,
     _frame,
-    decode_store_snapshot,
     read_journal,
     recover_journal,
 )
@@ -668,8 +667,6 @@ class TestMalformedRecords:
         path.write_bytes(_raw_frame(CRAFTED[name]))
         with pytest.raises(JournalError):
             recover_journal(path)
-        with pytest.raises(JournalError):
-            decode_store_snapshot(CRAFTED[name])
 
     def test_behind_a_good_prefix_it_is_the_tear_point(self, tmp_path, name):
         path = tmp_path / "j.zsj"

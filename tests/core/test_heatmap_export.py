@@ -93,11 +93,6 @@ class TestCommMatrix:
         with pytest.raises(MonitorError):
             CommMatrix(bytes=np.zeros((2, 3)), messages=np.zeros((2, 3)))
 
-    def test_merge_size_mismatch(self):
-        a, b = CommMatrix.zeros(2), CommMatrix.zeros(3)
-        with pytest.raises(MonitorError):
-            a.add(b)
-
     def test_no_mpi_monitors_rejected(self):
         with pytest.raises(MonitorError):
             merge_monitors([])

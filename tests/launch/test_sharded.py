@@ -8,8 +8,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import build_cluster_view
 from repro.apps import PicConfig, pic_app
-from repro.core import ZeroSumConfig, zerosum_mpi
+from repro.collect import StoreBackedRun
+from repro.core import MemorySink, ZeroSumConfig, write_log, zerosum_mpi
 from repro.errors import LaunchError
 from repro.kernel import Compute
 from repro.launch import (
@@ -86,11 +88,20 @@ class TestBitIdentical:
         assert b.bytes.sum() > 0  # the job really communicated
 
     def test_cluster_view_identical(self, serial_and_sharded):
-        from repro.analysis.cluster_view import build_cluster_view
-
         serial, sharded = serial_and_sharded
-        assert sharded.cluster_view().render() == \
+        assert build_cluster_view(sharded.monitors).render() == \
             build_cluster_view(serial.monitors).render()
+
+    def test_rank_logs_identical(self, serial_and_sharded):
+        """A rank comes home as a run: its whole log matches serial's."""
+        serial, sharded = serial_and_sharded
+        for rank in range(8):
+            run = sharded.monitor(rank)
+            assert isinstance(run, StoreBackedRun)
+            ours, theirs = MemorySink(), MemorySink()
+            write_log(run, ours)
+            write_log(serial.monitor(rank), theirs)
+            assert ours.documents == theirs.documents
 
     def test_no_degradations_or_crashes(self, serial_and_sharded):
         _, sharded = serial_and_sharded
@@ -192,9 +203,11 @@ class TestCrashContainment:
         assert "crashed" in events[0].reason  # not misfiled as a hang
         # the surviving shard's ranks still report
         step.report(0).render()
+        assert step.rank_results[0].store.samples_taken > 0
         # the lost shard's ranks do not
         with pytest.raises(LaunchError):
             step.report(6)
+        assert 6 not in step.rank_results
 
     def test_wedged_worker_is_ledgered_as_hung(self, wedged_run):
         """Alive but silent past epoch_timeout: one transient hung failure."""
@@ -208,6 +221,7 @@ class TestCrashContainment:
         assert events[0].failure_class == "transient"
         for rank in range(4):
             step.report(rank).render()
+            assert step.rank_results[rank].store.samples_taken > 0
         with pytest.raises(LaunchError):
             step.report(6)
 
@@ -284,11 +298,6 @@ class TestGuards:
                 fabric=Fabric(remote_latency=8),
                 workers=workers,
             )
-
-    def test_monitor_accessor_points_at_marshalled_results(self, serial_and_sharded):
-        _, sharded = serial_and_sharded
-        with pytest.raises(LaunchError, match="marshal"):
-            sharded.monitor(0)
 
 
 def _assignments(ranks_per_node: list[int]) -> list[TaskAssignment]:

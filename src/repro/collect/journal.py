@@ -11,17 +11,17 @@ stream of framed records (§3.6):
   family a key array and one ``<f8`` row matrix — the previous totals
   (a key array and a float64 column), and names, affinities, thread
   kinds and the degradation ledger only when they changed;
-* every ``checkpoint_every`` periods a checkpoint writes only what the
-  records do not already hold.  A store keeping every row *seals*
-  (fsync) and ends with one ``residue`` at close (what moved since the
-  last period, never rows).  A bounded store (``max_rows`` ring,
-  summary mode) has forgotten rows its records still carry, so it
-  *compacts*: meta + snapshot via ``<path>.tmp``, fsync and an atomic
-  rename — O(state), and that state is bounded (and any store's, once,
-  after a failed write: the store still holds what the record lost);
+* every ``checkpoint_every`` periods a checkpoint *seals* (fsync) what
+  was appended since the last one, and :meth:`JournalWriter.close`
+  appends one ``residue`` (what moved since the last period, never
+  rows): every row is written once, never rewritten;
 * ``note`` records (last gasp, watchdog stall, online alert) touch no
-  store state and are fsynced at once; a compaction re-emits the plain
-  notes the store's ledger does not hold.
+  store state and are fsynced at once.
+
+A failed write is healed, not retried: the next checkpoint (or close)
+*compacts* instead — meta + snapshot via ``<path>.tmp``, fsync and an
+atomic rename, since the store still holds what the record lost — and
+re-emits the plain notes the store's ledger does not hold.
 
 Each entry point is **one** ``write(2)`` on an unbuffered handle (and at
 most one ``fsync``), cut back off the file when it fails or comes up
@@ -30,13 +30,11 @@ A frame is ``ZSJ2 <len> <crc32> <body>\n``, the body a string table
 plus a tagged value tree whose arrays are raw little-endian blocks,
 decoded as ``np.frombuffer`` views.  The torn trailing frame a
 ``kill -9`` leaves fails its length/CRC check and is counted in the
-recovered ledger.  The meta ``version`` (3) names the record schema; a
+recovered ledger.  The meta ``version`` (4) names the record schema; a
 journal an older release wrote is a :class:`~repro.errors.JournalError`.
 
-:func:`recover_journal` rebuilds the store — a bounded one by replaying
-each block through ``SampleStore.add_row`` (ring eviction and summary
-refreshes redone by the code that did them live), an unbounded one in
-bulk, one array copy per series — as a :class:`RecoveredRun`, a
+:func:`recover_journal` rebuilds the store in bulk, one array copy per
+series, as a :class:`RecoveredRun`, a
 :class:`~repro.collect.report.StoreBackedRun` whose report and exports
 equal the monitor's: the ``zerosum recover`` workflow.
 """
@@ -74,7 +72,7 @@ __all__ = [
 
 _MAGIC = b"ZSJ2"
 #: the record schema this module writes and reads (the meta ``version``)
-_VERSION = 3
+_VERSION = 4
 
 #: ledger counter dicts copied verbatim into / out of records
 _LEDGER_COUNTERS = (
@@ -257,14 +255,12 @@ def _frame(payload: dict) -> bytes:
 
 # -- state (de)serialization ------------------------------------------------
 def _series_state(series: SeriesBuffer) -> dict:
-    columns = list(series.columns)
-    return {"columns": columns, "rows": series.array, "appended": series.appended}
+    return {"columns": list(series.columns), "rows": series.array}
 
 
-def _series_from_state(store: SampleStore, state: dict) -> SeriesBuffer:
-    series = store.new_series(tuple(state["columns"]))
+def _series_from_state(state: dict) -> SeriesBuffer:
+    series = SeriesBuffer(tuple(state["columns"]))
     series.extend(state["rows"])
-    series.appended = int(state["appended"])
     return series
 
 
@@ -371,11 +367,8 @@ def _block_from_state(state: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
 
 
 def _store_state(store: SampleStore) -> dict:
-    """Marshal a store's complete state (retention, series, ledgers)."""
+    """Marshal a store's complete state (series, identity, ledgers)."""
     state: dict = {
-        "keep_series": store.keep_series,
-        "max_rows": store.max_rows,
-        "summary_rows": store.summary_rows,
         **_identity_state(store, store.lwp_names, store.lwp_affinity),
         "mem": _series_state(store.mem_series),
         "ledger": _ledger_state(
@@ -395,11 +388,6 @@ def _store_state(store: SampleStore) -> dict:
     return state
 
 
-def _bounded(store: SampleStore) -> bool:
-    """Whether the store forgets rows (a ring, or summary mode)."""
-    return store.max_rows is not None or not store.keep_series
-
-
 def _moved(held: dict, pairs) -> dict:
     """The ``(tid, value)`` pairs whose value ``held`` lacks."""
     return {t: v for t, v in pairs if v is not None and held.get(t) != v}
@@ -407,17 +395,16 @@ def _moved(held: dict, pairs) -> dict:
 
 # -- the writer -------------------------------------------------------------
 class JournalWriter:
-    """Append-only spill journal of one store, sealed or compacted.
+    """Append-only spill journal of one store.
 
     Each committed period is one ``period`` record in one unbuffered
     ``write()`` (in the kernel, so it survives ``kill -9``).  Every
-    ``checkpoint_every``-th period a store keeping every row **seals**
-    (fsync; :meth:`close` appends a ``residue``): its rows are written
-    once, never rewritten.  A bounded store **compacts** instead (meta +
-    snapshot via temp file + fsync + atomic rename, as :meth:`open`
-    starts every journal): a crash mid-checkpoint leaves the old one.
-    After a failed write the next checkpoint (or :meth:`close`) compacts
-    whatever the store: the store still holds what the write lost.
+    ``checkpoint_every``-th period **seals** (fsync; :meth:`close`
+    appends a ``residue``): rows are written once, never rewritten.
+    After a failed write the next checkpoint (or :meth:`close`)
+    **compacts** instead (meta + snapshot via temp file + fsync + atomic
+    rename, as :meth:`open` starts every journal): the store still holds
+    what the write lost, and a crash mid-compaction leaves the old file.
 
     ``fsync=False`` skips the checkpoint fsyncs (the page cache
     survives ``kill -9``, not power loss); notes and :meth:`sync`
@@ -443,8 +430,7 @@ class JournalWriter:
         self.classify = classify
         self._file = None
         self._lock = threading.Lock()
-        self._bounded = False
-        #: the next checkpoint compacts: a bounded store, or a write failed
+        #: a write failed: the next checkpoint compacts
         self._compact_next = False
         self._meta: dict = {}
         #: what the journal already holds of the identity maps, the
@@ -473,7 +459,6 @@ class JournalWriter:
             if self._file is not None:
                 raise JournalError(f"journal {self.path} already open")
             self._meta = {"version": _VERSION, **meta}
-            self._bounded = _bounded(store)
             self._compact(store)
 
     def close(self, store: Optional[SampleStore] = None) -> None:
@@ -536,7 +521,7 @@ class JournalWriter:
             os.fsync(self._file.fileno())
 
     def checkpoint(self, store: SampleStore, tick: Optional[float] = None) -> None:
-        """Checkpoint now: seal, or compact (bounded store, failed write)."""
+        """Checkpoint now: seal, or compact after a failed write."""
         with self._lock:
             self._require_open()
             if self._compact_next:
@@ -620,7 +605,7 @@ class JournalWriter:
         if self._file is not None:
             self._file.close()
         self._file = open(self.path, "ab", buffering=0)
-        self._compact_next = self._bounded
+        self._compact_next = False
         self.checkpoints_written += 1
         self._hold(*carried)  # the snapshot holds the whole maps and ledger
 
@@ -714,21 +699,14 @@ def _old_version(path, version) -> JournalError:
 
 def _store_from_snapshot(record: dict) -> SampleStore:
     state = record["store"]
-    # reproduce the original retention policy: a ring store must evict
-    # recovered rows exactly as the live one did, or the report's
-    # first/last baselines drift from what the monitor would have built
-    store = SampleStore(
-        keep_series=bool(state["keep_series"]),
-        max_rows=state["max_rows"],
-        summary_rows=int(state["summary_rows"]),
-    )
+    store = SampleStore()
     _apply_identity(store, state)
     for family, (attr, _) in KEYED_FAMILIES.items():
         getattr(store, attr).update(
-            (int(key), _series_from_state(store, entry))
+            (int(key), _series_from_state(entry))
             for key, entry in state[family].items()
         )
-    store.mem_series = _series_from_state(store, state["mem"])
+    store.mem_series = _series_from_state(state["mem"])
     store.ledger = DegradationLedger(max_events=int(state["ledger"]["max_events"]))
     _apply_ledger(store.ledger, state["ledger"])
     if state.get("alerts") is not None:
@@ -801,9 +779,8 @@ def _recover(path: Path, records: list[dict], torn: int) -> RecoveredRun:
     meta: dict = {}
     kinds: dict[int, str] = {}
     store: Optional[SampleStore] = None
-    #: an unbounded store's blocks per family, installed in bulk after
-    #: the last record; None replays each block as it comes
-    pending: Optional[dict[str, list]] = None
+    #: the snapshot's later blocks per family, installed in bulk at the end
+    pending: dict[str, list] = {}
     #: per note record, its finding or its (collector, tick, reason)
     notes: list = []
     last_tick = 0.0
@@ -819,19 +796,13 @@ def _recover(path: Path, records: list[dict], torn: int) -> RecoveredRun:
                 meta.update((k, v) for k, v in record.items() if k != "kind")
             elif kind == "snapshot":
                 store = _store_from_snapshot(record)
-                pending = None if _bounded(store) else {f: [] for f in _WIDTHS}
+                pending = {f: [] for f in _WIDTHS}
             elif kind in ("period", "residue"):
                 if store is None:
                     raise JournalError(f"{kind} record before any snapshot")
-                block = _block_from_state(record["block"] if kind == "period" else {})
-                if pending is not None:
-                    for family, pair in block.items():
+                if kind == "period":
+                    for family, pair in _block_from_state(record["block"]).items():
                         pending[family].append(pair)
-                elif kind == "period":  # back through the store's own entry
-                    for family, (keys, rows) in block.items():
-                        for key, row in zip(keys.tolist(), rows):
-                            store.add_row(family, key, row)
-                    store.commit(float(record["tick"]), ())
                 _apply_identity(store, record, totals=index == last)
                 if "ledger" in record:
                     _apply_ledger(store.ledger, record["ledger"])
@@ -854,7 +825,7 @@ def _recover(path: Path, records: list[dict], torn: int) -> RecoveredRun:
         raise JournalError(
             f"{path}: no usable snapshot record (empty or fully torn journal)"
         )
-    for family, pairs in (pending or {}).items():
+    for family, pairs in pending.items():
         if pairs:
             store.extend(family, np.concatenate([k for k, _ in pairs]),
                          np.concatenate([r for _, r in pairs]))

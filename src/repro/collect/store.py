@@ -2,15 +2,8 @@
 
 Every driver — simulated, live, or replay — owns exactly one store.
 Collectors append rows into it, :class:`~repro.collect.report.ReportBuilder`
-summarizes it, and the CSV exporters dump it.  The store also owns the
-two retention policies:
-
-* **summary mode** (``keep_series=False``): each series keeps only the
-  ``summary_rows`` rows the end-of-run report needs — the latest row
-  for zero-baseline (simulated) runs, the first + latest rows for
-  first-baseline (live) runs — refreshed in place every sample;
-* **ring cap** (``max_rows``): full series become rings of the last N
-  rows, bounding memory for long-running live sessions.
+summarizes it, and the CSV exporters dump it.  It keeps every row: the
+§3.6 log and the Figure 6–7 charts are built from the whole run.
 
 It also tracks the per-tid cumulative totals of the previous sample,
 which the streaming seam differences into per-interval busy rates.
@@ -67,23 +60,13 @@ _FAMILIES = {**KEYED_FAMILIES, "mem": (None, MEM_COLUMNS)}
 class SampleStore:
     """Series buffers, identity maps, and previous-sample totals."""
 
-    def __init__(
-        self,
-        *,
-        keep_series: bool = True,
-        max_rows: int | None = None,
-        summary_rows: int = 1,
-        start_tick: float = 0.0,
-    ):
-        self.keep_series = keep_series
-        self.max_rows = max_rows
-        self.summary_rows = max(1, summary_rows)
+    def __init__(self, *, start_tick: float = 0.0):
         self.lwp_series: dict[int, SeriesBuffer] = {}
         self.lwp_affinity: dict[int, CpuSet] = {}
         self.lwp_names: dict[int, str] = {}
         self.hwt_series: dict[int, SeriesBuffer] = {}
         self.gpu_series: dict[int, SeriesBuffer] = {}
-        self.mem_series = self.new_series(MEM_COLUMNS)
+        self.mem_series = SeriesBuffer(MEM_COLUMNS)
         self.samples_taken = 0
         self.last_thread_count = 0
         #: the degradation record of this run (see repro.collect.faults)
@@ -105,13 +88,6 @@ class SampleStore:
         self.prev_tick: float = start_tick
         #: cumulative utime+stime per tid as of the previous sample
         self.prev_totals: dict[int, float] = {}
-
-    # -- series creation and retention ---------------------------------
-    def new_series(self, columns: Sequence[str]) -> SeriesBuffer:
-        """A buffer honouring this store's retention policy."""
-        if self.keep_series:
-            return SeriesBuffer(columns, max_rows=self.max_rows)
-        return SeriesBuffer(columns, capacity=self.summary_rows)
 
     # -- per-collector transactions: stage, then apply ------------------
     def begin(self) -> None:
@@ -151,7 +127,7 @@ class SampleStore:
         """One observation of one entity of ``"lwp" | "hwt" | "gpu" | "mem"``.
 
         The family-generic form of the four ``add_*_row`` below (a
-        recovered period block is replayed through it).
+        replayed log's rows arrive through it).
         """
         entry = (key, row, name, affinity)
         if self._staged is None:
@@ -168,11 +144,8 @@ class SampleStore:
         for (key, _, name, affinity), row in zip(entries, rows):
             series = mapping.get(key)
             if series is None:
-                series = mapping[key] = self.new_series(columns)
-            if self.keep_series or len(series) < self.summary_rows:
-                series.append(row)
-            else:
-                series.replace_last(row)
+                series = mapping[key] = SeriesBuffer(columns)
+            series.append(row)
             if name is not None:
                 self.lwp_names[key] = name
             if affinity is not None:
@@ -183,16 +156,13 @@ class SampleStore:
     def extend(self, family: str, keys: np.ndarray, rows: np.ndarray) -> None:
         """Many committed rows of one family at once: ``rows[i]`` is of ``keys[i]``.
 
-        The bulk form of :meth:`add_row` for a store that keeps every
-        row (journal recovery): rows are grouped by key, stably, so
-        each series gets its rows in arrival order with one array copy,
-        and new series are created in first-appearance order, as
-        row-by-row appends would have.  The identity maps, the open block
-        and the progress counters are left alone: the caller installs the
-        identity and the period itself.
+        The bulk form of :meth:`add_row` (journal recovery): rows are
+        grouped by key, stably, so each series gets its rows in arrival
+        order with one array copy, and new series are created in
+        first-appearance order, as row-by-row appends would have.  The
+        identity maps, the open block and the progress counters are left
+        alone: the caller installs the identity and the period itself.
         """
-        if self.max_rows is not None or not self.keep_series:
-            raise MonitorError("bulk extend needs a store keeping every row")
         attr, columns = _FAMILIES[family]
         mapping = {0: self.mem_series} if attr is None else getattr(self, attr)
         rows = rows[np.argsort(keys, kind="stable")]
@@ -204,7 +174,7 @@ class SampleStore:
             key = int(unique[i])
             series = mapping.get(key)
             if series is None:
-                series = mapping[key] = self.new_series(columns)
+                series = mapping[key] = SeriesBuffer(columns)
             series.extend(rows[ends[i] - counts[i] : ends[i]])
 
     # -- per-subsystem appends -----------------------------------------

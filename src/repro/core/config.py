@@ -47,12 +47,6 @@ class ZeroSumConfig:
     openmp_detection: str = "ompt"
     #: install the abnormal-exit backtrace handler
     signal_handler: bool = True
-    #: keep per-sample time series (needed for CSV export and Figures 6-7)
-    keep_series: bool = True
-    #: cap each series at this many rows (ring buffer: oldest rows are
-    #: overwritten); None keeps everything.  For long-running live
-    #: sessions that still want a trailing window of raw samples.
-    max_series_rows: int | None = None
     #: in-period retries after a transient collector failure (vanished
     #: path, I/O hiccup); permanent failures are never retried
     fault_retries: int = 2
@@ -63,8 +57,8 @@ class ZeroSumConfig:
     #: journal so a kill -9'd run stays recoverable (None disables)
     journal_path: str | None = None
     #: journal checkpoint every N periods: fsync (seal) what was
-    #: appended since the last one; a bounded store (ring, summary
-    #: mode) also compacts the journal into an atomic snapshot then
+    #: appended since the last one (after a failed write, compact the
+    #: journal into an atomic snapshot instead)
     journal_checkpoint_every: int = 10
     #: fsync the journal at checkpoints (power-loss durability; plain
     #: per-record appends already survive a process kill)
@@ -103,8 +97,6 @@ class ZeroSumConfig:
             )
         if self.deadlock_after < 0:
             raise MonitorError("deadlock_after must be >= 0")
-        if self.max_series_rows is not None and self.max_series_rows < 1:
-            raise MonitorError("max_series_rows must be >= 1 (or None)")
         if self.fault_retries < 0:
             raise MonitorError("fault_retries must be >= 0")
         if self.fault_disable_after < 0:

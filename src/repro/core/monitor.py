@@ -115,12 +115,7 @@ class ZeroSum(StoreBackedRun):
             self.register_openmp(omp)
 
         # the shared collection pipeline over the simulated /proc
-        self.store = SampleStore(
-            keep_series=self.config.keep_series,
-            max_rows=self.config.max_series_rows,
-            summary_rows=1,  # zero baseline: the report needs only the latest row
-            start_tick=self.start_tick,
-        )
+        self.store = SampleStore(start_tick=self.start_tick)
         collectors = [
             LwpCollector(
                 self.procfs, self.store, process.pid, missing_process="ignore"

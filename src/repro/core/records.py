@@ -5,9 +5,9 @@ time series (§3.6) and post-processed into the stacked charts of
 Figures 6 and 7.  Counters are stored *cumulatively*, as read from
 ``/proc``; per-interval rates are derived at analysis time.
 
-A buffer may be capped with ``max_rows``: once full it becomes a ring
-and every further append overwrites the oldest row.  Long-running live
-monitors use this to bound memory while keeping a trailing window.
+A buffer keeps every row it is given; a long-running monitor's history
+lives in its crash-durable journal (:mod:`repro.collect.journal`), not
+in a window kept in memory.
 """
 
 from __future__ import annotations
@@ -107,63 +107,29 @@ class PeriodBlock(NamedTuple):
 
 
 class SeriesBuffer:
-    """A small column store with amortized O(1) row append.
+    """A small column store with amortized O(1) row append."""
 
-    With ``max_rows`` set the buffer is a ring: it grows normally until
-    it holds ``max_rows`` rows, then each append overwrites the oldest
-    row.  ``appended`` counts every row ever offered, so callers can
-    detect how much history was dropped.
-    """
-
-    def __init__(
-        self,
-        columns: Sequence[str],
-        capacity: int = 64,
-        max_rows: int | None = None,
-    ):
+    def __init__(self, columns: Sequence[str], capacity: int = 64):
         if not columns:
             raise MonitorError("series needs at least one column")
-        if max_rows is not None and max_rows < 1:
-            raise MonitorError("max_rows must be >= 1")
         self.columns = tuple(columns)
-        self.max_rows = max_rows
-        cap = max(1, capacity)
-        if max_rows is not None:
-            cap = min(cap, max_rows)
-        self._data = np.zeros((cap, len(self.columns)), dtype=np.float64)
+        self._data = np.zeros((max(1, capacity), len(self.columns)), dtype=np.float64)
         self._len = 0
-        self._head = 0  # oldest row / next overwrite position once saturated
-        self.appended = 0
 
     def append(self, row: Sequence[float]) -> None:
-        """Append one row (width-checked); overwrites the oldest when full."""
+        """Append one row (width-checked)."""
         check_width(row, self.columns)
-        self.appended += 1
-        if self.max_rows is not None and self._len == self.max_rows:
-            self._data[self._head] = row
-            self._head = (self._head + 1) % self.max_rows
-            return
         if self._len == self._data.shape[0]:
-            grow = self._data.shape[0] * 2
-            if self.max_rows is not None:
-                grow = min(grow, self.max_rows)
-            grown = np.zeros((grow, len(self.columns)), dtype=np.float64)
+            grown = np.zeros((self._len * 2, len(self.columns)), dtype=np.float64)
             grown[: self._len] = self._data
             self._data = grown
         self._data[self._len] = row
         self._len += 1
 
     def extend(self, rows) -> None:
-        """Append a ``(n, ncols)`` block of rows, oldest first.
-
-        The bulk form of :meth:`append`: an unbounded buffer grows by
-        one array copy; a ring takes the rows one by one.
-        """
+        """Append a ``(n, ncols)`` block of rows, oldest first: the bulk
+        form of :meth:`append`, one array copy."""
         rows = np.asarray(rows, dtype=np.float64)
-        if self.max_rows is not None:
-            for row in rows:
-                self.append(row)
-            return
         if rows.shape[1:] != (len(self.columns),):
             raise MonitorError(
                 f"block of shape {rows.shape}, series has "
@@ -176,43 +142,19 @@ class SeriesBuffer:
             self._data = grown
         self._data[self._len : end] = rows
         self._len = end
-        self.appended += len(rows)
-
-    def replace_last(self, row: Sequence[float]) -> None:
-        """Overwrite the most recently appended row (append when empty).
-
-        This is what summary mode uses: the store keeps only the rows
-        the end-of-run report needs and refreshes the newest in place.
-        """
-        if self._len == 0:
-            self.append(row)
-            return
-        check_width(row, self.columns)
-        if self.max_rows is not None and self._len == self.max_rows:
-            idx = (self._head - 1) % self.max_rows
-        else:
-            idx = self._len - 1
-        self._data[idx] = row
 
     def __len__(self) -> int:
         return self._len
 
     @property
-    def dropped(self) -> int:
-        """Rows overwritten by the ring (0 for unbounded buffers)."""
-        return self.appended - self._len
+    def appended(self) -> int:
+        """Rows ever appended: every one is kept, so ``len(self)``."""
+        return self._len
 
     @property
     def array(self) -> np.ndarray:
-        """(n, ncols) array of the recorded rows, oldest first.
-
-        A view when the ring has not wrapped; a copy once it has.
-        """
-        if self._head == 0:
-            return self._data[: self._len]
-        return np.concatenate(
-            (self._data[self._head : self._len], self._data[: self._head])
-        )
+        """(n, ncols) view of the recorded rows, oldest first."""
+        return self._data[: self._len]
 
     def column(self, name: str) -> np.ndarray:
         """One named column of the recorded rows."""

@@ -32,13 +32,6 @@ class WaitObject:
         """Enqueue a blocked thread (scheduler use)."""
         self._waiters.append(lwp)
 
-    def remove_waiter(self, lwp: "LWP") -> None:
-        """Drop a waiter if present."""
-        try:
-            self._waiters.remove(lwp)
-        except ValueError:
-            pass
-
     @property
     def waiters(self) -> tuple["LWP", ...]:
         return tuple(self._waiters)

@@ -140,13 +140,6 @@ class HWTState:
         simulation loop nothing."""
         return max(0.0, now - self.busy_jiffies - self.iowait)
 
-    def charge_busy(self, user_frac: float) -> None:
-        """Account one busy jiffy split between user and system."""
-        if self._acct is not None:
-            self._acct.evict_hwt(self)
-        self._user += user_frac
-        self._system += 1.0 - user_frac
-
     def enqueue(self, lwp: "LWP", front: bool = False) -> None:
         """Queue a runnable thread on this CPU."""
         if self._acct is not None:

@@ -86,12 +86,6 @@ class SimProcess:
         """Shrink RSS (clamped at zero)."""
         self.rss_bytes = max(0, self.rss_bytes - nbytes)
 
-    def total_ctx_switches(self) -> tuple[int, int]:
-        """(voluntary, non-voluntary) summed over threads."""
-        v = sum(t.vcsw for t in self.threads.values())
-        nv = sum(t.nvcsw for t in self.threads.values())
-        return v, nv
-
     def __repr__(self) -> str:
         rank = f" rank={self.rank}" if self.rank is not None else ""
         return (

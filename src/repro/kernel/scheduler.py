@@ -879,10 +879,6 @@ class SimKernel:
         """True while any non-daemon LWP is alive (O(1), counted)."""
         return self._nondaemon_alive > 0
 
-    def has_runnable(self) -> bool:
-        """True if any live LWP is currently runnable (O(1), counted)."""
-        return self._runnable_count > 0
-
     def stalled(self) -> bool:
         """True if nothing can ever make progress again: non-daemon work
         remains but no LWP is runnable and no timer/sleeper/device event

@@ -96,13 +96,7 @@ class LiveZeroSum(StoreBackedRun):
 
         self.cpus_allowed = read_task(self.reader, self.pid, self.pid)[1].cpus_allowed
 
-        # live counters predate the monitor, so the report differences
-        # against the first sample: summary mode keeps first + latest
-        self.store = SampleStore(
-            keep_series=self.config.keep_series,
-            max_rows=self.config.max_series_rows,
-            summary_rows=2,
-        )
+        self.store = SampleStore()
         collectors = [LwpCollector(self.reader, self.store, self.pid)]
         if self.config.collect_hwt:
             collectors.append(

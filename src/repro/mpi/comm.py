@@ -233,10 +233,6 @@ class RankComm:
         self._inbox.append(message)
         self._arrival.wake_all(kernel)
 
-    def pending_messages(self) -> int:
-        """Unmatched messages sitting in the inbox."""
-        return len(self._inbox)
-
     # -- point-to-point ------------------------------------------------------
     def send(
         self,

@@ -56,10 +56,6 @@ class NodeSpec:
     def total_cores(self) -> int:
         return self.packages * self.numa_per_package * self.l3_per_numa * self.cores_per_l3
 
-    @property
-    def total_pus(self) -> int:
-        return self.total_cores * self.smt
-
     def validate(self) -> None:
         """Sanity-check the counts; raises TopologyError."""
         for fname in ("packages", "numa_per_package", "l3_per_numa", "cores_per_l3", "smt"):

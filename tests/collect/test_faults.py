@@ -293,27 +293,6 @@ class TestStoreWatermark:
         assert affinity == before[2]
         np.testing.assert_array_equal(mem, before[3])
 
-    def test_rollback_on_saturated_ring(self):
-        store = SampleStore(max_rows=3)
-        for t in range(5):
-            store.add_lwp_row(1, lwp_row(float(t)))
-        before = store.lwp_series[1].array.copy()
-        store.begin()
-        store.add_lwp_row(1, lwp_row(99.0))
-        store.add_lwp_row(1, lwp_row(100.0))
-        store.rollback()
-        np.testing.assert_array_equal(store.lwp_series[1].array, before)
-        assert store.lwp_series[1].appended == 5
-
-    def test_rollback_in_summary_mode(self):
-        store = SampleStore(keep_series=False, summary_rows=1)
-        store.add_lwp_row(1, lwp_row(1.0, utime=10.0))
-        store.begin()
-        store.add_lwp_row(1, lwp_row(2.0, utime=20.0))  # replace_last
-        store.rollback()
-        assert store.lwp_series[1].last("tick") == 1.0
-        assert store.lwp_series[1].last("utime") == 10.0
-
     def test_release_keeps_rows(self):
         store = SampleStore()
         store.begin()

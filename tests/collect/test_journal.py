@@ -7,7 +7,12 @@ import zlib
 import numpy as np
 import pytest
 
-from tests.helpers import JOURNAL_META as META, frame_ends, run_miniqmc
+from tests.helpers import (
+    JOURNAL_META as META,
+    fail_next_write,
+    frame_ends,
+    run_miniqmc,
+)
 from repro.cli import main
 from repro.collect import CollectionEngine, FaultPolicy, SampleStore
 from repro.collect import journal as journal_module
@@ -163,18 +168,23 @@ class TestBinaryCodec:
 
 class TestOlderVersions:
     def test_older_journal_is_one_typed_error(self, tmp_path, capsys):
-        path = tmp_path / "v2.zsj"
-        path.write_bytes(_frame({"kind": "meta", "version": 2, **META})
-                         + _frame({"kind": "snapshot", "store": {}}))
-        line = f"{path}: written by journal version 2; " \
-            "recover it with that release"
-        with pytest.raises(JournalError) as caught:
-            recover_journal(path)
-        assert str(caught.value) == line
-        assert main(["recover", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"zerosum-sim: error: {line}\n"
+        # version 3 snapshots carried a retention policy: refused, never
+        # recovered into a different store
+        for version in (2, 3):
+            path = tmp_path / f"v{version}.zsj"
+            path.write_bytes(
+                _frame({"kind": "meta", "version": version, **META})
+                + _frame({"kind": "snapshot", "store": {}})
+            )
+            line = f"{path}: written by journal version {version}; " \
+                "recover it with that release"
+            with pytest.raises(JournalError) as caught:
+                recover_journal(path)
+            assert str(caught.value) == line
+            assert main(["recover", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"zerosum-sim: error: {line}\n"
         # version 1 wrote JSON frames: refused the same way
         path.write_bytes(b'ZSJ1 2 00000000 {}\n')
         with pytest.raises(JournalError, match="journal version 1;"):
@@ -207,47 +217,6 @@ class TestRoundTrip:
         recovered = recover_journal(tmp_path / "j.zsj")
         assert_stores_equal(store, recovered.store)
 
-    def test_checkpoint_compacts_the_journal(self, tmp_path):
-        store = SampleStore(max_rows=6)  # bounded: checkpoints compact
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=5,
-                               fsync=False)
-        writer.open(store, META)
-        drive(store, writer, [float(t) for t in range(1, 21)])
-        records, torn = read_journal(tmp_path / "j.zsj")
-        kinds = [r["kind"] for r in records]
-        # every 5th period rewrites meta+snapshot; <=4 periods may follow
-        assert kinds[0] == "meta" and kinds[1] == "snapshot"
-        assert kinds.count("period") <= 4
-        assert writer.checkpoints_written >= 4
-        assert torn == 0
-        recovered = recover_journal(tmp_path / "j.zsj")
-        assert_stores_equal(store, recovered.store)
-
-    def test_summary_mode_round_trip(self, tmp_path):
-        store = SampleStore(keep_series=False, summary_rows=2)
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False)
-        writer.open(store, META)
-        drive(store, writer, [float(t) for t in range(1, 9)])
-        recovered = recover_journal(tmp_path / "j.zsj")
-        # summary mode rewrites rows in place: replaying the blocks
-        # through the store must refresh them, not append
-        for tid in store.lwp_series:
-            assert store.lwp_series[tid].array.tolist() == \
-                recovered.store.lwp_series[tid].array.tolist()
-        assert recovered.store.prev_tick == store.prev_tick
-
-    def test_ring_store_round_trip(self, tmp_path):
-        store = SampleStore(max_rows=3)
-        writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
-                               fsync=False)
-        writer.open(store, META)
-        drive(store, writer, [float(t) for t in range(1, 12)])
-        recovered = recover_journal(tmp_path / "j.zsj")
-        for tid in store.lwp_series:
-            assert store.lwp_series[tid].array.tolist() == \
-                recovered.store.lwp_series[tid].array.tolist()
-
     def test_ledger_round_trip_and_degradation_summary(self, tmp_path):
         store = SampleStore()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=3,
@@ -277,9 +246,10 @@ class TestRoundTrip:
         )
 
     def test_unledgered_note_survives_a_checkpoint(self, tmp_path):
-        """The snapshot carries store state only: a last-gasp note must
-        be re-emitted behind it, a ledgered one stays compacted."""
-        store = SampleStore(max_rows=4)  # bounded: checkpoints compact
+        """A failed write's healing compaction snapshots store state
+        only: a last-gasp note must be re-emitted behind it, a ledgered
+        one stays compacted."""
+        store = SampleStore()
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=100,
                                fsync=False)
         writer.open(store, META)
@@ -287,13 +257,18 @@ class TestRoundTrip:
         writer.note(2.0, "LastGasp", "caught signal 15")
         store.ledger.record_error("Watchdog", 2.0, "sampler stalled")
         writer.note(2.0, "Watchdog", "sampler stalled")
-        for _ in range(2):  # carried across every later checkpoint too
-            writer.checkpoint(store, tick=2.0)
+        for tick in (3.0, 4.0):  # carried across every later compaction too
+            fail_next_write(writer)
+            with pytest.raises(OSError):
+                drive(store, writer, [tick])
+            writer.checkpoint(store)
         records, torn = read_journal(tmp_path / "j.zsj")
         assert torn == 0
         assert [r["kind"] for r in records] == ["meta", "snapshot", "note"]
         assert records[-1]["collector"] == "LastGasp"
-        events = recover_journal(tmp_path / "j.zsj").store.ledger.events
+        recovered = recover_journal(tmp_path / "j.zsj")
+        assert_stores_equal(store, recovered.store)  # the lost rows healed
+        events = recovered.store.ledger.events
         assert [e.reason for e in events if e.collector == "LastGasp"] == [
             "caught signal 15"
         ]
@@ -382,8 +357,7 @@ class TestRoundTrip:
 
 
 class TestAppendOnly:
-    """A store keeping every row has each row written once, never
-    rewritten; a bounded store's journal stays bounded by compaction."""
+    """Each row is written once, never rewritten."""
 
     def test_unbounded_store_is_never_rewritten(self, tmp_path, monkeypatch):
         path = tmp_path / "j.zsj"
@@ -431,21 +405,6 @@ class TestAppendOnly:
         recovered = recover_journal(path)
         assert recovered.torn_records == 0
         assert_stores_equal(store, recovered.store)
-
-    @pytest.mark.parametrize("retention", [
-        {"max_rows": 8}, {"keep_series": False, "summary_rows": 2},
-    ], ids=["ring", "summary"])
-    def test_bounded_store_stays_bounded(self, tmp_path, retention):
-        path = tmp_path / "j.zsj"
-        store = SampleStore(**retention)
-        writer = JournalWriter(path, checkpoint_every=3, fsync=False)
-        writer.open(store, META)
-        for t in range(1, 501):
-            drive(store, writer, [float(t)])
-            assert path.stat().st_size < 8192, t
-        writer.close(store)
-        assert_stores_equal(store, recover_journal(path).store)
-
 
 class TestCoalescedAppends:
     """Each entry point is one write() on the unbuffered handle."""
@@ -715,13 +674,17 @@ class TestFuzz:
         self._drive(store, writer, [3.0])
         return path.read_bytes()
 
-    def _bounded_shape(self, path):
-        """A compacted ring: snapshot, a carried note, then periods."""
-        store = SampleStore(max_rows=2)
+    def _compacted_shape(self, path):
+        """Healed after a failed write: snapshot with rows, a carried
+        note, then periods."""
+        store = SampleStore()
         writer = JournalWriter(path, checkpoint_every=3, fsync=False)
         writer.open(store, META)
-        self._drive(store, writer, [1.0, 2.0])
-        writer.note(2.0, "LastGasp", "caught signal 15")
+        self._drive(store, writer, [1.0])
+        writer.note(1.0, "LastGasp", "caught signal 15")
+        fail_next_write(writer)
+        with pytest.raises(OSError):
+            self._drive(store, writer, [2.0])
         self._drive(store, writer, [3.0, 4.0, 5.0])  # compacts at 3
         records, _ = read_journal(path)
         assert [r["kind"] for r in records] == [
@@ -729,7 +692,7 @@ class TestFuzz:
         ]
         return path.read_bytes()
 
-    @pytest.mark.parametrize("build", ["_new_shape", "_bounded_shape"])
+    @pytest.mark.parametrize("build", ["_new_shape", "_compacted_shape"])
     def test_truncations_and_bit_flips(self, tmp_path, build):
         data = getattr(self, build)(tmp_path / "whole.zsj")
         ends = frame_ends(data)
@@ -822,17 +785,16 @@ class _ScriptedHwt:
         return []
 
 
-# one writer class since version 3; the axis keeps the test ids stable
+# one writer class since version 3 and one retention mode since version
+# 4; the axes keep the test ids stable
 @pytest.mark.parametrize("writer_cls", [JournalWriter])
-@pytest.mark.parametrize("retention", [
-    {}, {"max_rows": 3}, {"keep_series": False, "summary_rows": 2},
-], ids=["full", "ring", "summary"])
+@pytest.mark.parametrize("retention", ["full"])
 class TestKilledEngineRun:
     """Recovered ≡ in-memory: faults in the period stream, a changing
-    thread set, a kill between checkpoints — in every retention mode."""
+    thread set, a kill between checkpoints."""
 
     def test_recovered_equals_in_memory(self, tmp_path, retention, writer_cls):
-        store = SampleStore(**retention)
+        store = SampleStore()
         detector = OnlineDetector(
             hz=100.0, window=4,
             facts=TopologyFacts(node_cpus=frozenset(range(8))),

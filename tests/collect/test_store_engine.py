@@ -1,4 +1,4 @@
-"""SampleStore retention policies and the CollectionEngine protocol."""
+"""SampleStore retention and identity, and the CollectionEngine protocol."""
 
 import pytest
 
@@ -20,44 +20,6 @@ class TestRetention:
         for t in range(5):
             store.add_lwp_row(7, lwp_row(float(t)))
         assert len(store.lwp_series[7]) == 5
-
-    def test_summary_keeps_latest_row(self):
-        store = SampleStore(keep_series=False, summary_rows=1)
-        for t in range(5):
-            store.add_lwp_row(7, lwp_row(float(t), utime=10.0 * t))
-        series = store.lwp_series[7]
-        assert len(series) == 1
-        assert series.last("tick") == 4.0
-        assert series.last("utime") == 40.0
-
-    def test_summary_two_rows_keeps_first_and_latest(self):
-        """First-baseline (live) summary: row 0 pinned, row 1 refreshed."""
-        store = SampleStore(keep_series=False, summary_rows=2)
-        for t in range(6):
-            store.add_lwp_row(7, lwp_row(float(t)))
-        ticks = store.lwp_series[7].column("tick")
-        assert list(ticks) == [0.0, 5.0]
-
-    def test_ring_cap_applies_to_every_series(self):
-        store = SampleStore(max_rows=3)
-        for t in range(10):
-            store.add_lwp_row(7, lwp_row(float(t)))
-            store.add_hwt_row(0, (float(t), 0.0, 0.0, 0.0, 0.0))
-            store.add_mem_row((float(t), 0, 0, 0, 0, 0, 0))
-        for series in (
-            store.lwp_series[7],
-            store.hwt_series[0],
-            store.mem_series,
-        ):
-            assert len(series) == 3
-            assert series.dropped == 7
-            assert list(series.column("tick")) == [7.0, 8.0, 9.0]
-
-    def test_summary_mode_ignores_ring_cap(self):
-        store = SampleStore(keep_series=False, max_rows=100)
-        for t in range(5):
-            store.add_lwp_row(1, lwp_row(float(t)))
-        assert len(store.lwp_series[1]) == 1
 
 
 class TestIdentity:

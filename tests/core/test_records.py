@@ -82,80 +82,6 @@ class TestSeriesBuffer:
         assert text.splitlines()[1] == "42,3"
 
 
-class TestRingBuffer:
-    def test_grows_normally_until_cap(self):
-        s = SeriesBuffer(("x",), max_rows=4)
-        for i in range(3):
-            s.append((float(i),))
-        assert len(s) == 3
-        assert s.dropped == 0
-
-    def test_overwrites_oldest_when_full(self):
-        s = SeriesBuffer(("x",), capacity=2, max_rows=4)
-        for i in range(10):
-            s.append((float(i),))
-        assert len(s) == 4
-        assert list(s.column("x")) == [6.0, 7.0, 8.0, 9.0]
-        assert s.appended == 10
-        assert s.dropped == 6
-
-    def test_array_view_until_wrap_copy_after(self):
-        s = SeriesBuffer(("x",), max_rows=3)
-        for i in range(3):
-            s.append((float(i),))
-        assert s.array.base is not None  # unwrapped: a view
-        s.append((3.0,))
-        wrapped = s.array
-        assert list(wrapped[:, 0]) == [1.0, 2.0, 3.0]
-        wrapped[0, 0] = -1.0  # a copy: store unaffected
-        assert list(s.column("x")) == [1.0, 2.0, 3.0]
-
-    def test_last_and_deltas_follow_ring_order(self):
-        s = SeriesBuffer(("c",), max_rows=3)
-        for v in (10.0, 20.0, 40.0, 70.0):
-            s.append((v,))
-        assert s.last("c") == 70.0
-        assert list(np.diff(s.column("c"))) == [20.0, 30.0]
-
-    def test_bad_max_rows_rejected(self):
-        with pytest.raises(MonitorError):
-            SeriesBuffer(("x",), max_rows=0)
-
-    def test_to_csv_emits_trailing_window(self):
-        s = SeriesBuffer(("tick",), max_rows=2)
-        for i in range(5):
-            s.append((float(i),))
-        assert s.to_csv().splitlines() == ["tick", "3", "4"]
-
-
-class TestReplaceLast:
-    def test_replace_on_empty_appends(self):
-        s = SeriesBuffer(("a",))
-        s.replace_last((7.0,))
-        assert len(s) == 1
-        assert s.last("a") == 7.0
-
-    def test_replace_overwrites_in_place(self):
-        s = SeriesBuffer(("a",))
-        s.append((1.0,))
-        s.append((2.0,))
-        s.replace_last((9.0,))
-        assert list(s.column("a")) == [1.0, 9.0]
-
-    def test_replace_in_wrapped_ring(self):
-        s = SeriesBuffer(("a",), max_rows=2)
-        for v in (1.0, 2.0, 3.0):
-            s.append((v,))
-        s.replace_last((8.0,))
-        assert list(s.column("a")) == [2.0, 8.0]
-
-    def test_replace_width_checked(self):
-        s = SeriesBuffer(("a", "b"))
-        s.append((1.0, 2.0))
-        with pytest.raises(MonitorError):
-            s.replace_last((1.0,))
-
-
 def reference_to_csv(series, prefix_cols=None):
     """The pre-vectorization per-value formatter, kept as the oracle."""
     prefix = prefix_cols or {}

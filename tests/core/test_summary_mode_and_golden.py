@@ -1,4 +1,5 @@
-"""Summary-only monitoring mode and report format golden tests."""
+"""Report format golden tests (the Listing 2 text layout) and fabric
+traffic accounting."""
 
 import re
 
@@ -10,31 +11,6 @@ from repro.mpi import Fabric
 
 T3_CMD = ("OMP_NUM_THREADS=7 OMP_PROC_BIND=spread OMP_PLACES=cores "
           "srun -n8 -c7 zerosum-mpi miniqmc")
-
-
-class TestSummaryMode:
-    def test_keep_series_false_stores_one_row(self):
-        step = run_miniqmc(
-            T3_CMD, blocks=10, block_jiffies=60,
-            zs_config=ZeroSumConfig(keep_series=False),
-        )
-        zs = step.monitors[0]
-        for tid in zs.observed_tids():
-            assert len(zs.lwp_series[tid]) == 1
-
-    def test_summary_mode_report_matches_full_mode(self):
-        full = run_miniqmc(T3_CMD, blocks=8, block_jiffies=60)
-        summary = run_miniqmc(
-            T3_CMD, blocks=8, block_jiffies=60,
-            zs_config=ZeroSumConfig(keep_series=False),
-        )
-        full_rows = build_report(full.monitors[0]).lwp_rows
-        summary_rows = build_report(summary.monitors[0]).lwp_rows
-        assert len(full_rows) == len(summary_rows)
-        for a, b in zip(full_rows, summary_rows):
-            assert a.kind == b.kind
-            assert a.nv_ctx == b.nv_ctx
-            assert a.utime_pct == pytest.approx(b.utime_pct, abs=0.5)
 
 
 class TestReportGoldenFormat:

@@ -9,6 +9,7 @@ ledger — and the heartbeat line carries the live tally.
 import pytest
 
 from tests.detect.conftest import HZ, StoreDriver, node_facts
+from tests.helpers import fail_next_write
 from repro.collect import CollectionEngine, SampleStore
 from repro.collect.journal import (
     JournalWriter,
@@ -36,9 +37,9 @@ def sliced_driver():
     return StoreDriver(detector)
 
 
-def drive_sliced(d, writer, periods):
+def drive_sliced(d, writer, periods, first=1):
     """Periods whose nv_ctx climb trips time-slicing episodes."""
-    for p in range(1, periods + 1):
+    for p in range(first, first + periods):
         findings = d.period(lwps=[
             (7, {"utime": 10.0 * p, "nv_ctx": 5.0 * p}, [0]),
         ])
@@ -102,15 +103,22 @@ class TestJournalNotes:
         assert run.alerts == d.detector.alerts
 
     def test_checkpoint_compaction_carries_ledger(self, tmp_path):
+        """A failed write's healing compaction drops the alert notes
+        before it: its snapshot carries the alert ledger instead."""
         d = sliced_driver()
-        d.store = SampleStore(max_rows=4)  # bounded: checkpoints compact
-        d.store.alerts = d.detector.alerts
         writer = JournalWriter(tmp_path / "j.zsj", checkpoint_every=3,
                                fsync=False)
         writer.open(d.store, META)
-        drive_sliced(d, writer, 9)  # several checkpoints past the alert
+        drive_sliced(d, writer, 4)  # the alert fires
+        assert d.detector.alerts.total >= 1
+        fail_next_write(writer)
+        with pytest.raises(OSError):
+            drive_sliced(d, writer, 1, first=5)
+        drive_sliced(d, writer, 4, first=6)  # compacts at 6, then periods
         writer.close(d.store)
 
+        records, torn = read_journal(tmp_path / "j.zsj")
+        assert torn == 0 and records[1]["store"]["alerts"]["total"] >= 1
         run = recover_journal(tmp_path / "j.zsj")
         assert run.alerts == d.detector.alerts
         assert run.alerts.total >= 1

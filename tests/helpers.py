@@ -66,6 +66,17 @@ def frame_ends(data: bytes) -> list[int]:
     return ends
 
 
+def fail_next_write(writer) -> None:
+    """The journal's next ``write()`` raises as on a full disk; only it."""
+    real_write = writer._file.write
+
+    def disk_full(buf):
+        writer._file.write = real_write
+        raise OSError(28, "No space left on device")
+
+    writer._file.write = disk_full
+
+
 def materialize_proc(fs, pid: int, root: Path, as_pid: int | None = None) -> None:
     """(Re)write the /proc files a monitor touches from the sim's state.
 

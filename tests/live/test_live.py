@@ -189,56 +189,6 @@ class TestHeartbeatFile:
 
 
 @needs_proc
-class TestLiveRetention:
-    """config.keep_series and max_series_rows now reach the live store."""
-
-    def test_summary_mode_bounds_rows(self):
-        zs = LiveZeroSum(ZeroSumConfig(keep_series=False))
-        for _ in range(6):
-            zs.sample_once()
-        # first-baseline summary: first + latest rows only
-        assert len(zs.lwp_series[zs.pid]) == 2
-        assert len(zs.mem_series) == 2
-        for series in zs.hwt_series.values():
-            assert len(series) <= 2
-
-    def test_summary_mode_report_still_differences(self):
-        zs = LiveZeroSum(ZeroSumConfig(keep_series=False, collect_hwt=False))
-        zs.sample_once()
-        first_utime = zs.lwp_series[zs.pid].last("utime")
-        deadline = time.monotonic() + 0.3
-        x = 0
-        while time.monotonic() < deadline:
-            x += sum(i for i in range(500))
-        zs.sample_once()
-        zs.end_time = time.monotonic()
-        ticks = zs.lwp_series[zs.pid].column("tick")
-        assert len(ticks) == 2 and ticks[1] > ticks[0]
-        assert zs.lwp_series[zs.pid].last("utime") >= first_utime
-        main = [r for r in zs.report().lwp_rows if r.kind == "Main"]
-        assert main and main[0].utime_pct > 30.0
-
-    def test_max_series_rows_ring(self):
-        zs = LiveZeroSum(ZeroSumConfig(max_series_rows=3))
-        for _ in range(7):
-            zs.sample_once()
-        series = zs.lwp_series[zs.pid]
-        assert len(series) == 3
-        assert series.appended == 7
-        assert series.dropped == 4
-        ticks = series.column("tick")
-        assert list(ticks) == sorted(ticks)  # trailing window, in order
-
-    def test_ring_report_uses_window_first_row(self):
-        zs = LiveZeroSum(ZeroSumConfig(max_series_rows=4, collect_hwt=False))
-        for _ in range(6):
-            zs.sample_once()
-        zs.end_time = time.monotonic()
-        report = zs.report()
-        assert any(r.kind == "Main" for r in report.lwp_rows)
-
-
-@needs_proc
 class TestLiveReplayRoundTrip:
     def test_live_log_replays_to_matching_report(self):
         from repro.collect import ReplayZeroSum

@@ -1,9 +1,9 @@
-"""Journal recovery as a property of retention, cadence and kill point.
+"""Journal recovery as a property of cadence, failed writes and kill point.
 
-Whatever the retention mode (every row kept, a ring, summary mode), the
-checkpoint cadence and the life of the thread set, a closed journal
-recovers to the live store — series by series (rows, ``appended``,
-``dropped``) — and to a byte-identical report.  And the journal as it
+Whatever the checkpoint cadence, the life of the thread set and whether
+one period's write failed (so a later checkpoint compacts), a closed
+journal recovers to the live store — series by series (rows and
+``appended``) — and to a byte-identical report.  And the journal as it
 stood after any period, cut at any offset, recovers to the store as it
 stood after some period up to then, or is a typed ``JournalError`` —
 never anything else.  Cuts are drawn anywhere and, as often, at a record
@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import JOURNAL_META as META, frame_ends
+from tests.helpers import JOURNAL_META as META, fail_next_write, frame_ends
 from repro.collect import SampleStore
 from repro.collect.journal import JournalWriter, RecoveredRun, recover_journal
 from repro.collect.store import KEYED_FAMILIES
@@ -26,13 +26,6 @@ from repro.core.records import HWT_COLUMNS, MEM_COLUMNS
 from repro.errors import JournalError
 from repro.topology import CpuSet
 
-MODES = {
-    "unbounded": {},
-    "ring": {"max_rows": 3},
-    "summary": {"keep_series": False, "summary_rows": 2},
-}
-
-
 def classify(tid: int) -> str:
     return "Main" if tid == 100 else "OpenMP"
 
@@ -40,12 +33,12 @@ def classify(tid: int) -> str:
 def state(store: SampleStore) -> tuple:
     """Everything recovery must reproduce of a store, comparably."""
     series = [
-        (family, key, buf.array.tobytes(), buf.appended, buf.dropped)
+        (family, key, buf.array.tobytes(), buf.appended)
         for family, (attr, _) in KEYED_FAMILIES.items()
         for key, buf in sorted(getattr(store, attr).items())
     ]
     mem = store.mem_series
-    series.append(("mem", 0, mem.array.tobytes(), mem.appended, mem.dropped))
+    series.append(("mem", 0, mem.array.tobytes(), mem.appended))
     return (
         series,
         sorted(store.lwp_names.items()),
@@ -57,18 +50,21 @@ def state(store: SampleStore) -> tuple:
     )
 
 
-def run(path: Path, mode: str, checkpoint_every: int, periods: int,
-        stall_at: int):
-    """Journal a run; the store's state and the file after each period.
+def run(path: Path, checkpoint_every: int, periods: int, stall_at: int,
+        fail_at: int):
+    """Journal a run; the store's state and the file after each period,
+    and whether that file held every row so far.
 
     Thread 101 appears at period 3, is renamed at 5 and re-pinned at 6;
-    at ``stall_at`` a watchdog stall is both ledgered and noted.
+    at ``stall_at`` a watchdog stall is both ledgered and noted; the
+    write of period ``fail_at`` fails, so its rows are missing from the
+    file until the next checkpoint compacts.
     """
-    store = SampleStore(**MODES[mode])
+    store = SampleStore()
     writer = JournalWriter(path, checkpoint_every=checkpoint_every,
                            fsync=False, classify=classify)
     writer.open(store, META)
-    states, blobs = [state(store)], [path.read_bytes()]
+    states, blobs, whole, lost = [state(store)], [path.read_bytes()], [True], False
     for p in range(1, periods + 1):
         tick = 10.0 * p
         threads = [(100, "main", [0])]
@@ -89,28 +85,37 @@ def run(path: Path, mode: str, checkpoint_every: int, periods: int,
         if p == stall_at:
             store.ledger.record_error("Watchdog", tick, "sampler stalled")
             writer.note(tick, "Watchdog", "sampler stalled")
-        writer.record_period(store, tick)
+        if p == fail_at:
+            fail_next_write(writer)
+        try:
+            writer.record_period(store, tick)
+        except OSError:
+            lost = True
+        else:  # a checkpoint after the failure compacts
+            lost = lost and p % checkpoint_every != 0
         states.append(state(store))
         blobs.append(path.read_bytes())
+        whole.append(not lost)
     writer.close(store)
-    return store, states, blobs
+    return store, states, blobs, whole
 
 
 runs = dict(
-    mode=st.sampled_from(sorted(MODES)),
     checkpoint_every=st.integers(1, 5),
     periods=st.integers(1, 9),
     stall_at=st.integers(0, 9),
+    fail_at=st.integers(0, 9),
 )
 
 
 @settings(max_examples=30, deadline=None)
 @given(**runs)
-def test_whole_journal_recovers_the_live_run(mode, checkpoint_every,
-                                             periods, stall_at):
+def test_whole_journal_recovers_the_live_run(checkpoint_every, periods,
+                                             stall_at, fail_at):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "j.zsj"
-        store, states, _ = run(path, mode, checkpoint_every, periods, stall_at)
+        store, states, _, _ = run(path, checkpoint_every, periods, stall_at,
+                                  fail_at)
         recovered = recover_journal(path)
         assert recovered.torn_records == 0
         assert state(recovered.store) == states[-1]
@@ -123,12 +128,16 @@ def test_whole_journal_recovers_the_live_run(mode, checkpoint_every,
 
 @settings(max_examples=60, deadline=None)
 @given(**runs, data=st.data())
-def test_any_cut_is_a_prefix_or_a_journal_error(mode, checkpoint_every,
-                                                periods, stall_at, data):
+def test_any_cut_is_a_prefix_or_a_journal_error(checkpoint_every, periods,
+                                                stall_at, fail_at, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "j.zsj"
-        _, states, blobs = run(path, mode, checkpoint_every, periods, stall_at)
-        killed = data.draw(st.integers(0, periods), label="killed after")
+        _, states, blobs, whole = run(path, checkpoint_every, periods,
+                                      stall_at, fail_at)
+        killed = data.draw(
+            st.sampled_from([k for k in range(periods + 1) if whole[k]]),
+            label="killed after",
+        )
         blob = blobs[killed]
         near_boundary = st.sampled_from(frame_ends(blob)).flatmap(
             lambda end: st.integers(max(0, end - 2), min(len(blob), end + 1))

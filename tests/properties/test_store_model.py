@@ -1,11 +1,10 @@
-"""Model-based test of ``SampleStore``: retention, brackets, rollback.
+"""Model-based test of ``SampleStore``: brackets, rollback, periods.
 
-A hypothesis state machine drives one store per retention mode through
-``begin`` / ``add_*_row`` / ``rollback`` / ``release`` / ``commit`` in
-any order (``commit`` only between brackets, where a period closes)
-and compares it, after every step, with a plain-list model
-that keeps each series' whole history and derives what the retention
-policy must have kept.  What a store shows *inside* an open bracket is
+A hypothesis state machine drives a store through ``begin`` /
+``add_*_row`` / ``rollback`` / ``release`` / ``commit`` in any order
+(``commit`` only between brackets, where a period closes) and compares
+it, after every step, with a plain-list model that keeps each series'
+whole history.  What a store shows *inside* an open bracket is
 not part of its contract (rows may be applied or merely staged), so the
 comparison runs whenever no bracket is open — in particular right after
 every ``rollback``, which must leave the store exactly as ``begin``
@@ -35,12 +34,6 @@ from repro.core.records import (
 from repro.errors import MonitorError
 from repro.topology import CpuSet
 
-MODES = (
-    {"keep_series": True},
-    {"max_rows": 3},
-    {"keep_series": False, "summary_rows": 1},
-    {"keep_series": False, "summary_rows": 2},
-)
 WIDTH = {
     "lwp": len(LWP_COLUMNS),
     "hwt": len(HWT_COLUMNS),
@@ -51,10 +44,9 @@ values = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 class StoreMachine(RuleBasedStateMachine):
-    @initialize(mode=st.sampled_from(MODES))
-    def setup(self, mode):
-        self.mode = mode
-        self.store = SampleStore(**mode)
+    @initialize()
+    def setup(self):
+        self.store = SampleStore()
         #: (family, key) -> every row ever kept by a release / direct add
         self.history = {}
         self.names = {}
@@ -69,18 +61,6 @@ class StoreMachine(RuleBasedStateMachine):
         self.tick = 0.0
 
     # -- the model -------------------------------------------------------
-    def _kept(self, rows):
-        """(retained rows, appended, dropped) under this store's mode."""
-        n = len(rows)
-        if self.mode.get("keep_series", True):
-            cap = self.mode.get("max_rows")
-            kept = rows if cap is None else rows[-cap:]
-            return kept, n, n - len(kept)
-        k = self.mode["summary_rows"]
-        if n <= k:
-            return rows, n, 0
-        return rows[: k - 1] + rows[-1:], k, 0
-
     def _add(self, family, key, value, name=None, affinity=None):
         self.tick += 1.0
         row = (self.tick,) + (value,) * (WIDTH[family] - 1)
@@ -171,10 +151,9 @@ class StoreMachine(RuleBasedStateMachine):
         expected.setdefault(("mem", 0), [])
         assert set(series) == set(expected)
         for ident, rows in expected.items():
-            kept, appended, dropped = self._kept(rows)
             buf = series[ident]
-            assert buf.array.tolist() == [list(r) for r in kept], ident
-            assert (buf.appended, buf.dropped) == (appended, dropped), ident
+            assert buf.array.tolist() == [list(r) for r in rows], ident
+            assert buf.appended == len(rows), ident
         assert store.lwp_names == self.names
         assert store.lwp_affinity == self.affinity
 

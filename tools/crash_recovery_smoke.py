@@ -8,10 +8,9 @@ handlers, no atexit, nothing.
 Spawn a busy child that monitors itself with ``LiveZeroSum`` (journal
 + heartbeat on), let it commit a handful of periods, kill it with
 ``-9``, and assert that ``python -m repro.cli recover`` rebuilds a
-complete utilization report from what hit disk.  It runs twice: with
-every row kept (the append-only journal, sealed every 5 periods) and
-with an 8-row ring checkpointed every 3 periods (the compacting
-journal: the kill may land in a rewrite too).
+complete utilization report from what hit disk.  It runs twice over the
+append-only journal: sealed every 5 periods, and sealed every period
+(so the kill may land inside a seal's fsync too).
 
 Exit status 0 = both recoveries look right; anything else fails CI.
 """
@@ -36,10 +35,8 @@ from repro.live import LiveZeroSum
 
 monitor = LiveZeroSum(ZeroSumConfig(
     period_seconds=0.05,
-    max_series_rows=int(sys.argv[3]) or None,
     journal_path=sys.argv[1],
-    journal_checkpoint_every=int(sys.argv[4]),
-    journal_fsync=False,
+    journal_checkpoint_every=int(sys.argv[3]),
     heartbeat_path=sys.argv[2],
     heartbeat_every=1,
 ))
@@ -52,13 +49,13 @@ while time.time() < deadline:
 """
 
 
-def _journal_case(env: dict, max_rows: int, checkpoint_every: int) -> int:
+def _journal_case(env: dict, checkpoint_every: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         journal = os.path.join(tmp, "run.zsj")
         heartbeat = os.path.join(tmp, "heartbeat.log")
         child = subprocess.Popen(
             [sys.executable, "-c", CHILD_SOURCE, journal, heartbeat,
-             str(max_rows), str(checkpoint_every)],
+             str(checkpoint_every)],
             env=env,
             stdout=subprocess.PIPE,
             text=True,
@@ -108,17 +105,16 @@ def _journal_case(env: dict, max_rows: int, checkpoint_every: int) -> int:
                   file=sys.stderr)
             return 1
 
-    print(f"crash-recovery smoke: kill -9'd journaled run (max rows "
-          f"{max_rows or 'all'}, checkpoint every {checkpoint_every}) "
-          "recovered cleanly.")
+    print(f"crash-recovery smoke: kill -9'd journaled run (checkpoint "
+          f"every {checkpoint_every}) recovered cleanly.")
     return 0
 
 
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    for max_rows, checkpoint_every in ((0, 5), (8, 3)):
-        rc = _journal_case(env, max_rows, checkpoint_every)
+    for checkpoint_every in (5, 1):
+        rc = _journal_case(env, checkpoint_every)
         if rc != 0:
             return rc
     return 0

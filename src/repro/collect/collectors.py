@@ -23,6 +23,7 @@ from repro.errors import ProcessVanishedError, ProcFSError
 from repro.gpu.metrics import METRIC_ORDER
 from repro.procfs.parsers import (
     CpuTimes,
+    TaskCounters,
     TaskStat,
     TaskStatus,
     parse_meminfo,
@@ -125,83 +126,66 @@ class LwpCollector:
     def collect(self, tick: float) -> list[ThreadSnapshot]:
         """Sample every live thread of the process."""
         if self._raw is not None:
-            return self._collect_raw(tick)
+            try:
+                tasks = self._raw(self.pid)
+            except ProcFSError as exc:
+                if self.missing_process == "ignore":
+                    return []
+                raise self._vanished(exc) from exc
+            return self._stage(tick, tasks)
         try:
             tids = [int(t) for t in self.reader.listdir(f"/proc/{self.pid}/task")]
         except ProcFSError as exc:
             if self.missing_process == "ignore":
                 return []
             raise self._vanished(exc) from exc
-        snapshots: list[ThreadSnapshot] = []
-        for tid in tids:
-            try:
-                stat, status = read_task(self.reader, self.pid, tid)
-            except ProcFSError as exc:
-                if not is_missing(exc):
-                    raise  # denied/broken is a collector failure, not a race
-                self.store.ledger.record_dropped_row(
-                    self.name, tick, f"thread {tid} died mid-sample: {exc}"
+        tasks: list[TaskCounters] = []
+        try:
+            for tid in tids:
+                try:
+                    stat, status = read_task(self.reader, self.pid, tid)
+                except ProcFSError as exc:
+                    if not is_missing(exc):
+                        raise  # denied/broken is a collector failure, not a race
+                    self.store.ledger.record_dropped_row(
+                        self.name, tick, f"thread {tid} died mid-sample: {exc}"
+                    )
+                    continue
+                tasks.append(
+                    TaskCounters(
+                        tid,
+                        stat.comm,
+                        stat.state,
+                        stat.utime,
+                        stat.stime,
+                        stat.minflt,
+                        stat.majflt,
+                        status.voluntary_ctxt_switches,
+                        status.nonvoluntary_ctxt_switches,
+                        stat.processor,
+                        status.cpus_allowed,
+                    )
                 )
-                continue
-            self.store.add_lwp_row(
-                tid,
-                (
-                    tick,
-                    state_code(stat.state),
-                    stat.utime,
-                    stat.stime,
-                    status.nonvoluntary_ctxt_switches,
-                    status.voluntary_ctxt_switches,
-                    stat.minflt,
-                    stat.majflt,
-                    stat.processor,
-                ),
-                name=stat.comm,
-                affinity=status.cpus_allowed,
-            )
-            snapshots.append(
-                ThreadSnapshot(
-                    tid=tid,
-                    state=stat.state,
-                    total_jiffies=stat.utime + stat.stime,
-                )
-            )
+        finally:  # what was read before a failure is staged, and rolled back
+            snapshots = self._stage(tick, tasks)
         return snapshots
 
-    def _collect_raw(self, tick: float) -> list[ThreadSnapshot]:
-        """Snapshot-tier sampling: same rows, no text round trip."""
-        try:
-            tasks = self._raw(self.pid)
-        except ProcFSError as exc:
-            if self.missing_process == "ignore":
-                return []
-            raise self._vanished(exc) from exc
-        snapshots: list[ThreadSnapshot] = []
-        for t in tasks:
-            self.store.add_lwp_row(
-                t.tid,
-                (
-                    tick,
-                    state_code(t.state),
-                    t.utime,
-                    t.stime,
-                    t.nvcsw,
-                    t.vcsw,
-                    t.minflt,
-                    t.majflt,
-                    t.processor,
-                ),
-                name=t.comm,
-                affinity=t.affinity,
-            )
-            snapshots.append(
-                ThreadSnapshot(
-                    tid=t.tid,
-                    state=t.state,
-                    total_jiffies=t.utime + t.stime,
-                )
-            )
-        return snapshots
+    def _stage(self, tick: float, tasks: list[TaskCounters]) -> list[ThreadSnapshot]:
+        """Stage the threads' rows as one block; their snapshots."""
+        self.store.stage(
+            "lwp",
+            [t.tid for t in tasks],
+            [
+                (tick, state_code(t.state), t.utime, t.stime, t.nvcsw, t.vcsw,
+                 t.minflt, t.majflt, t.processor)
+                for t in tasks
+            ],
+            [t.comm for t in tasks],
+            [t.affinity for t in tasks],
+        )
+        return [
+            ThreadSnapshot(t.tid, t.state, t.utime + t.stime) for t in tasks
+        ]
 
 
 class HwtCollector:
@@ -241,15 +225,21 @@ class HwtCollector:
             cpu_times = self._raw(self.cpus)
         else:
             cpu_times = read_cpu_times(self.reader)
-        for cpu in self.cpus:
-            times = cpu_times.get(cpu)
-            if times is None:
-                raise ProcFSError(
-                    f"cpu{cpu} missing from /proc/stat (short read?)"
+        cpus: list[int] = []
+        rows: list[tuple] = []
+        try:
+            for cpu in self.cpus:
+                times = cpu_times.get(cpu)
+                if times is None:
+                    raise ProcFSError(
+                        f"cpu{cpu} missing from /proc/stat (short read?)"
+                    )
+                cpus.append(cpu)
+                rows.append(
+                    (tick, times.user, times.system, times.idle, times.iowait)
                 )
-            self.store.add_hwt_row(
-                cpu, (tick, times.user, times.system, times.idle, times.iowait)
-            )
+        finally:  # what was read before a failure is staged, and rolled back
+            self.store.stage("hwt", cpus, rows)
         return []
 
 
@@ -306,10 +296,15 @@ class GpuCollector:
 
     def collect(self, tick: float) -> list[ThreadSnapshot]:
         """Record one sensor sweep per visible device."""
-        for visible in range(self.smi.num_devices()):
-            sample = self.smi.sample(visible, tick)
-            self.store.add_gpu_row(
-                visible,
-                (tick,) + tuple(getattr(sample, m) for m in METRIC_ORDER),
-            )
+        visibles: list[int] = []
+        rows: list[tuple] = []
+        try:
+            for visible in range(self.smi.num_devices()):
+                sample = self.smi.sample(visible, tick)
+                visibles.append(visible)
+                rows.append(
+                    (tick,) + tuple(getattr(sample, m) for m in METRIC_ORDER)
+                )
+        finally:  # what was read before a failure is staged, and rolled back
+            self.store.stage("gpu", visibles, rows)
         return []

@@ -345,10 +345,10 @@ def _apply_identity(store: SampleStore, state: dict, totals: bool = True) -> Non
 
 
 def _block_state(period: PeriodBlock) -> dict:
-    """A sealed period block: per family a key array + one row matrix."""
+    """A sealed period block: per family a key array + its row matrix."""
     return {
         family: {"keys": np.array(block.keys, dtype=np.int64),
-                 "rows": np.array(block.rows, dtype=np.float64)}
+                 "rows": block.rows}
         for family, block in zip(PeriodBlock._fields, period)
         if block.keys
     }
@@ -389,8 +389,12 @@ def _store_state(store: SampleStore) -> dict:
 
 
 def _moved(held: dict, pairs) -> dict:
-    """The ``(tid, value)`` pairs whose value ``held`` lacks."""
-    return {t: v for t, v in pairs if v is not None and held.get(t) != v}
+    """The ``(tid, value)`` pairs whose value ``held`` lacks (a value
+    held as the same object costs no equality compare)."""
+    return {
+        t: v for t, v in pairs
+        if v is not None and (h := held.get(t)) is not v and h != v
+    }
 
 
 # -- the writer -------------------------------------------------------------

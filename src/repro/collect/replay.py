@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from repro.collect.report import StoreBackedRun
 from repro.collect.store import KEYED_FAMILIES, SampleStore
 from repro.core.records import MEM_COLUMNS, PeriodBlock
@@ -80,13 +82,14 @@ class ReplayZeroSum(StoreBackedRun):
             table, key = getattr(parsed, family), _KEY_COLUMN[family]
             if table is not None:
                 self._check(table.columns, (key,) + columns, family.upper())
-                for ident, rows in table.group_rows(key).items():
-                    for row in rows:
-                        self.store.add_row(family, int(ident), tuple(row[1:]))
+                # one staged family: the store splits it into per-entity
+                # series in first-seen order, each in log order
+                keys = table.rows[:, 0].astype(np.int64).tolist()
+                self.store.stage(family, keys, table.rows[:, 1:])
         if parsed.memory is not None:
             self._check(parsed.memory.columns, MEM_COLUMNS, "memory")
-            for row in parsed.memory.rows:
-                self.store.add_mem_row(tuple(row))
+            rows = parsed.memory.rows
+            self.store.stage("mem", [0] * len(rows), rows)
         # a log is one ingest, not a period: close it and drop the block
         # nobody reads, or the store holds every row a second time
         self.store.commit(self.store.prev_tick, ())

@@ -10,16 +10,19 @@ which the streaming seam differences into per-interval busy rates.
 
 The store is **transactional per collector**: the engine brackets each
 collector's run in :meth:`SampleStore.begin` / :meth:`SampleStore.release`.
-Inside the bracket ``add_*_row`` only *stages* what it is handed; the
-rows reach the series on ``release``, so :meth:`SampleStore.rollback`
-is "drop the staged rows" and a sampling period is whole per subsystem
-or absent, never torn.  The store also carries the
+A collector hands each family's rows over in one :meth:`SampleStore.stage`
+call, width-checked once; inside the bracket they are only *staged*,
+and they reach the series on ``release``, as one float64 matrix, so
+:meth:`SampleStore.rollback` is "drop the staged rows" and a sampling
+period is whole per subsystem or absent, never torn.  The store also
+carries the
 :class:`~repro.collect.faults.DegradationLedger` recording every such
 containment decision.
 
 Everything applied between two :meth:`SampleStore.commit` calls is one
 :class:`~repro.core.records.PeriodBlock`, sealed as ``store.period`` —
-the one copy of the period's rows the detector and the journal read.
+the one copy of the period's rows (the applied matrices themselves)
+the detector and the journal read.
 """
 
 from __future__ import annotations
@@ -76,9 +79,10 @@ class SampleStore:
         #: the store never imports the detect package — it only carries
         #: the ledger for the report builder and the journal snapshot
         self.alerts: "AlertLedger | None" = None
-        #: per family, the rows applied since the last commit
+        #: per family, the chunks ``(keys, matrix, names, affinities)``
+        #: applied since the last commit
         self._open: dict[str, list[tuple]] = {f: [] for f in _FAMILIES}
-        #: inside a bracket, the rows staged so far, by family; None
+        #: inside a bracket, the chunks staged so far, by family; None
         #: outside one
         self._staged: dict[str, list[tuple]] | None = None
         #: the rows of the newest committed period (see the module doc)
@@ -108,50 +112,87 @@ class SampleStore:
         Nothing staged has touched a series, a name or an affinity, so
         the store is bit-identical to its state at :meth:`begin`.
         """
-        return sum(map(len, self._close().values()))
+        return sum(
+            len(chunk[0]) for chunks in self._close().values() for chunk in chunks
+        )
 
     def release(self) -> None:
         """Close the bracket, applying everything staged since it.
 
-        The rows go to float64 first: one numpy cannot store fails here,
-        with nothing applied and the bracket still open for a rollback.
+        The staged rows go to float64 matrices first: one numpy cannot
+        store fails here, with nothing applied and the bracket still
+        open for a rollback.
         """
-        rows = {
-            family: np.array([e[1] for e in entries], dtype=np.float64)
-            for family, entries in (self._staged or {}).items()
+        matrices = {
+            family: [np.array(chunk[1], dtype=np.float64) for chunk in chunks]
+            for family, chunks in (self._staged or {}).items()
         }
-        for family, entries in self._close().items():
-            self._apply(family, entries, rows[family])
+        for family, chunks in self._close().items():
+            for (keys, _, names, affinities), matrix in zip(chunks, matrices[family]):
+                self._apply(family, keys, matrix, names, affinities)
+
+    def stage(
+        self,
+        family: str,
+        keys: Sequence[int],
+        rows: Sequence[Sequence[float]],
+        names: Sequence | None = None,
+        affinities: Sequence | None = None,
+    ) -> None:
+        """Observations of one family ``"lwp" | "hwt" | "gpu" | "mem"``:
+        ``rows[i]`` is of entity ``keys[i]``, with the identity facts
+        ``names[i]`` / ``affinities[i]`` when they came with the rows.
+
+        The width is checked once for the whole family, so a malformed
+        row fails here, inside the collector's bracket.  Inside a
+        bracket the rows are staged; outside one they are applied at
+        once (a replayed log's rows arrive that way).
+        """
+        n = len(keys)
+        if not n:
+            return
+        columns = _FAMILIES[family][1]
+        if len(rows) != n:
+            raise MonitorError(f"{n} keys for {len(rows)} rows")
+        if set(map(len, rows)) != {len(columns)}:
+            for row in rows:  # name the first row that does not fit
+                check_width(row, columns)
+        chunk = (
+            tuple(keys),
+            rows,
+            None if names is None else tuple(names),
+            None if affinities is None else tuple(affinities),
+        )
+        if self._staged is None:
+            matrix = np.array(rows, dtype=np.float64)
+            self._apply(family, chunk[0], matrix, *chunk[2:])
+        else:
+            self._staged.setdefault(family, []).append(chunk)
 
     def add_row(self, family: str, key: int, row, name=None, affinity=None) -> None:
-        """One observation of one entity of ``"lwp" | "hwt" | "gpu" | "mem"``.
+        """One observation of one entity: the one-row :meth:`stage`."""
+        self.stage(
+            family, (key,), (row,),
+            None if name is None else (name,),
+            None if affinity is None else (affinity,),
+        )
 
-        The family-generic form of the four ``add_*_row`` below (a
-        replayed log's rows arrive through it).
-        """
-        entry = (key, row, name, affinity)
-        if self._staged is None:
-            self._apply(family, (entry,), (row,))
-        else:  # a malformed row must fail inside the collector's bracket
-            check_width(row, _FAMILIES[family][1])
-            self._staged.setdefault(family, []).append(entry)
-
-    def _apply(self, family: str, entries, rows) -> None:
+    def _apply(self, family: str, keys, matrix, names, affinities) -> None:
         """The one writer of the series, the identity maps and the open
         block — but for journal recovery's bulk :meth:`extend`."""
         attr, columns = _FAMILIES[family]
         mapping = {0: self.mem_series} if attr is None else getattr(self, attr)
-        for (key, _, name, affinity), row in zip(entries, rows):
+        for key, row in zip(keys, matrix):
             series = mapping.get(key)
             if series is None:
                 series = mapping[key] = SeriesBuffer(columns)
-            series.append(row)
-            if name is not None:
-                self.lwp_names[key] = name
-            if affinity is not None:
-                # affinity may change after creation: re-recorded every period
-                self.lwp_affinity[key] = affinity
-        self._open[family].extend(entries)
+            series.push(row)
+        if names:
+            self.lwp_names.update(zip(keys, names))
+        if affinities:
+            # affinity may change after creation: re-recorded every period
+            self.lwp_affinity.update(zip(keys, affinities))
+        self._open[family].append((keys, matrix, names, affinities))
 
     def extend(self, family: str, keys: np.ndarray, rows: np.ndarray) -> None:
         """Many committed rows of one family at once: ``rows[i]`` is of ``keys[i]``.
@@ -214,7 +255,28 @@ class SampleStore:
         self.prev_tick = tick
         for snap in snapshots:
             self.prev_totals[snap.tid] = snap.total_jiffies
-        self.period = PeriodBlock(
-            *(FamilyBlock(*zip(*entries)) for entries in self._open.values())
-        )
+        self.period = PeriodBlock(*map(_seal, self._open.values()))
         self._open = {family: [] for family in _FAMILIES}
+
+
+def _seal(chunks: list[tuple]) -> FamilyBlock:
+    """One family's applied chunks as its block of the period (identity
+    facts that did not come with a chunk's rows are ``None`` per row)."""
+    if not chunks:
+        return FamilyBlock()
+    if len(chunks) == 1:
+        keys, matrix, names, affinities = chunks[0]
+    else:
+        keys = sum((chunk[0] for chunk in chunks), ())
+        matrix = np.concatenate([chunk[1] for chunk in chunks])
+        names, affinities = _joined(chunks, 2), _joined(chunks, 3)
+    none = (None,) * len(keys)
+    return FamilyBlock(keys, matrix, names or none, affinities or none)
+
+
+def _joined(chunks: list[tuple], field: int) -> tuple | None:
+    """One identity field of several chunks, ``None`` per row of a chunk
+    that came without it (``None`` when none came with it)."""
+    if not any(chunk[field] for chunk in chunks):
+        return None
+    return sum((chunk[field] or (None,) * len(chunk[0]) for chunk in chunks), ())

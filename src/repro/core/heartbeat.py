@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from repro.collect.faults import DegradationLedger
@@ -97,9 +97,9 @@ class HeartbeatWriter:
             self._file.close()
 
 
-@dataclass(frozen=True)
-class ThreadSnapshot:
-    """The per-thread facts one sample contributes to progress tracking."""
+class ThreadSnapshot(NamedTuple):
+    """The per-thread facts one sample contributes to progress tracking
+    (a named tuple: one is built per thread per sample)."""
 
     tid: int
     state: str  # /proc state letter

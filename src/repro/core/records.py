@@ -77,16 +77,22 @@ def check_width(row: Sequence[float], columns: Sequence[str]) -> None:
         )
 
 
+#: the rows of a family that had none this period
+_NO_ROWS = np.empty((0, 0))
+_NO_ROWS.flags.writeable = False
+
+
 class FamilyBlock(NamedTuple):
     """One family's rows of one sampling period, in arrival order.
 
-    Parallel tuples: ``rows[i]`` is what ``add_*_row`` was handed for
-    entity ``keys[i]``, with the optional identity facts that came with
-    it (``None`` for the families that have none).
+    ``rows`` is the float64 matrix the store applied, ``rows[i]`` the
+    observation of entity ``keys[i]``; the parallel tuples carry the
+    optional identity facts that came with it (``None`` for the
+    families that have none).
     """
 
     keys: tuple = ()
-    rows: tuple = ()
+    rows: np.ndarray = _NO_ROWS
     names: tuple = ()
     affinities: tuple = ()
 
@@ -119,6 +125,10 @@ class SeriesBuffer:
     def append(self, row: Sequence[float]) -> None:
         """Append one row (width-checked)."""
         check_width(row, self.columns)
+        self.push(row)
+
+    def push(self, row: Sequence[float]) -> None:
+        """Append one row of a matrix already checked to fit."""
         if self._len == self._data.shape[0]:
             grown = np.zeros((self._len * 2, len(self.columns)), dtype=np.float64)
             grown[: self._len] = self._data

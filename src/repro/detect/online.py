@@ -32,7 +32,6 @@ history reproducible across the simulated, live, and replayed drivers
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -66,13 +65,17 @@ _MEM_METRICS = (
 )
 
 
-#: per family, the metric values of one period-block row (store column
-#: positions, resolved once; ``tick`` leads every column tuple)
-_LWP_PICK = itemgetter(*map(LWP_COLUMNS.index, _LWP_METRICS))
-_GPU_PICK = itemgetter(*map(GPU_COLUMNS.index, _GPU_METRICS))
-_MEM_PICK = itemgetter(*map(MEM_COLUMNS.index, _MEM_METRICS))
+#: per family, the period-block columns a history mirrors: the tick
+#: (which leads every column tuple), then its metrics (store column
+#: positions, resolved once)
+_LWP_PICK = [0, *map(LWP_COLUMNS.index, _LWP_METRICS)]
+_GPU_PICK = [0, *map(GPU_COLUMNS.index, _GPU_METRICS)]
+_MEM_PICK = [0, *map(MEM_COLUMNS.index, _MEM_METRICS)]
 #: smoothing of :meth:`EntityHistory.ewma`
 _EWMA_ALPHA = 0.3
+#: run an iterator to its end, keeping nothing (the itertools recipe)
+_consume = deque(maxlen=0).extend
+_append = deque.append
 
 
 class EntityHistory:
@@ -110,8 +113,8 @@ class EntityHistory:
     def push(self, tick: float, values: Iterable[float]) -> None:
         """Append one sample (ordered like ``names``)."""
         self.ticks.append(tick)
-        for series, value in zip(self._deques, values):
-            series.append(value)
+        # one append per metric deque, run out at C speed
+        _consume(map(_append, self._deques, values))
 
     def __len__(self) -> int:
         return len(self.ticks)
@@ -258,13 +261,16 @@ class OnlineDetector:
             (self.gpus, period.gpu, _GPU_METRICS, _GPU_PICK),
             ({0: self.mem}, period.mem, _MEM_METRICS, _MEM_PICK),
         ):
-            for key, row in zip(block.keys, block.rows):
+            if not block.keys:
+                continue
+            # the picked columns of the whole block as Python floats in
+            # one call: the values the series (and a recovered journal)
+            # hold, not the integer jiffies the collectors handed over
+            for key, row in zip(block.keys, block.rows[:, pick].tolist()):
                 history = histories.get(key)
                 if history is None:
                     history = histories[key] = EntityHistory(self.window, metrics)
-                # as float64, the way the series (and a recovered journal)
-                # hold the row: collectors hand integer jiffies
-                history.push(float(row[0]), map(float, pick(row)))
+                history.push(row[0], row[1:])
 
     # -- the per-period evaluation -------------------------------------
     def observe(self, store, tick: float) -> list[OnlineFinding]:

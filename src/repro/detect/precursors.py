@@ -66,11 +66,11 @@ def precursor_memory_leak(det: "OnlineDetector") -> list[Condition]:
             code="mem-leak-oom",
             severity="critical",
             entity="mem",
-            message=(
-                f"RSS growing {rss_slope:.0f} KiB/s while MemAvailable "
-                f"falls {-avail_slope:.0f} KiB/s "
-                f"({avail:.0f} KiB left): projected OOM in {eta_s:.0f}s"
+            template=(
+                "RSS growing {:.0f} KiB/s while MemAvailable falls "
+                "{:.0f} KiB/s ({:.0f} KiB left): projected OOM in {:.0f}s"
             ),
+            args=(rss_slope, -avail_slope, avail, eta_s),
             eta_s=eta_s,
         )
     ]
@@ -101,11 +101,11 @@ def precursor_gpu_thermal(det: "OnlineDetector") -> list[Condition]:
                 code="gpu-thermal-throttle",
                 severity="warning",
                 entity=f"gpu:{visible}",
-                message=(
-                    f"GPU {visible} at {temp:.1f}C rising "
-                    f"{slope * 60:.2f}C/min under load: throttle point "
-                    f"{throttle:.0f}C in ~{eta_s:.0f}s"
+                template=(
+                    "GPU {} at {:.1f}C rising {:.2f}C/min under load: "
+                    "throttle point {:.0f}C in ~{:.0f}s"
                 ),
+                args=(visible, temp, slope * 60, throttle, eta_s),
                 eta_s=eta_s,
             )
         )
@@ -143,11 +143,11 @@ def precursor_runqueue_starvation(det: "OnlineDetector") -> list[Condition]:
                 code="runqueue-starvation",
                 severity="warning",
                 entity=f"lwp:{tid}",
-                message=(
-                    f"LWP {tid} was runnable in {100 * runnable:.0f}% of "
-                    f"the last {len(history)} samples but ran only "
-                    f"{busy:.2f}% of one CPU: starved on the runqueue"
+                template=(
+                    "LWP {} was runnable in {:.0f}% of the last {} samples "
+                    "but ran only {:.2f}% of one CPU: starved on the runqueue"
                 ),
+                args=(tid, 100 * runnable, len(history), busy),
             )
         )
     return out
@@ -183,11 +183,12 @@ def precursor_io_stall(det: "OnlineDetector") -> list[Condition]:
                 code="io-stall",
                 severity="warning",
                 entity=f"lwp:{tid}",
-                message=(
-                    f"LWP {tid} spent {100 * stuck:.0f}% of the last "
-                    f"{span_s:.0f}s in uninterruptible sleep with no "
-                    f"I/O progress: stalled storage or a hung mount"
+                template=(
+                    "LWP {} spent {:.0f}% of the last {:.0f}s in "
+                    "uninterruptible sleep with no I/O progress: stalled "
+                    "storage or a hung mount"
                 ),
+                args=(tid, 100 * stuck, span_s),
             )
         )
     return out

@@ -213,13 +213,23 @@ _NO_CPUS = CpuSet()
 
 @dataclass(frozen=True)
 class Condition:
-    """One rule/precursor verdict for the current period."""
+    """One rule/precursor verdict for the current period.
+
+    The message is a ``str.format`` template plus the values it takes:
+    it is formatted (:attr:`message`) only when the detector fires the
+    episode, never for a condition still inside a reported one.
+    """
 
     code: str
     severity: str
     entity: str
-    message: str
+    template: str
+    args: tuple = ()
     eta_s: Optional[float] = None
+
+    @property
+    def message(self) -> str:
+        return self.template.format(*self.args)
 
 
 def _busy_windows(det: "OnlineDetector") -> tuple[list[Row], list[Row]]:
@@ -261,12 +271,12 @@ def rule_oversubscription(det: "OnlineDetector") -> list[Condition]:
             code="oversubscription",
             severity="critical",
             entity="proc",
-            message=(
-                f"{len(bound_busy)} busy threads share only "
-                f"{len(cpus_used)} hardware thread(s) over the last "
-                f"{det.window} periods (LWPs {lwp_list(bound_busy)} on CPUs "
-                f"{sorted(cpus_used)})"
+            template=(
+                "{} busy threads share only {} hardware thread(s) over the "
+                "last {} periods (LWPs {} on CPUs {})"
             ),
+            args=(len(bound_busy), len(cpus_used), det.window,
+                  lwp_list(bound_busy), sorted(cpus_used)),
         )
     ]
 
@@ -278,11 +288,11 @@ def rule_time_slicing(det: "OnlineDetector") -> list[Condition]:
             code="time-slicing",
             severity="warning",
             entity=f"lwp:{tid}",
-            message=(
-                f"LWP {tid} is being time-sliced: "
-                f"{rate:.1f} non-voluntary context switches/s "
-                f"over the last {len(det.lwps[tid])} periods"
+            template=(
+                "LWP {} is being time-sliced: {:.1f} non-voluntary "
+                "context switches/s over the last {} periods"
             ),
+            args=(tid, rate, len(det.lwps[tid])),
         )
         for tid, _busy, rate, _cpus in time_sliced(_busy_windows(det)[0])
     ]
@@ -295,10 +305,8 @@ def rule_affinity_overlap(det: "OnlineDetector") -> list[Condition]:
             code="affinity-overlap",
             severity="warning",
             entity=f"hwt:{cpu}",
-            message=(
-                f"{len(tids)} busy threads are pinned to CPU "
-                f"{cpu}: LWPs {tids}"
-            ),
+            template="{} busy threads are pinned to CPU {}: LWPs {}",
+            args=(len(tids), cpu, tids),
         )
         for cpu, tids in affinity_overlaps(_busy_windows(det)[1])
     ]
@@ -316,10 +324,8 @@ def rule_gpu_locality(det: "OnlineDetector") -> list[Condition]:
             code="gpu-locality",
             severity="warning",
             entity=f"gpu:{visible}",
-            message=(
-                f"GPU {visible} is on NUMA {gpu.numa} but the rank "
-                f"runs on NUMA {sorted(det.facts.rank_numas)}"
-            ),
+            template="GPU {} is on NUMA {} but the rank runs on NUMA {}",
+            args=(visible, gpu.numa, sorted(det.facts.rank_numas)),
         )
         for visible, gpu in remote_gpus(det.facts)
     ]

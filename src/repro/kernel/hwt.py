@@ -66,8 +66,8 @@ class HWTState:
         self.irq: float = 0.0
         self.softirq: float = 0.0
         #: batched-accounting enrollment (see repro.kernel.soa); while
-        #: set, ``_user``/``_system`` live in the arrays and any access
-        #: through the public properties evicts this CPU first
+        #: set, ``_user``/``_system`` live in the arrays: the getters
+        #: read through them, the setters evict this CPU first
         self._acct = None
         self._acct_slot: int = -1
 
@@ -101,10 +101,11 @@ class HWTState:
 
     @property
     def user(self) -> float:
-        """User jiffies (evicts this CPU from the batch path first)."""
-        if self._acct is not None:
-            self._acct.evict_hwt(self)
-        return self._user
+        """User jiffies (read through the batch arrays while enrolled)."""
+        acct = self._acct
+        if acct is None:
+            return self._user
+        return acct.read(acct._hus, acct._uf, self._acct_slot)
 
     @user.setter
     def user(self, value: float) -> None:
@@ -114,10 +115,11 @@ class HWTState:
 
     @property
     def system(self) -> float:
-        """System jiffies (evicts this CPU from the batch path first)."""
-        if self._acct is not None:
-            self._acct.evict_hwt(self)
-        return self._system
+        """System jiffies (read through the batch arrays while enrolled)."""
+        acct = self._acct
+        if acct is None:
+            return self._system
+        return acct.read(acct._hsy, acct._sf, self._acct_slot)
 
     @system.setter
     def system(self, value: float) -> None:

@@ -105,8 +105,9 @@ class LWP:
         #: per-CPU jiffy histogram (for contention analysis)
         self._cpu_jiffies: dict[int, float] = {}
         #: batched-accounting enrollment (see repro.kernel.soa); while
-        #: set, the jiffy counters live in the node arrays and any
-        #: access through the public properties evicts this thread
+        #: set, the jiffy counters live in the node arrays: the
+        #: utime/stime getters read through them, any other access
+        #: through the public properties evicts this thread
         self._acct = None
         self._acct_slot: int = -1
 
@@ -148,10 +149,11 @@ class LWP:
 
     @property
     def utime(self) -> float:
-        """User jiffies (evicts this thread from the batch path first)."""
-        if self._acct is not None:
-            self._acct.evict_lwp(self)
-        return self._utime
+        """User jiffies (read through the batch arrays while enrolled)."""
+        acct = self._acct
+        if acct is None:
+            return self._utime
+        return acct.read(acct._lut, acct._uf, self._acct_slot)
 
     @utime.setter
     def utime(self, value: float) -> None:
@@ -161,10 +163,11 @@ class LWP:
 
     @property
     def stime(self) -> float:
-        """System jiffies (evicts this thread from the batch path first)."""
-        if self._acct is not None:
-            self._acct.evict_lwp(self)
-        return self._stime
+        """System jiffies (read through the batch arrays while enrolled)."""
+        acct = self._acct
+        if acct is None:
+            return self._stime
+        return acct.read(acct._lst, acct._sf, self._acct_slot)
 
     @stime.setter
     def stime(self, value: float) -> None:

@@ -44,8 +44,9 @@ class SimNode:
         #: arrays (see repro.kernel.soa)
         self.scan_cpus: set[int] = set()
         #: the CPU the scheduling pass is currently visiting (-1 before
-        #: the first visit, None outside a pass); evictions from the
-        #: batch path consult it to replicate ascending visit order
+        #: the first visit, None outside a pass); reads through and
+        #: evictions from the batch path consult it to replicate
+        #: ascending visit order
         self._pass_cursor: Optional[int] = None
         #: batched accounting arrays, attached by the kernel when
         #: vectorized accounting is enabled

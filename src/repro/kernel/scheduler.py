@@ -830,12 +830,12 @@ class SimKernel:
             if not movable:
                 continue
             # idle snapshot up front, as before: a CPU fed by an earlier
-            # steal this round keeps its slot in the visit order
-            idle_mask = 0
-            for cpu, h in hwts.items():
-                if h.nr_running == 0:
-                    idle_mask |= 1 << cpu
-            idle_mask &= movable
+            # steal this round keeps its slot in the visit order.  A CPU
+            # is idle (nr_running == 0) exactly when it is not active
+            active_mask = 0
+            for cpu in node.active_cpus:
+                active_mask |= 1 << cpu
+            idle_mask = movable & ~active_mask
             while idle_mask:
                 low_bit = idle_mask & -idle_mask
                 idle_mask ^= low_bit

@@ -26,19 +26,28 @@ make that hold:
   into the arrays, evicting copies them back; no arithmetic happens at
   the boundary.
 
-The object model stays the source of truth for everything else:
-reading an enrolled counter through its property (``LWP.utime``,
-``HWTState.user``) evicts the member first, so collectors and reports
-never observe a stale view.  Any scheduling interaction — a wakeup
-enqueued on the CPU, a kill or affinity move clearing ``current`` —
-also evicts, via hooks in :class:`~repro.kernel.hwt.HWTState`.
+Reads and writes cross the boundary differently:
 
-Evictions that happen *during* the scheduling pass replicate the
-ascending-CPU visit order of the slow path: a CPU at or behind the
-pass cursor already "had its turn" this tick, so the eviction applies
-the one pure accounting tick the batch op would have delivered; a CPU
-ahead of the cursor is flushed untouched and pushed onto the node's
-activation watch heap so the pass schedules it at its usual position.
+* **a read goes through** — the ``utime``/``stime`` (``LWP``) and
+  ``user``/``system`` (``HWTState``) getters of an enrolled member
+  return its array value and leave it enrolled, so a monitor's sample
+  never knocks a CPU off the batch path.  During the scheduling pass a
+  CPU at or behind the pass cursor already "had its turn" this tick in
+  the slow path's ascending visit order, so the read adds the one
+  increment the batch op will deliver after the pass (see
+  :meth:`NodeAccounting.read`); a CPU ahead of the cursor reads as is.
+* **anything else evicts** — a counter write, the mutable
+  ``LWP.cpu_jiffies`` dict, ``LWP.charge``, and every scheduling
+  interaction (a wakeup enqueued on the CPU, a kill or affinity move
+  clearing ``current``) flush the member back to its objects first,
+  via hooks in :class:`~repro.kernel.hwt.HWTState` and
+  :class:`~repro.kernel.lwp.LWP`.
+
+Evictions that happen *during* the scheduling pass replicate the same
+visit order: a CPU at or behind the cursor is flushed with the one pure
+accounting tick the batch op would have delivered; a CPU ahead of the
+cursor is flushed untouched and pushed onto the node's activation watch
+heap so the pass schedules it at its usual position.
 """
 
 from __future__ import annotations
@@ -190,13 +199,28 @@ class NodeAccounting:
             for i in _np.nonzero(done)[0][::-1].tolist():
                 self.evict_slot(int(i))
 
+    # -- read-through ---------------------------------------------------
+    def read(self, column: "_np.ndarray", increment: "_np.ndarray", i: int) -> float:
+        """Slot ``i`` of an accumulator column, as the slow path has it now.
+
+        ``increment`` is the column's per-tick addend (``_uf`` for the
+        user counters, ``_sf`` for the system ones).  At or behind the
+        pass cursor the addition is the one :meth:`tick` will make after
+        the pass — the same sum :meth:`_evict_external` would flush.
+        """
+        cursor = self.node._pass_cursor
+        if cursor is not None and self._hwts[i].os_index <= cursor:
+            return column.item(i) + increment.item(i)
+        return column.item(i)
+
     # -- eviction -------------------------------------------------------
     def evict_hwt(self, hwt: "HWTState") -> None:
         """External interaction with an enrolled CPU: flush it out."""
         self._evict_external(hwt._acct_slot)
 
     def evict_lwp(self, lwp: "LWP") -> None:
-        """External read/write of an enrolled thread: flush it out."""
+        """External write (or histogram access) of an enrolled thread:
+        flush it out."""
         self._evict_external(lwp._acct_slot)
 
     def _evict_external(self, i: int) -> None:

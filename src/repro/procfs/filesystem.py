@@ -27,6 +27,7 @@ Two performance-minded design points:
 from __future__ import annotations
 
 from repro.errors import ProcFSError
+from repro.kernel.lwp import ThreadState
 from repro.kernel.node import SimNode
 from repro.kernel.scheduler import SimKernel
 from repro.procfs import formats
@@ -35,6 +36,8 @@ from repro.procfs.parsers import CpuTimes, TaskCounters
 __all__ = ["ProcFS"]
 
 _PID_DIR_ENTRIES = ["stat", "status", "task", "cmdline", "io"]
+#: task states /proc no longer lists
+_ZOMBIE, _DEAD = ThreadState.ZOMBIE, ThreadState.DEAD
 
 
 def _is_id(text: str) -> bool:
@@ -170,24 +173,29 @@ class ProcFS:
         if proc is None:
             raise ProcFSError(f"no such process: {resolved}")
         comm = proc.command.split("/")[-1][:15]
-        alive = [(str(tid), lwp) for tid, lwp in proc.threads.items() if lwp.alive]
-        alive.sort(key=lambda item: item[0])
-        return [
-            TaskCounters(
-                tid=lwp.tid,
-                comm=comm,
-                state=lwp.state.value,
-                utime=int(lwp.utime),
-                stime=int(lwp.stime),
-                minflt=lwp.minflt,
-                majflt=lwp.majflt,
-                vcsw=lwp.vcsw,
-                nvcsw=lwp.nvcsw,
-                processor=lwp.last_cpu,
-                affinity=lwp.affinity,
+        threads = proc.threads
+        tasks: list[TaskCounters] = []
+        for tid in sorted(threads, key=str):
+            lwp = threads[tid]
+            state = lwp._state  # once: the state/alive properties re-read it
+            if state is _ZOMBIE or state is _DEAD:
+                continue
+            tasks.append(
+                TaskCounters(
+                    tid,
+                    comm,
+                    state.value,
+                    int(lwp.utime),
+                    int(lwp.stime),
+                    lwp.minflt,
+                    lwp.majflt,
+                    lwp.vcsw,
+                    lwp.nvcsw,
+                    lwp.last_cpu,
+                    lwp.affinity,
+                )
             )
-            for _, lwp in alive
-        ]
+        return tasks
 
     def read_cpu_times_raw(self, cpus) -> dict[int, CpuTimes]:
         """Jiffy counters of the CPUs in ``cpus`` that this node has.
@@ -202,18 +210,24 @@ class ProcFS:
         result: dict[int, CpuTimes] = {}
         for cpu in cpus:
             h = hwts.get(cpu)
-            if h is not None:
-                result[cpu] = CpuTimes(
-                    cpu,
-                    int(h.user),
-                    int(h.nice),
-                    int(h.system),
-                    int(h.idle_at(now)),
-                    int(h.iowait),
-                    int(h.irq),
-                    int(h.softirq),
-                    0,  # steal
-                )
+            if h is None:
+                continue
+            # each counter read once; idle is HWTState.idle_at's exact
+            # float expression over those same reads
+            user, system = h.user, h.system
+            nice, iowait, irq, softirq = h.nice, h.iowait, h.irq, h.softirq
+            idle = max(0.0, now - (user + nice + system + irq + softirq) - iowait)
+            result[cpu] = CpuTimes(
+                cpu,
+                int(user),
+                int(nice),
+                int(system),
+                int(idle),
+                int(iowait),
+                int(irq),
+                int(softirq),
+                0,  # steal
+            )
         return result
 
     def _mask_words(self) -> int:

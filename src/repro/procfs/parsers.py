@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.errors import ProcParseError
 from repro.topology.cpuset import CpuSet
@@ -67,8 +68,7 @@ class TaskStatus:
     nonvoluntary_ctxt_switches: int
 
 
-@dataclass(frozen=True)
-class TaskCounters:
+class TaskCounters(NamedTuple):
     """One thread's sampled counters, independent of text formats.
 
     This is the record of the **snapshot fast path**: a reader that
@@ -78,7 +78,8 @@ class TaskCounters:
     defined to be *exactly* what parsing the rendered text would
     yield — integer-floored jiffies, one-letter state, the trimmed
     ``comm`` — so both paths produce identical samples (enforced by
-    the reader contract tests).
+    the reader contract tests).  A named tuple: one is built per
+    thread per sample, positionally, at C speed.
     """
 
     tid: int
@@ -130,8 +131,7 @@ def parse_pid_io(text: str) -> TaskIo:
         raise ProcParseError(f"io file missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CpuTimes:
+class CpuTimes(NamedTuple):
     """One ``cpuN`` line of ``/proc/stat`` (jiffies)."""
 
     cpu: int  # -1 for the aggregate "cpu" line

@@ -370,14 +370,14 @@ class TestScopedCpuTimes:
             on_node[p % len(on_node)] for p in sorted(picks)
         ]
         # mid-run: the busy CPUs sit in the batched accounting arrays,
-        # and the scoped read evicts only the ones it is asked about
+        # and the scoped read reads through them, leaving them enrolled
         kernel.run(max_ticks=20)
         raw = fs.read_cpu_times_raw(cpus)
         text = read_cpu_times(fs)
         assert raw == {c: text[c] for c in cpus}
         # after the idle window was fast-forwarded and work resumed
         kernel.run(max_ticks=260)
-        text = read_cpu_times(fs)  # text first: evicts every CPU
+        text = read_cpu_times(fs)  # text first: reads every CPU
         assert fs.read_cpu_times_raw(cpus) == {c: text[c] for c in cpus}
         kernel.run(max_ticks=15)
         raw = fs.read_cpu_times_raw(cpus)

@@ -9,7 +9,9 @@ every LWP, HWT, GPU, and I/O counter across
 path, which is the oracle).
 """
 
-from repro.kernel import Compute, FileIo, SimKernel, Sleep
+import pytest
+
+from repro.kernel import Call, Compute, FileIo, SimKernel, Sleep
 from repro.topology import CpuSet, frontier_node
 
 
@@ -69,10 +71,10 @@ def _busy(vector: bool) -> SimKernel:
     return kernel
 
 
-def _mixed(vector: bool) -> SimKernel:
+def _mixed_world(vector: bool) -> SimKernel:
     """Oversubscription + I/O + sleep + affinity churn + a kill: every
     eviction path (wakeups onto enrolled CPUs, affinity moves, death)
-    fires while members are mid-batch."""
+    fires while members are mid-batch.  Built, not yet run."""
     kernel = SimKernel(frontier_node(), vector_accounting=vector)
     node = kernel.nodes[0]
 
@@ -101,6 +103,11 @@ def _mixed(vector: bool) -> SimKernel:
 
     kernel.call_at(37, retarget)
     kernel.call_at(61, lambda k: k.kill_process(procs[2]))
+    return kernel
+
+
+def _mixed(vector: bool) -> SimKernel:
+    kernel = _mixed_world(vector)
     kernel.run()
     return kernel
 
@@ -112,24 +119,63 @@ class TestVectorVsScalar:
     def test_mixed_workload(self):
         assert _fingerprint(_mixed(True)) == _fingerprint(_mixed(False))
 
-    def test_mid_run_property_reads_evict(self):
-        """Reading an enrolled counter through its property mid-run
-        must observe the batched ticks, not a stale object field."""
-        vec = SimKernel(frontier_node(), vector_accounting=True)
-        sca = SimKernel(frontier_node(), vector_accounting=False)
-        lwps = []
-        for kernel in (vec, sca):
-            proc = kernel.spawn_process(
-                kernel.nodes[0], CpuSet([1]), iter([Compute(100)])
-            )
-            lwps.append(proc.main_thread)
-        for _ in range(30):
-            vec.step()
-            sca.step()
-        # the mid-run read itself is part of the test: it forces an
-        # eviction while the member is mid-batch
-        assert lwps[0].utime.hex() == lwps[1].utime.hex()
-        for _ in range(30):
-            vec.step()
-            sca.step()
-        assert _fingerprint(vec) == _fingerprint(sca)
+    def test_mid_pass_reads_go_through(self):
+        """An observer on CPU 4 reads two enrolled members mid-pass: the
+        one on CPU 1 is behind the pass cursor, the one on CPU 9 ahead
+        of it.  Each read must equal the scalar kernel's value and leave
+        the batch arrays as they were."""
+        runs = {}
+        for vector in (True, False):
+            kernel = SimKernel(frontier_node(), vector_accounting=vector)
+            node = kernel.nodes[0]
+
+            def member():
+                yield Compute(120, user_frac=0.7)
+
+            members = [
+                kernel.spawn_process(node, CpuSet([cpu]), member()).main_thread
+                for cpu in (1, 9)
+            ]
+            seen = []
+
+            def read(k, _lwp, node=node, members=members, seen=seen):
+                assert node._pass_cursor == 4
+                acct = node._acct
+                n = acct.n if acct is not None else 0
+                for lwp in members:
+                    hwt = node.hwts[lwp.last_cpu]
+                    seen.append((
+                        lwp.utime.hex(), lwp.stime.hex(),
+                        hwt.user.hex(), hwt.system.hex(),
+                    ))
+                    if acct is not None:  # the read left it enrolled
+                        assert lwp._acct is acct and hwt._acct is acct
+                assert (acct.n if acct is not None else 0) == n
+
+            def observer():
+                for _ in range(12):
+                    yield Sleep(7)
+                    yield Call(read)
+
+            kernel.spawn_process(node, CpuSet([4]), observer())
+            for _ in range(100):
+                kernel.step()
+            assert not kernel.crashes
+            runs[vector] = kernel, seen
+        assert len(runs[True][1]) == 2 * 12
+        assert runs[True][1] == runs[False][1]
+        assert _fingerprint(runs[True][0]) == _fingerprint(runs[False][0])
+
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_active_set_is_the_busy_cpus(self, vector):
+        """The idle balancer's premise: after every step a CPU is active
+        exactly when it has a thread running or queued."""
+        kernel = _mixed_world(vector)
+        node = kernel.nodes[0]
+        steps = 0
+        while kernel.alive_work():
+            kernel.step()
+            steps += 1
+            busy = {c for c, h in node.hwts.items() if h.nr_running > 0}
+            assert node.active_cpus == busy, kernel.now
+        assert steps > 60  # past the affinity move and the kill

@@ -163,9 +163,12 @@ class StoreMachine(RuleBasedStateMachine):
             return
         for family in ("lwp", "hwt", "gpu", "mem"):
             block = getattr(self.store.period, family)
-            got = list(zip(block.keys, block.rows, block.names,
+            # the block's rows are the float64 matrix the series took
+            got = list(zip(block.keys, block.rows.tolist(), block.names,
                            block.affinities))
-            want = [e[1:] for e in self.sealed if e[0] == family]
+            want = [(key, list(row), name, affinity)
+                    for fam, key, row, name, affinity in self.sealed
+                    if fam == family]
             assert got == want, family
 
 

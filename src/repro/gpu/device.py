@@ -20,6 +20,7 @@ can block on; completion sets the event.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -139,116 +140,174 @@ class GpuDevice:
     # -- simulation ----------------------------------------------------------
     def tick(self, kernel: "SimKernel") -> None:
         """Advance one jiffy of device time."""
-        if self._idle_steady:
-            if self.active is None and not self.queue:
-                # sensors are at their idle fixed point: a full tick
-                # would reproduce them bit-for-bit, so only the two
-                # accumulators move
-                self.total_jiffies += 1.0
-                self.energy_j += self.power_w * 0.01
+        active = self.active
+        if active is None:
+            if not self.queue:
+                if self._idle_steady:
+                    # _advance_idle(1) at the fixed point, inlined: the
+                    # call would quadruple the cost of a stepped idle tick
+                    self.total_jiffies += 1.0
+                    self.energy_j += self.power_w * 0.01
+                else:
+                    self._advance_idle(1)
                 return
-            self._idle_steady = False
+            active = self.active = self.queue.popleft()
+        self._advance_busy(1)
+        if active.remaining <= 0:
+            self.kernels_completed += 1
+            active.done.set(kernel)
+            self.active = None
 
-        self.total_jiffies += 1.0
-        if self.active is None and self.queue:
-            self.active = self.queue.popleft()
+    def window(self, limit: int) -> int:
+        """Ticks (at most ``limit``) this device can take in one
+        :meth:`advance`: none while a queued kernel waits to start, up to
+        (not including) the active kernel's completion tick, and any
+        number while idle.
 
-        busy = self.active is not None
-        if busy:
-            assert self.active is not None
-            self.active.remaining -= 1.0
-            self.busy_jiffies += 1.0
-            self.gfx_activity += self.clock_gfx_mhz * 0.36
-            self.memory_activity += self.active.memory_intensity * 24.0
-            if self.active.remaining <= 0:
-                self.kernels_completed += 1
-                self.active.done.set(kernel)
-                self.active = None
-        else:
-            prev_sensors = (self.clock_gfx_mhz, self.power_w, self.temperature_c)
-
-        # DVFS: ramp clock toward the load-appropriate level
-        target_clock = self.max_clock_mhz if busy else self.min_clock_mhz
-        self.clock_gfx_mhz += 0.5 * (target_clock - self.clock_gfx_mhz)
-
-        # power tracks clock + busyness, with sensor noise
-        frac = (self.clock_gfx_mhz - self.min_clock_mhz) / (
-            self.max_clock_mhz - self.min_clock_mhz
-        )
-        base = self.idle_power_w + frac * (self.max_power_w - self.idle_power_w)
-        noise = float(self._rng.normal(0.0, 0.5)) if busy else 0.0
-        power = base + noise
-        # same selection np.clip performs, without the ufunc overhead
-        if power < self.idle_power_w:
-            power = self.idle_power_w
-        elif power > self.max_power_w:
-            power = self.max_power_w
-        self.power_w = power
-        self.energy_j += power * 0.01  # one jiffy = 10 ms
-
-        # first-order thermal response
-        target_temp = self.idle_temp_c + self.temp_per_watt * (
-            power - self.idle_power_w
-        )
-        self.temperature_c += 0.02 * (target_temp - self.temperature_c)
-
-        if not busy and prev_sensors == (
-            self.clock_gfx_mhz,
-            self.power_w,
-            self.temperature_c,
-        ):
-            # a deterministic recurrence that reproduced its inputs has
-            # reached its fixed point
-            self._idle_steady = True
-
-    def idle_fast_forward(self, ticks: int) -> None:
-        """Advance ``ticks`` jiffies of a fully idle device.
-
-        Bit-identical to calling :meth:`tick` that many times with an
-        empty queue: the same DVFS decay, power tracking, energy
-        integration and thermal lag are applied tick by tick (the
-        recurrences are float-order-sensitive, so they cannot be
-        collapsed into a closed form without changing the sensors the
-        monitor samples).  The RNG is untouched — idle ticks draw no
-        noise.  Callers must ensure no kernel is queued or active.
+        The active kernel loses exactly ``1.0`` per tick, and while its
+        remaining work exceeds one jiffy that subtraction is exact, so it
+        completes on tick ``ceil(remaining)``.
         """
-        if self.active is not None or self.queue:
-            raise GpuError("idle_fast_forward on a busy device")
-        clock_span = self.max_clock_mhz - self.min_clock_mhz
-        power_span = self.max_power_w - self.idle_power_w
+        active = self.active
+        if active is None:
+            return 0 if self.queue else limit
+        return min(limit, math.ceil(active.remaining) - 1)
+
+    def advance(self, ticks: int) -> None:
+        """Advance ``ticks`` jiffies in which no kernel starts or ends.
+
+        Bit-identical to calling :meth:`tick` that many times: a tick
+        is a one-jiffy call of the same helpers, whose DVFS ramp, power,
+        energy and thermal lag stay sequential, and a busy device draws
+        its power noise in one ``normal(size=ticks)`` call, which
+        returns exactly the values of ``ticks`` scalar draws.  Callers
+        keep ``ticks`` within :meth:`window`.
+        """
+        if ticks > self.window(ticks):
+            raise GpuError("advance across a kernel start or completion")
+        if self.active is None:
+            self._advance_idle(ticks)
+        else:
+            self._advance_busy(ticks)
+
+    def _advance_idle(self, ticks: int) -> None:
+        """``ticks`` jiffies with no kernel queued or active."""
         remaining = ticks
-        while remaining > 0 and not self._idle_steady:
-            prev_sensors = (self.clock_gfx_mhz, self.power_w, self.temperature_c)
-            self.total_jiffies += 1.0
-            self.clock_gfx_mhz += 0.5 * (self.min_clock_mhz - self.clock_gfx_mhz)
-            frac = (self.clock_gfx_mhz - self.min_clock_mhz) / clock_span
-            power = self.idle_power_w + frac * power_span
-            # same selection np.clip performs, without the ufunc overhead
-            if power < self.idle_power_w:
-                power = self.idle_power_w
-            elif power > self.max_power_w:
-                power = self.max_power_w
+        if not self._idle_steady:
+            min_clock = self.min_clock_mhz
+            idle_power = self.idle_power_w
+            max_power = self.max_power_w
+            power_span = max_power - idle_power
+            clock_span = self.max_clock_mhz - min_clock
+            idle_temp = self.idle_temp_c
+            temp_per_watt = self.temp_per_watt
+            clock = self.clock_gfx_mhz
+            power = self.power_w
+            temp = self.temperature_c
+            energy = self.energy_j
+            clock_fixed = False
+            while remaining > 0 and not clock_fixed:
+                remaining -= 1
+                # DVFS: the clock decays toward its idle level
+                new_clock = clock + 0.5 * (min_clock - clock)
+                new_power = (
+                    idle_power + (new_clock - min_clock) / clock_span * power_span
+                )
+                # same selection np.clip performs, without the ufunc overhead
+                if new_power < idle_power:
+                    new_power = idle_power
+                elif new_power > max_power:
+                    new_power = max_power
+                energy += new_power * 0.01  # one jiffy = 10 ms
+                # first-order thermal response
+                new_temp = temp + 0.02 * (
+                    idle_temp + temp_per_watt * (new_power - idle_power) - temp
+                )
+                clock_fixed = new_clock == clock
+                if clock_fixed and new_power == power and new_temp == temp:
+                    # a deterministic recurrence that reproduced its
+                    # inputs has reached its fixed point
+                    self._idle_steady = True
+                clock, power, temp = new_clock, new_power, new_temp
+            if clock_fixed and not self._idle_steady:
+                # the ramp is a function of the clock alone: clock and
+                # power stay fixed, only the thermal lag still moves,
+                # toward a fixed target
+                target = idle_temp + temp_per_watt * (power - idle_power)
+                increment = power * 0.01
+                while remaining > 0:
+                    new_temp = temp + 0.02 * (target - temp)
+                    if new_temp == temp:
+                        self._idle_steady = True
+                        break
+                    remaining -= 1
+                    energy += increment
+                    temp = new_temp
+            self.clock_gfx_mhz = clock
             self.power_w = power
-            self.energy_j += power * 0.01
-            target_temp = self.idle_temp_c + self.temp_per_watt * (
-                power - self.idle_power_w
-            )
-            self.temperature_c += 0.02 * (target_temp - self.temperature_c)
-            remaining -= 1
-            if prev_sensors == (
-                self.clock_gfx_mhz,
-                self.power_w,
-                self.temperature_c,
-            ):
-                self._idle_steady = True
-        if remaining > 0:
-            # at the fixed point every remaining tick adds the same
-            # constant; the additions stay sequential (bit-identical to
-            # stepping), only the recomputation is skipped
+            self.temperature_c = temp
+            self.energy_j = energy
+        if remaining:
+            # at the fixed point only energy moves, by a constant; the
+            # additions stay sequential
             increment = self.power_w * 0.01
+            energy = self.energy_j
             for _ in range(remaining):
-                self.total_jiffies += 1.0
-                self.energy_j += increment
+                energy += increment
+            self.energy_j = energy
+        # total_jiffies only ever holds whole jiffies: its k additions
+        # of 1.0 are one exact += k
+        self.total_jiffies += ticks
+
+    def _advance_busy(self, ticks: int) -> None:
+        """``ticks`` jiffies of the active kernel, the last of which may
+        complete it (:meth:`tick` checks)."""
+        self._idle_steady = False
+        active = self.active
+        min_clock = self.min_clock_mhz
+        max_clock = self.max_clock_mhz
+        idle_power = self.idle_power_w
+        max_power = self.max_power_w
+        power_span = max_power - idle_power
+        clock_span = max_clock - min_clock
+        idle_temp = self.idle_temp_c
+        temp_per_watt = self.temp_per_watt
+        memory_step = active.memory_intensity * 24.0
+        clock = self.clock_gfx_mhz
+        gfx = self.gfx_activity
+        memory = self.memory_activity
+        energy = self.energy_j
+        temp = self.temperature_c
+        remaining = active.remaining
+        power = self.power_w
+        if ticks == 1:
+            # a size-1 array draw costs half again a scalar one
+            noises = (float(self._rng.normal(0.0, 0.5)),)
+        else:
+            noises = self._rng.normal(0.0, 0.5, size=ticks).tolist()
+        for noise in noises:
+            remaining -= 1.0
+            gfx += clock * 0.36
+            memory += memory_step
+            # DVFS: the clock ramps toward its busy level
+            clock += 0.5 * (max_clock - clock)
+            # power tracks the clock, with sensor noise
+            power = idle_power + (clock - min_clock) / clock_span * power_span + noise
+            if power < idle_power:
+                power = idle_power
+            elif power > max_power:
+                power = max_power
+            energy += power * 0.01
+            temp += 0.02 * (idle_temp + temp_per_watt * (power - idle_power) - temp)
+        active.remaining = remaining
+        self.total_jiffies += ticks
+        self.busy_jiffies += ticks
+        self.gfx_activity = gfx
+        self.memory_activity = memory
+        self.clock_gfx_mhz = clock
+        self.power_w = power
+        self.energy_j = energy
+        self.temperature_c = temp
 
     # -- derived sensors ------------------------------------------------------
     @property

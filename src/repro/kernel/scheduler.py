@@ -20,16 +20,22 @@ The loop is event-driven rather than scan-the-world:
 * the kernel keeps **O(1) incremental counters** of alive non-daemon
   and runnable LWPs (maintained by the LWP state setter), so the run
   loop's ``alive_work()``/``stalled()`` checks never rescan ``lwps``;
-* when nothing is runnable and no device or I/O work is in flight,
-  :meth:`SimKernel.run` **fast-forwards** the clock straight to the
-  next sleeper/timer deadline, accruing idle jiffies in bulk (idle is
-  derived from the clock, see ``HWTState.idle_at``) and advancing idle
-  GPU sensor decay tick-exactly, so the jump is bit-identical to
-  stepping through the same window.
+* :meth:`SimKernel.run` takes every **window** of ticks that needs no
+  scheduler decision in one call: no CPU on the scalar path (each busy
+  CPU is steady on the batched SoA path, see :mod:`repro.kernel.soa`,
+  or none is busy), no GPU kernel about to start, and the window ends
+  before the next sleeper or timer deadline, SoA eviction, GPU kernel
+  completion or I/O completion.  Such a tick only runs arithmetic
+  (accounting adds, device sensor recurrences, bandwidth drain,
+  iowait), and the window applies the same sequential arithmetic for
+  ``k`` ticks at once; idle jiffies are derived from the clock (see
+  ``HWTState.idle_at``).  The tick that changes state is stepped.
 
 Determinism: given identical inputs the simulation is bit-identical,
-with fast-forward enabled or not.  All stochastic workload behaviour
-comes from seeded RNGs in the apps.
+with the window jump enabled or not (``fast_forward=False`` steps
+every tick, as do runs with an ``until`` predicate or ``on_tick``
+observers).  All stochastic workload behaviour comes from seeded RNGs
+in the apps and devices.
 """
 
 from __future__ import annotations
@@ -95,7 +101,8 @@ class SimKernel:
         #: core pipeline (a thread occupies the lane for a full jiffy
         #: but retires only ``smt_efficiency`` jiffies of work)
         self.smt_efficiency = smt_efficiency
-        #: allow run() to jump the clock over fully idle windows
+        #: allow run() to take windows that need no scheduler decision
+        #: in one call (see _window); False steps every tick
         self.fast_forward = fast_forward
         #: batch steady busy-CPU accounting into per-node arrays (see
         #: repro.kernel.soa); the SMT throughput model needs sequential
@@ -895,103 +902,85 @@ class SimKernel:
             return False
         return True
 
-    # -- idle fast-forward ----------------------------------------------
-    def _quiescent(self) -> bool:
-        """No CPU, device, or I/O work anywhere: only the clock moves."""
-        if self._runnable_count > 0:
-            return False
-        for node in self.nodes:
-            if node.active_cpus or node.io.inflight:
-                return False
-            for dev in node.gpus:
-                if dev.pending_kernels:
-                    return False
-        return True
+    # -- the window jump --------------------------------------------------
+    def _window(self, limit: int) -> int:
+        """Ticks from now (at most ``limit``) that need no scheduler
+        decision, so :meth:`_advance_window` may take them in one call.
 
-    def _next_event_tick(self) -> Optional[int]:
-        """Earliest pending sleeper or timer deadline, if any."""
-        candidates = []
-        if self._sleepers:
-            candidates.append(self._sleepers[0][0])
-        if self._timers:
-            candidates.append(self._timers[0][0])
-        return min(candidates) if candidates else None
-
-    def _fast_forward_to(self, target: int) -> None:
-        """Jump the clock to ``target``, bit-identical to stepping.
-
-        Only legal from a quiescent state: idle jiffies are derived
-        from the clock, iowait needs in-flight I/O (there is none), and
-        idle GPU sensor decay is replayed tick-exactly by the device.
+        Zero while any CPU sits on the scalar path (scan set or enroll
+        candidates) or a device holds a queued kernel that has not
+        started.  Otherwise every tick before the first state change:
+        an SoA member evicted, a GPU kernel or I/O transfer completing.
+        The tick that changes state is left to :meth:`step`.  Sleeper
+        and timer deadlines are the caller's bound (see :meth:`run`).
+        With no CPU on the scalar path every runqueue is empty, so the
+        periodic balancer has nothing to move inside the window.
         """
-        delta = target - self.clock.tick
-        for node in self.nodes:
-            for dev in node.gpus:
-                dev.idle_fast_forward(delta)
-            if self.smt_efficiency < 1.0:
-                # a stepped idle tick clears the SMT busy-prev flags
-                for hwt in node.hwts.values():
-                    hwt.busy_prev = False
-        self.clock.advance(delta)
-
-    def _io_drain_ticks(self, cap: int) -> int:
-        """Length of the pure-I/O-drain window starting at the current
-        tick: jiffies during which the only state changes are bandwidth
-        drain, iowait accrual and idle GPU sensor decay.
-
-        Zero when any CPU or device work exists, when nothing is in
-        flight, or when a completion / sleeper / timer lands on the very
-        next tick (that tick must be stepped so the wakeup runs the full
-        scheduling pass).
-        """
-        if self._runnable_count > 0:
+        if limit < 1:
             return 0
-        any_io = False
-        for node in self.nodes:
-            if node.active_cpus:
+        nodes = self.nodes
+        for node in nodes:
+            if node.scan_cpus:
                 return 0
-            for dev in node.gpus:
-                if dev.pending_kernels:
-                    return 0
-            if node.io.inflight:
-                any_io = True
-        if not any_io:
-            return 0
+            acct = node._acct
+            if acct is not None and acct.pending:
+                return 0
         now = self.clock.tick
-        horizon = cap - now
-        nxt = self._next_event_tick()
-        if nxt is not None:
-            horizon = min(horizon, nxt - now)
-        if horizon < 1:
-            return 0
-        # a completion one past the horizon no longer binds, hence +1
-        ticks = horizon + 1
-        for node in self.nodes:
+        for node in nodes:
+            acct = node._acct
+            if acct is not None:
+                limit = acct.steady_ticks(limit)
+            for dev in node.gpus:
+                limit = dev.window(limit)
             if node.io.inflight:
-                ticks = min(ticks, node.io.ticks_until_completion(now, ticks))
-        # the completion tick itself is left to step()
-        return min(ticks - 1, horizon)
+                # a completion one past the limit no longer binds
+                limit = node.io.ticks_until_completion(now, limit + 1) - 1
+            if limit < 1:
+                return 0
+        return limit
 
-    def _io_fast_forward(self, ticks: int) -> None:
-        """Advance ``ticks`` jiffies of a pure I/O-drain window.
+    def _advance_window(self, ticks: int) -> None:
+        """Advance ``ticks`` jiffies of a :meth:`_window`, bit-identical
+        to stepping them.
 
-        Bit-identical to stepping them: the same sequential bandwidth
-        subtractions (batched on locals by ``IoSubsystem.drain``), the
-        same whole-jiffy iowait additions, and tick-exact idle GPU
-        sensor decay.  Only legal after :meth:`_io_drain_ticks`
-        guaranteed nothing completes or fires within the window.
+        Per stepped tick, such a window only runs the batched accounting
+        tick, device progress, I/O drain and iowait, and an idle balance
+        that finds every runqueue empty; each of those advances ``ticks``
+        at once with the same sequential arithmetic.  Idle jiffies are
+        derived from the clock.
         """
         for node in self.nodes:
+            acct = node._acct
+            if acct is not None:
+                acct.advance(ticks)
             for dev in node.gpus:
-                dev.idle_fast_forward(ticks)
-            if self.smt_efficiency < 1.0:
-                # a stepped idle tick clears the SMT busy-prev flags
-                for hwt in node.hwts.values():
-                    hwt.busy_prev = False
+                dev.advance(ticks)
             if node.io.inflight:
                 node.io.drain(ticks)
+                # iowait holds whole jiffies: += k is k exact += 1.0
                 self._accrue_iowait(node, float(ticks))
+            if self.smt_efficiency < 1.0:
+                # a stepped idle tick clears the SMT busy-prev flags
+                for hwt in node.hwts.values():
+                    hwt.busy_prev = False
         self.clock.advance(ticks)
+
+    def park(self, tick: int) -> bool:
+        """Idle the clock forward to ``tick`` if no thread is runnable
+        and no device or I/O work ends before it; report whether the
+        clock got there.
+
+        Sleeper and timer deadlines are not honoured: the sharded
+        launcher parks a shard that waits for a message from another
+        shard, or whose own work is over, at the epoch or job end.
+        """
+        ticks = tick - self.clock.tick
+        if ticks <= 0:
+            return True
+        if self._runnable_count or self._window(ticks) < ticks:
+            return False
+        self._advance_window(ticks)
+        return True
 
     def run(
         self,
@@ -1016,12 +1005,12 @@ class SimKernel:
         stepping it — nothing local can fire).
 
         When :attr:`fast_forward` is set (the default) and the run has
-        no per-tick ``until`` predicate or ``on_tick`` observers, fully
-        idle windows — every LWP blocked, nothing in flight — are
-        jumped in one clock advance to the next sleeper/timer deadline
-        instead of being stepped through one jiffy at a time.  The jump
-        is bit-identical to stepping (see ``tests/kernel``'s
-        determinism suite).
+        no per-tick ``until`` predicate or ``on_tick`` observers, every
+        window of ticks that needs no scheduler decision (see
+        :meth:`_window`) is taken in one call instead of being stepped
+        through one jiffy at a time.  The jump is bit-identical to
+        stepping (see ``tests/kernel/test_fast_forward.py`` and the
+        window property in ``tests/properties``).
         """
         start = self.clock.tick
         cap = start + max_ticks
@@ -1034,11 +1023,8 @@ class SimKernel:
             if until is not None and until(self):
                 break
             if self.stalled():
-                if until_tick is not None and self._quiescent():
-                    # cross-shard wait: park at the epoch boundary
-                    if cap > self.clock.tick:
-                        self._fast_forward_to(cap)
-                    break
+                if until_tick is not None and self.park(cap):
+                    break  # cross-shard wait: parked at the epoch boundary
                 if raise_on_stall:
                     blocked = [l.tid for l in self.lwps.values()
                                if l.alive and l.blocked and not l.daemon]
@@ -1048,17 +1034,15 @@ class SimKernel:
                     )
                 break
             if may_jump and not self.on_tick:
-                if self._quiescent():
-                    target = self._next_event_tick()
-                    if target is not None and target > self.clock.tick:
-                        self._fast_forward_to(min(target, cap))
-                        continue
-                else:
-                    # everyone blocked on I/O: batch the drain window
-                    skip = self._io_drain_ticks(cap)
-                    if skip > 0:
-                        self._io_fast_forward(skip)
-                        continue
+                limit = cap
+                if self._sleepers and self._sleepers[0][0] < limit:
+                    limit = self._sleepers[0][0]
+                if self._timers and self._timers[0][0] < limit:
+                    limit = self._timers[0][0]
+                ticks = self._window(limit - self.clock.tick)
+                if ticks > 0:
+                    self._advance_window(ticks)
+                    continue
             self.step()
         return self.clock.tick - start
 

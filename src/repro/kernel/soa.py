@@ -7,21 +7,24 @@ decrement).  On a saturated node that bookkeeping — not the scheduling
 decisions — dominates the tick.  This module batches it: CPUs whose
 occupant is mid-``Compute`` with an empty runqueue are *enrolled* into
 per-node structure-of-arrays columns, and the whole cohort advances one
-tick in a handful of element-wise array operations.
+tick in one element-wise add over its accumulator matrix, or a whole
+window of ticks (see ``SimKernel._window``) in one accumulate.
 
 Bit-identity contract
 ---------------------
 
 The batch path must be indistinguishable from the slow path, counter
-for counter, because the determinism suites (fast-forward, sharded
+for counter, because the determinism suites (window jump, sharded
 bit-identity, journal recovery) pin exact float equality.  Two rules
 make that hold:
 
-* **per-tick element-wise adds, never deferred multiplies** — the
-  vector op applies exactly the IEEE-754 additions the slow path would
-  (``utime += user_frac`` each tick), so every element's value is
-  bit-equal after any number of ticks.  Accumulating ``k`` ticks and
-  flushing ``k * user_frac`` would round differently and diverge.
+* **k ticks = k sequential adds** — the vector op applies exactly the
+  IEEE-754 additions the slow path would (``utime += user_frac`` each
+  tick), so every element's value is bit-equal after any number of
+  ticks.  A window of ``k`` ticks (:meth:`NodeAccounting.advance`)
+  makes the same ``k`` additions in order with ``np.add.accumulate``;
+  flushing one ``k * user_frac`` instead would round differently and
+  diverge.
 * **flush is pure assignment** — enrolling copies the object fields
   into the arrays, evicting copies them back; no arithmetic happens at
   the boundary.
@@ -53,6 +56,7 @@ heap so the pass schedules it at its usual position.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import TYPE_CHECKING
 
 import numpy as _np
@@ -65,16 +69,21 @@ if TYPE_CHECKING:
 
 __all__ = ["NodeAccounting"]
 
-#: float64 columns, one slot per enrolled CPU
-_F64_COLUMNS = (
-    "_uf",   # directive.user_frac (constant per enrollment)
-    "_sf",   # 1.0 - user_frac, as the slow path computes it each tick
-    "_rem",  # directive.remaining
-    "_lut",  # lwp.utime
-    "_lst",  # lwp.stime
-    "_cpj",  # lwp.cpu_jiffies[cpu]
-    "_hus",  # hwt.user
-    "_hsy",  # hwt.system
+#: elements per accumulate block in :meth:`NodeAccounting.advance`:
+#: bounds the buffer a long window needs (blocks chain, so the
+#: additions stay sequential)
+_BLOCK_ELEMENTS = 1 << 16
+
+
+#: accumulator rows of ``_acc``, one column per enrolled CPU; each row
+#: gains the same row of ``_inc`` per tick
+_ACC_ROWS = (
+    "_lut",  # lwp.utime        += user_frac
+    "_lst",  # lwp.stime        += 1.0 - user_frac
+    "_hus",  # hwt.user         += user_frac
+    "_hsy",  # hwt.system       += 1.0 - user_frac
+    "_cpj",  # lwp.cpu_jiffies[cpu] += 1.0
+    "_rem",  # directive.remaining  -= 1.0
 )
 
 
@@ -90,8 +99,12 @@ class NodeAccounting:
         "_hwts",
         "_dirs",
         "pending",
+        "_acc",
+        "_inc",
+        "_uf",
+        "_sf",
         "_slc",
-    ) + _F64_COLUMNS
+    ) + _ACC_ROWS
 
     def __init__(self, node: "SimNode", exhaust_below: float):
         self.node = node
@@ -108,25 +121,29 @@ class NodeAccounting:
         #: pass, enrolled after the batch tick so a member never takes
         #: both the slow-path and the batched tick in the same jiffy
         self.pending: list = []
-        for name in _F64_COLUMNS:
-            setattr(self, name, None)
+        self._acc = None
+        self._inc = None
         self._slc = None  # timeslice countdown (integer jiffies)
         self._grow(16)
 
     # -- storage --------------------------------------------------------
     def _grow(self, cap: int) -> None:
         n = self.n
-        for name in _F64_COLUMNS:
-            old = getattr(self, name)
-            arr = _np.zeros(cap, dtype=_np.float64)
-            if old is not None and n:
-                arr[:n] = old[:n]
-            setattr(self, name, arr)
-        old = self._slc
+        acc = _np.zeros((len(_ACC_ROWS), cap))
+        # per-tick addends: user_frac and 1.0 - user_frac (as the slow
+        # path computes it) per member, then the constant rows
+        inc = _np.zeros((len(_ACC_ROWS), cap))
+        inc[4] = 1.0
+        inc[5] = -1.0  # x + (-1.0) is x - 1.0, bit for bit
         slc = _np.zeros(cap, dtype=_np.int64)
-        if old is not None and n:
-            slc[:n] = old[:n]
-        self._slc = slc
+        if n:
+            acc[:, :n] = self._acc[:, :n]
+            inc[:, :n] = self._inc[:, :n]
+            slc[:n] = self._slc[:n]
+        self._acc, self._inc, self._slc = acc, inc, slc
+        # named row views, for enrollment, eviction and read-through
+        self._lut, self._lst, self._hus, self._hsy, self._cpj, self._rem = acc
+        self._uf, self._sf = inc[0], inc[1]
         self._lwps.extend([None] * (cap - len(self._lwps)))
         self._hwts.extend([None] * (cap - len(self._hwts)))
         self._dirs.extend([None] * (cap - len(self._dirs)))
@@ -139,8 +156,12 @@ class NodeAccounting:
         if i == self._cap:
             self._grow(self._cap * 2)
         uf = directive.user_frac
-        self._uf[i] = uf
-        self._sf[i] = 1.0 - uf
+        sf = 1.0 - uf
+        inc = self._inc
+        inc[0, i] = uf
+        inc[1, i] = sf
+        inc[2, i] = uf
+        inc[3, i] = sf
         self._rem[i] = directive.remaining
         self._lut[i] = lwp._utime
         self._lst[i] = lwp._stime
@@ -184,20 +205,60 @@ class NodeAccounting:
         n = self.n
         if not n:
             return
-        uf = self._uf[:n]
-        sf = self._sf[:n]
-        self._lut[:n] += uf
-        self._lst[:n] += sf
-        self._hus[:n] += uf
-        self._hsy[:n] += sf
-        self._cpj[:n] += 1.0
-        rem = self._rem[:n]
-        rem -= 1.0
+        self._acc[:, :n] += self._inc[:, :n]
         self._slc[:n] -= 1
-        done = rem <= self.exhaust_below
+        done = self._rem[:n] <= self.exhaust_below
         if done.any():
             for i in _np.nonzero(done)[0][::-1].tolist():
                 self.evict_slot(int(i))
+
+    # -- windows --------------------------------------------------------
+    def steady_ticks(self, limit: int) -> int:
+        """Ticks (at most ``limit``) every member takes before the first
+        one's remaining work reaches ``exhaust_below``; the tick that
+        evicts it is not included.
+
+        Remaining work only ever loses ``1.0`` per tick while it exceeds
+        ``exhaust_below`` (> 1), and each such subtraction is exact, so
+        after ``j`` ticks a member holds exactly ``rem - j``: the member
+        with the least work binds, and its bound is tested as such, not
+        estimated.
+        """
+        if not self.n:
+            return limit
+        rem = float(self._rem[: self.n].min())
+        below = self.exhaust_below
+        ticks = math.floor(rem - below)  # off by at most one either way
+        if rem - (ticks + 1) > below:
+            ticks += 1
+        elif not rem - ticks > below:
+            ticks -= 1
+        return min(limit, ticks)
+
+    def advance(self, ticks: int) -> None:
+        """Advance every member by ``ticks`` pure accounting ticks, as
+        ``ticks`` calls of :meth:`tick` would; callers stay within
+        :meth:`steady_ticks`, so nobody is evicted.
+
+        ``np.add.accumulate`` adds strictly left to right (unlike a
+        pairwise ``sum``), so ``k`` rows of increments accumulated onto
+        the state are bit-identical to ``k`` in-place ``+=``.
+        """
+        n = self.n
+        if not n:
+            return
+        acc = self._acc[:, :n]
+        inc = self._inc[:, :n]
+        block = max(1, _BLOCK_ELEMENTS // acc.size)
+        left = ticks
+        while left > 0:
+            m = min(left, block)
+            buf = _np.empty((m + 1,) + acc.shape)
+            buf[0] = acc
+            buf[1:] = inc
+            acc[...] = _np.add.accumulate(buf, axis=0)[m]
+            left -= m
+        self._slc[:n] -= ticks
 
     # -- read-through ---------------------------------------------------
     def read(self, column: "_np.ndarray", increment: "_np.ndarray", i: int) -> float:
@@ -266,9 +327,8 @@ class NodeAccounting:
 
         last = self.n - 1
         if i != last:
-            for name in _F64_COLUMNS:
-                col = getattr(self, name)
-                col[i] = col[last]
+            self._acc[:, i] = self._acc[:, last]
+            self._inc[:, i] = self._inc[:, last]
             self._slc[i] = self._slc[last]
             moved_lwp = self._lwps[last]
             moved_hwt = self._hwts[last]

@@ -255,18 +255,14 @@ class _Shard:
         """Align to the global end tick, finalize monitors, send the
         ranks home as runs."""
         kernel = self.kernel
-        if kernel.clock.tick < end_tick:
-            if kernel.alive_work():
-                # degraded abort: best-effort idle-through to the end
-                kernel.run(
-                    max_ticks=end_tick - kernel.clock.tick,
-                    until_tick=end_tick,
-                    raise_on_stall=False,
-                )
-                if kernel.clock.tick < end_tick and kernel._quiescent():
-                    kernel._fast_forward_to(end_tick)
-            elif kernel._quiescent():
-                kernel._fast_forward_to(end_tick)
+        if kernel.clock.tick < end_tick and kernel.alive_work():
+            # degraded abort: best-effort idle-through to the end
+            kernel.run(
+                max_ticks=end_tick - kernel.clock.tick,
+                until_tick=end_tick,
+                raise_on_stall=False,
+            )
+        kernel.park(end_tick)
         self.step.finalize()
         # detach after every monitor finalized: the node state is final
         return [monitor.detach() for monitor in self.step.monitors]

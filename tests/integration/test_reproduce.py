@@ -12,6 +12,7 @@ import pytest
 
 from repro import reproduce
 from repro.cli import main
+from repro.core.records import HWT_COLUMNS, SeriesBuffer
 from repro.reproduce import TABLE
 
 REPO = Path(__file__).resolve().parents[2]
@@ -77,6 +78,23 @@ class TestTable:
         assert all(text.strip() for cell in result.cells for text in cell)
         # every claim was evaluated (a misspelt quantity is a KeyError)
         assert set(result.failed) <= set(TABLE[rid].claims)
+
+    def test_f7_skips_a_cpu_with_one_row(self):
+        """A CPU sampled once has no interval: the jiffy law, like the
+        HWT series count, measures only CPUs with two rows or more."""
+        two = SeriesBuffer(HWT_COLUMNS)
+        two.extend([[0, 0, 0, 0, 0], [100, 60, 10, 29, 0]])
+        one = SeriesBuffer(HWT_COLUMNS)
+        one.append([100, 50, 0, 50, 0])
+        monitor = SimpleNamespace(hz=100, hwt_series={0: two, 1: one})
+        measured = dict(
+            (quantity, value)
+            for quantity, _, value, *_ in reproduce._figure7(
+                {"bound": SimpleNamespace(monitors=[monitor])}
+            )
+        )
+        assert measured["HWT series"] == 1
+        assert measured[reproduce._JIFFY_LAW] == 1
 
 
 class TestCommittedRecord:

@@ -1,16 +1,20 @@
-"""Determinism suite for the idle fast-forward path.
+"""Determinism suite for the window jump.
 
-The event-driven run loop may jump the clock over fully idle windows
-(every LWP blocked, nothing in flight on devices or disks).  These
-tests pin down the invariant that makes that legal: a fast-forwarded
-run is **bit-identical** to stepping through the same window one jiffy
-at a time — same ``/proc`` text, same per-thread counters, same GPU
-sensor decay, same final tick.
+The event-driven run loop jumps every window of ticks that needs no
+scheduler decision: every busy CPU on the batched (SoA) accounting
+path or none busy at all, GPU kernels running but none starting or
+ending, I/O draining without a completion, no sleeper or timer due.
+These tests pin down the invariant that makes that legal: a jumped run
+is **bit-identical** to stepping through the same window one jiffy at
+a time — same ``/proc`` text, same per-thread counters, same GPU
+sensors, same final tick — and show that the common shapes (steady
+compute, a host waiting on its GPU) are mostly jumped.
 """
 
 import pytest
 
-from repro.kernel import Compute, SimKernel, Sleep
+from repro.gpu import KernelRequest
+from repro.kernel import Call, Compute, SimKernel, Sleep, Wait
 from repro.procfs import ProcFS
 from repro.topology import CpuSet, frontier_node, generic_node
 
@@ -56,9 +60,24 @@ def _observable_state(kernel, proc):
         state.append((lwp.tid, lwp.vcsw, lwp.nvcsw, lwp.migrations,
                       lwp.utime, lwp.stime))
     for dev in node.gpus:
-        state.append((dev.total_jiffies, dev.clock_gfx_mhz, dev.power_w,
-                      dev.temperature_c, dev.energy_j))
+        state.append((dev.total_jiffies, dev.busy_jiffies, dev.clock_gfx_mhz,
+                      dev.power_w, dev.temperature_c, dev.energy_j,
+                      dev.gfx_activity, dev.memory_activity))
     return state
+
+
+def _count_steps(kernel):
+    """Run to completion; (ticks, ticks stepped one at a time)."""
+    steps = 0
+    orig = kernel.step
+
+    def counting():
+        nonlocal steps
+        steps += 1
+        orig()
+
+    kernel.step = counting
+    return kernel.run(), steps
 
 
 class TestBitIdentity:
@@ -86,25 +105,62 @@ class TestBitIdentity:
         assert not ff_kernel.alive_work()
 
     def test_fast_forward_actually_jumps(self):
-        stepped_kernel, _ = _build(fast_forward=False)
-        ff_kernel, _ = _build(fast_forward=True)
-        counts = []
-        for kernel in (stepped_kernel, ff_kernel):
-            steps = 0
-            orig = kernel.step
-
-            def counting(orig=orig):
-                nonlocal steps
-                steps += 1
-                orig()
-
-            kernel.step = counting
-            ticks = kernel.run()
-            counts.append((ticks, steps))
-        (stepped_ticks, stepped_steps), (ff_ticks, ff_steps) = counts
+        stepped_ticks, stepped_steps = _count_steps(_build(fast_forward=False)[0])
+        ff_ticks, ff_steps = _count_steps(_build(fast_forward=True)[0])
         assert stepped_steps == stepped_ticks  # every jiffy stepped
         assert ff_ticks == stepped_ticks
         assert ff_steps < ff_ticks // 2  # most jiffies jumped over
+
+
+def _steady_compute(fast_forward):
+    """Four threads on four CPUs with long fractional computes, split
+    by a short sleep: the SoA steady state."""
+    kernel = SimKernel(generic_node(cores=4, gpus=1), fast_forward=fast_forward)
+    node = kernel.nodes[0]
+
+    def worker(work):
+        def g():
+            yield Compute(work, user_frac=0.83)
+            yield Sleep(7)
+            yield Compute(work / 3, user_frac=0.31)
+        return g()
+
+    proc = kernel.spawn_process(node, CpuSet([0]), worker(301.7), command="cpu")
+    for cpu, work in ((1, 255.3), (2, 412.9), (3, 198.05)):
+        kernel.spawn_thread(proc, worker(work), affinity=CpuSet([cpu]))
+    return kernel, proc
+
+
+def _gpu_busy(fast_forward):
+    """One host thread offloading long kernels and waiting on them, then
+    computing on while the idle device's clock settles and it cools."""
+    kernel = SimKernel(generic_node(cores=2, gpus=1), fast_forward=fast_forward)
+    node = kernel.nodes[0]
+    dev = node.gpus[0]
+
+    def host():
+        for jiffies in (80.5, 120.25, 95.0, 60.75):
+            yield Compute(2, user_frac=0.6)
+            request = KernelRequest(jiffies=jiffies, memory_intensity=0.4)
+            done = yield Call(lambda k, l, r=request: dev.submit(r, k.now))
+            yield Wait(done)
+        yield Compute(600.5, user_frac=0.9)
+
+    proc = kernel.spawn_process(node, CpuSet([0]), host(), command="offload")
+    return kernel, proc
+
+
+@pytest.mark.parametrize("scenario", [_steady_compute, _gpu_busy])
+def test_window_scenarios_mostly_jumped(scenario):
+    stepped_kernel, stepped_proc = scenario(fast_forward=False)
+    ff_kernel, ff_proc = scenario(fast_forward=True)
+    stepped_ticks, stepped_steps = _count_steps(stepped_kernel)
+    ff_ticks, ff_steps = _count_steps(ff_kernel)
+    assert stepped_steps == stepped_ticks
+    assert ff_ticks == stepped_ticks
+    assert _observable_state(ff_kernel, ff_proc) == \
+        _observable_state(stepped_kernel, stepped_proc)
+    assert ff_steps < ff_ticks / 2
 
 
 class TestJumpGating:

@@ -13,7 +13,8 @@ from repro.apps import PicConfig, pic_app
 from repro.collect import StoreBackedRun
 from repro.core import MemorySink, ZeroSumConfig, write_log, zerosum_mpi
 from repro.errors import LaunchError
-from repro.kernel import Compute
+from repro.gpu.device import KernelRequest
+from repro.kernel import Call, Compute
 from repro.launch import (
     JobStep,
     ShardedJobStep,
@@ -108,6 +109,59 @@ class TestBitIdentical:
         assert sharded.degradations == []
         for rank in range(8):
             assert sharded.rank_results[rank].crash_reports == []
+
+
+def _offload_tail_app(ctx):
+    """Node 1's ranks leave a GPU kernel running past the job's end."""
+
+    def main():
+        if ctx.rank < 4:
+            yield Compute(60)
+            return
+        yield Compute(5)
+        device = ctx.gpus[0]
+        request = KernelRequest(jiffies=400.5, name=f"tail-{ctx.rank}")
+        # fire and forget: the rank exits with its kernel in flight
+        yield Call(lambda k, l: device.submit(request, tick=k.now))
+        yield Compute(2)
+
+    return main()
+
+
+class TestParkedShard:
+    def test_gpu_busy_past_the_end_tick_matches_serial(self):
+        """A shard whose ranks are done while its GPUs still run parks
+        at the job's end tick with the devices busy-integrated, as the
+        serial kernel steps them."""
+
+        def launch(workers):
+            step = launch_job(
+                [generic_node(cores=4, gpus=4, name=f"node{i}")
+                 for i in range(2)],
+                SrunOptions(ntasks=8, gpus_per_task=1, command="tail"),
+                _offload_tail_app,
+                monitor_factory=zerosum_mpi(ZeroSumConfig(period_seconds=0.2)),
+                fabric=Fabric(remote_latency=8),
+                workers=workers,
+            )
+            step.run()
+            step.finalize()
+            return step
+
+        serial, sharded = launch(1), launch(2)
+        assert isinstance(sharded, ShardedJobStep)
+        assert sharded.degradations == []
+        assert sharded.ticks_run == serial.ticks_run
+        for rank in range(8):
+            assert sharded.report(rank).render() == \
+                serial.report(rank).render()
+            ours, theirs = MemorySink(), MemorySink()
+            write_log(sharded.monitor(rank), ours)
+            write_log(serial.monitor(rank), theirs)
+            assert ours.documents == theirs.documents
+        # the parked devices really were busy at the end
+        gpu = serial.monitor(4).gpu_series
+        assert gpu and all(len(series) for series in gpu.values())
 
 
 class TestCollectives:

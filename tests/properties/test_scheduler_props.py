@@ -6,14 +6,19 @@ Whatever the workload mix, these must hold:
   per-HWT busy + idle equals elapsed ticks;
 * affinity — a thread only ever executes on allowed CPUs;
 * monotonicity — counters never decrease;
-* determinism — identical inputs give identical outcomes.
+* determinism — identical inputs give identical outcomes;
+* window jump — skipping the ticks that need no scheduler decision is
+  bit-identical to stepping every one of them, whatever mixes of
+  compute, sleep, file I/O, GPU offload and timers the run holds.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import Compute, SimKernel, Sleep
+from repro.gpu import KernelRequest
+from repro.kernel import Call, Compute, FileIo, SimKernel, Sleep, Wait
+from repro.procfs import ProcFS
 from repro.topology import CpuSet, generic_node
 
 
@@ -149,3 +154,123 @@ class TestSerializationBound:
         ticks = kernel.run(max_ticks=100_000)
         assert ticks >= max(works) - 1
         assert ticks <= sum(works) + 10
+
+
+# -- window jump vs stepping -------------------------------------------------
+
+_MIXED_PHASE = st.one_of(
+    st.tuples(st.just("compute"), st.floats(0.3, 60.0), st.floats(0.0, 1.0)),
+    st.tuples(st.just("sleep"), st.integers(1, 40)),
+    st.tuples(st.just("io"), st.integers(1, 90_000_000), st.booleans()),
+    st.tuples(st.just("gpu"), st.floats(0.5, 45.0), st.integers(0, 1)),
+)
+
+
+@st.composite
+def mixed_runs(draw):
+    """Threads mixing every kind of directive, fire-and-forget GPU
+    kernels submitted by timers, and the ``max_ticks`` slices the run
+    is observed at."""
+    threads = [
+        (
+            draw(st.lists(_MIXED_PHASE, min_size=1, max_size=6)),
+            draw(st.sampled_from([None, [0], [1], [2, 3], [0, 1, 2, 3]])),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    timers = draw(
+        st.lists(
+            st.tuples(st.integers(0, 150), st.floats(0.5, 30.0),
+                      st.integers(0, 1)),
+            max_size=3,
+        )
+    )
+    slices = draw(st.lists(st.integers(1, 80), min_size=1, max_size=6))
+    return threads, timers, slices
+
+
+def _mixed_behavior(node, phases):
+    def gen():
+        for phase in phases:
+            kind = phase[0]
+            if kind == "compute":
+                yield Compute(phase[1], user_frac=phase[2])
+            elif kind == "sleep":
+                yield Sleep(phase[1])
+            elif kind == "io":
+                yield FileIo(phase[1], write=phase[2])
+            else:
+                dev = node.gpus[phase[2]]
+                request = KernelRequest(jiffies=phase[1])
+                done = yield Call(lambda k, l: dev.submit(request, k.now))
+                yield Wait(done)
+
+    return gen()
+
+
+def _mixed_world(run, fast_forward, vector_accounting):
+    threads, timers, _ = run
+    kernel = SimKernel(
+        generic_node(cores=4, gpus=2),
+        fast_forward=fast_forward,
+        vector_accounting=vector_accounting,
+    )
+    node = kernel.nodes[0]
+    proc = kernel.spawn_process(
+        node, CpuSet([0, 1, 2, 3]), _mixed_behavior(node, threads[0][0]),
+        command="mixed",
+    )
+    for phases, affinity in threads[1:]:
+        kernel.spawn_thread(
+            proc,
+            _mixed_behavior(node, phases),
+            affinity=CpuSet(affinity) if affinity else None,
+        )
+    for tick, jiffies, gpu in timers:
+        dev = node.gpus[gpu]
+        kernel.call_at(
+            tick,
+            lambda k, dev=dev, jiffies=jiffies: dev.submit(
+                KernelRequest(jiffies=jiffies), k.now
+            ),
+        )
+    return kernel, proc
+
+
+def _observed(kernel, proc):
+    """What a monitor can see: /proc text, thread counters, sensors."""
+    node = kernel.nodes[0]
+    fs = ProcFS(kernel, node)
+    state = [kernel.now, fs.read("/proc/stat"), fs.read(f"/proc/{proc.pid}/io")]
+    for tid in fs.listdir(f"/proc/{proc.pid}/task") if proc.alive else ():
+        state.append(fs.read(f"/proc/{proc.pid}/task/{tid}/stat"))
+        state.append(fs.read(f"/proc/{proc.pid}/task/{tid}/status"))
+    for lwp in proc.threads.values():
+        state.append((lwp.tid, lwp.state, lwp.utime, lwp.stime, lwp.vcsw,
+                      lwp.nvcsw, lwp.migrations, lwp.last_cpu))
+    for hwt in node.hwts.values():
+        state.append((hwt.user, hwt.system, hwt.iowait))
+    for dev in node.gpus:
+        state.append((dev.total_jiffies, dev.busy_jiffies, dev.clock_gfx_mhz,
+                      dev.power_w, dev.temperature_c, dev.energy_j,
+                      dev.gfx_activity, dev.memory_activity,
+                      dev.kernels_completed, dev.pending_kernels))
+    return state
+
+
+class TestWindowJump:
+    @pytest.mark.parametrize("vector_accounting", [True, False])
+    @given(run=mixed_runs())
+    @settings(max_examples=30, deadline=None)
+    def test_jump_matches_stepping(self, vector_accounting, run):
+        worlds = [
+            _mixed_world(run, fast_forward, vector_accounting)
+            for fast_forward in (True, False)
+        ]
+        for ticks in run[2] + [50_000]:
+            observed = []
+            for kernel, proc in worlds:
+                kernel.run(max_ticks=ticks)
+                observed.append(_observed(kernel, proc))
+            assert observed[0] == observed[1]
+        assert not worlds[0][0].alive_work()

@@ -49,17 +49,6 @@ class CsvTable:
             raise MonitorError(f"no column {name!r} in table") from None
         return self.rows[:, idx]
 
-    def group_rows(self, name: str) -> dict[float, np.ndarray]:
-        """Rows grouped by one column's value, in first-seen order.
-
-        This is how the replay driver splits the concatenated LWP/HWT/GPU
-        sections back into per-entity series.
-        """
-        col = self.column(name)
-        return {
-            key: self.rows[col == key] for key in dict.fromkeys(col.tolist())
-        }
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -75,10 +64,6 @@ class ParsedLog:
     gpu: Optional[CsvTable] = None
     memory: Optional[CsvTable] = None
     p2p_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    def p2p_matrix(self, world_size: int) -> CommMatrix:
-        """This rank's point-to-point contribution as a matrix."""
-        return CommMatrix(*dense_matrices(world_size, [self._coo(world_size)]))
 
     def _coo(self, world_size: int) -> np.ndarray:
         """The rows as one COO block, every rank inside the world."""

@@ -266,7 +266,9 @@ class MemoryCollector:
         else:  # text that was readable must parse: no swallowed parse errors
             io = parse_pid_io(io_text)
             io_read, io_write = io.read_bytes // 1024, io.write_bytes // 1024
-        self.store.add_mem_row(
+        self.store.add_row(
+            "mem",
+            0,
             (
                 tick,
                 meminfo.get("MemTotal", 0),
@@ -275,17 +277,19 @@ class MemoryCollector:
                 self_status.vm_rss_kib,
                 io_read,
                 io_write,
-            )
+            ),
         )
         return []
 
 
 class GpuCollector:
-    """§3.4: sweep every visible device through the vendor SMI.
+    """§3.4: sweep every visible device through the SMI session.
 
     The row schema is :data:`repro.core.records.GPU_COLUMNS` — the tick
     followed by every metric of ``repro.gpu.metrics.METRIC_ORDER`` —
-    regardless of which vendor backend answers.
+    for every vendor's devices.  ``smi`` is anything with
+    ``num_devices()`` and ``sample(visible, tick)``, such as
+    :class:`repro.gpu.RocmSmi`.
     """
 
     name = "GpuCollector"

@@ -40,6 +40,11 @@ _CPUS_RE = re.compile(r"^CPUs allowed: \[(?P<cpus>[^\]]*)\]")
 _RANK_RE = re.compile(r"^MPI (?P<rank>\d+) - PID \d+ - Node ")
 #: family -> the leading key column of its CSV section
 _KEY_COLUMN = {"lwp": "tid", "hwt": "cpu", "gpu": "gpu"}
+#: report section heading -> the report's list of its note lines
+_NOTE_SECTIONS = {
+    "Alerts:": "alert_notes",
+    "Degradation Summary:": "degradation_notes",
+}
 _LWP_LINE_RE = re.compile(
     r"^LWP (?P<tid>\d+): (?P<kind>.+?) - stime: .*"
     r"CPUs: \[(?P<cpus>[^\]]*)\]$"
@@ -72,7 +77,9 @@ class ReplayZeroSum(StoreBackedRun):
 
         self.store = SampleStore()
         self._kinds: dict[int, str] = {}
-        self._degradation_notes: list[str] = []
+        self._notes: dict[str, list[str]] = {
+            attr: [] for attr in _NOTE_SECTIONS.values()
+        }
         self._ingest_samples(parsed)
         self._ingest_identity(parsed.report_text)
 
@@ -103,18 +110,19 @@ class ReplayZeroSum(StoreBackedRun):
             )
 
     def _ingest_identity(self, report_text: str) -> None:
-        in_degradation = False
+        notes = None
         for line in report_text.splitlines():
-            # degradation events are identity metadata too: the rebuilt
-            # report must still say why a column of the original is gone
-            if line == "Degradation Summary:":
-                in_degradation = True
+            # alerts and degradation events are identity metadata too:
+            # the rebuilt report must still say what the detector saw
+            # and why a column of the original is gone
+            if line in _NOTE_SECTIONS:
+                notes = self._notes[_NOTE_SECTIONS[line]]
                 continue
-            if in_degradation:
+            if notes is not None:
                 if not line.strip():
-                    in_degradation = False
+                    notes = None
                 else:
-                    self._degradation_notes.append(line)
+                    notes.append(line)
                 continue
             if m := _RANK_RE.match(line):
                 self.rank = int(m.group("rank"))
@@ -133,6 +141,8 @@ class ReplayZeroSum(StoreBackedRun):
     def report(self) -> UtilizationReport:
         """Rebuild the Listing 2 report from the replayed samples."""
         report = super().report()
-        # the replay store never degrades; carry the original run's notes
-        report.degradation_notes = list(self._degradation_notes)
+        # the replay store never degrades nor detects; carry the
+        # original run's notes
+        for attr, notes in self._notes.items():
+            setattr(report, attr, list(notes))
         return report

@@ -218,30 +218,6 @@ class SampleStore:
                 series = mapping[key] = SeriesBuffer(columns)
             series.extend(rows[ends[i] - counts[i] : ends[i]])
 
-    # -- per-subsystem appends -----------------------------------------
-    def add_lwp_row(
-        self,
-        tid: int,
-        row: Sequence[float],
-        *,
-        name: str | None = None,
-        affinity: CpuSet | None = None,
-    ) -> None:
-        """Record one thread observation plus its identity facts."""
-        self.add_row("lwp", tid, row, name, affinity)
-
-    def add_hwt_row(self, cpu: int, row: Sequence[float]) -> None:
-        """Record one hardware-thread observation."""
-        self.add_row("hwt", cpu, row)
-
-    def add_gpu_row(self, index: int, row: Sequence[float]) -> None:
-        """Record one GPU sensor sweep."""
-        self.add_row("gpu", index, row)
-
-    def add_mem_row(self, row: Sequence[float]) -> None:
-        """Record one memory/IO observation."""
-        self.add_row("mem", 0, row)
-
     # -- queries --------------------------------------------------------
     def observed_tids(self) -> list[int]:
         """Every thread id ever sampled, sorted."""

@@ -43,7 +43,7 @@ from repro.core.detect import ProcessConfig, detect_configuration
 from repro.core.heartbeat import ProgressTracker, heartbeat_line
 from repro.detect import GpuFacts, TopologyFacts
 from repro.errors import MonitorError
-from repro.gpu.backend import SmiBackend, make_smi
+from repro.gpu.rsmi import RocmSmi
 from repro.kernel.directives import Call, Compute, Sleep
 from repro.kernel.lwp import LWP, Behavior, ThreadRole
 from repro.kernel.process import SimProcess
@@ -94,11 +94,10 @@ class ZeroSum(StoreBackedRun):
         self.hostname = process.node.hostname
         self.cpus_allowed = self.initial.cpus_allowed
 
-        # GPU SMI session over the devices visible to this rank,
-        # dispatched to the vendor-appropriate backend (§3.4)
-        self.smi: Optional[SmiBackend] = None
+        # GPU SMI session over the devices visible to this rank (§3.4)
+        self.smi: Optional[RocmSmi] = None
         if gpus and self.config.collect_gpu:
-            self.smi = make_smi(gpus)
+            self.smi = RocmSmi(gpus)
 
         # MPI point-to-point interposition
         self.comm = comm

@@ -12,7 +12,7 @@ in a window kept in memory.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,11 +184,6 @@ class SeriesBuffer:
     def deltas(self, name: str) -> np.ndarray:
         """Per-interval increments of a cumulative counter column."""
         return np.diff(self.column(name), prepend=0.0)
-
-    def iter_rows(self) -> Iterator[dict[str, float]]:
-        """Rows as dicts, oldest first."""
-        for row in self.array:
-            yield dict(zip(self.columns, row))
 
     def to_csv(self, prefix_cols: dict[str, object] | None = None) -> str:
         """Render as CSV text, optionally with constant prefix columns.

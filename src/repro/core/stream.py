@@ -132,13 +132,6 @@ class SampleStream:
         """Register a consumer for all future events."""
         self._subscribers.append(subscriber)
 
-    def unsubscribe(self, subscriber: StreamSubscriber) -> None:
-        """Remove a consumer; unknown subscribers are ignored."""
-        try:
-            self._subscribers.remove(subscriber)
-        except ValueError:
-            pass
-
     def publish(self, event: SampleEvent) -> None:
         """Deliver one event synchronously to every subscriber."""
         self.published += 1
@@ -160,9 +153,7 @@ class CallbackSubscriber:
 @dataclass
 class _RankState:
     last: Optional[SampleEvent] = None
-    events: int = 0
     peak_rss_kib: float = 0.0
-    busy_sum: float = 0.0
 
 
 class LdmsAggregator:
@@ -183,9 +174,7 @@ class LdmsAggregator:
         key = event.rank if event.rank is not None else -event.pid
         state = self._ranks.setdefault(key, _RankState())
         state.last = event
-        state.events += 1
         state.peak_rss_kib = max(state.peak_rss_kib, event.rss_kib)
-        state.busy_sum += event.busy_pct
 
     # -- queries ------------------------------------------------------------
     def ranks(self) -> list[int]:
@@ -197,22 +186,10 @@ class LdmsAggregator:
         state = self._ranks.get(rank)
         return state.last if state else None
 
-    def mean_busy(self, rank: int) -> float:
-        """Mean busy% across all of a rank's events (0 if unseen)."""
-        state = self._ranks.get(rank)
-        if not state or state.events == 0:
-            return 0.0
-        return state.busy_sum / state.events
-
     def peak_rss_kib(self, rank: int) -> float:
         """Largest RSS the rank ever reported."""
         state = self._ranks.get(rank)
         return state.peak_rss_kib if state else 0.0
-
-    def job_busy_pct(self) -> float:
-        """Mean of every rank's most recent busy%."""
-        lasts = [s.last.busy_pct for s in self._ranks.values() if s.last]
-        return sum(lasts) / len(lasts) if lasts else 0.0
 
     def stalled_ranks(self) -> list[int]:
         """Ranks whose latest event carries a deadlock suspicion."""

@@ -1,32 +1,14 @@
-"""Simulated GPU devices and vendor SMI query shims."""
+"""Simulated GPU devices and the SMI session that samples them."""
 
-from repro.gpu.backend import SmiBackend, backend_name, make_smi
 from repro.gpu.device import GpuDevice, KernelRequest
 from repro.gpu.metrics import METRIC_LABELS, METRIC_ORDER, GpuSample
-from repro.gpu.nvml import Nvml, NvmlMemory, NvmlUtilization
 from repro.gpu.rsmi import RocmSmi
-from repro.gpu.sycl import (
-    SyclDeviceInfo,
-    SyclEngineStats,
-    SyclMemoryStats,
-    SyclRuntime,
-)
 
 __all__ = [
     "GpuDevice",
-    "SmiBackend",
-    "make_smi",
-    "backend_name",
     "KernelRequest",
     "GpuSample",
     "METRIC_LABELS",
     "METRIC_ORDER",
     "RocmSmi",
-    "Nvml",
-    "NvmlMemory",
-    "NvmlUtilization",
-    "SyclRuntime",
-    "SyclDeviceInfo",
-    "SyclEngineStats",
-    "SyclMemoryStats",
 ]

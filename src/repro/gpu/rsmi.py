@@ -1,10 +1,15 @@
-"""ROCm-SMI-style query API over simulated devices.
+"""The SMI session: one query API over every simulated device.
 
-ZeroSum's AMD backend calls ``rocm_smi_lib``; this shim exposes the
-same information for :class:`~repro.gpu.device.GpuDevice` instances.
-Like the real SMI, *rate* metrics (busy %, average power/energy) are
-computed from counter deltas between successive queries by the same
-client, so the very first sample of an idle device reads 0.
+§3.4: ZeroSum reads GPUs through ROCm SMI, and through NVML or the
+SYCL/Level-Zero sysman API on other vendors' hardware.  On real
+machines those are three libraries; here every device, whatever its
+name, is a :class:`~repro.gpu.device.GpuDevice`, so this one session
+stands for all three and returns the one :class:`GpuSample` record
+(Listing 2's metric set, which ``GPU_COLUMNS`` stores for every
+vendor).  Like the real SMI, *rate* metrics (busy %, average
+power/energy) are computed from counter deltas between successive
+queries by the same client, so the very first sample of an idle device
+reads 0.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ class RocmSmi:
     def __init__(self, devices: Sequence[GpuDevice]):
         self._devices = list(devices)
         # per-device counter snapshots from the previous query
-        self._prev: dict[int, tuple[float, float, float, float, float]] = {}
+        self._prev: dict[int, tuple[float, float, float, float]] = {}
 
     def num_devices(self) -> int:
         """Number of visible devices in this session."""
@@ -40,10 +45,9 @@ class RocmSmi:
     def sample(self, visible_index: int, tick: int) -> GpuSample:
         """Read every sensor of one device (one ZeroSum sampling period)."""
         dev = self.device(visible_index)
-        prev = self._prev.get(
-            visible_index, (0.0, 0.0, 0.0, dev.busy_jiffies * 0.0, 0.0)
+        prev_total, prev_busy, prev_energy, prev_mem_act = self._prev.get(
+            visible_index, (0.0, 0.0, 0.0, 0.0)
         )
-        prev_total, prev_busy, prev_energy, prev_mem_act, _ = prev
 
         d_total = dev.total_jiffies - prev_total
         d_busy = dev.busy_jiffies - prev_busy
@@ -59,7 +63,6 @@ class RocmSmi:
             dev.busy_jiffies,
             dev.energy_j,
             dev.memory_activity,
-            0.0,
         )
 
         return GpuSample(
@@ -81,8 +84,3 @@ class RocmSmi:
             used_visible_vram_bytes=float(dev.vram_used),
             voltage_mv=dev.voltage_mv,
         )
-
-    def memory_usage(self, visible_index: int) -> tuple[int, int]:
-        """(used, free) VRAM bytes — the §3.5 GPU memory contention check."""
-        dev = self.device(visible_index)
-        return dev.vram_used, dev.vram_free

@@ -32,11 +32,5 @@ class Clock:
         """Elapsed simulated wall-clock time in seconds."""
         return self.tick / self.hz
 
-    def ticks_for(self, seconds: float) -> int:
-        """Tick count corresponding to a duration (rounded, >= 1 for > 0)."""
-        if seconds <= 0:
-            return 0
-        return max(1, round(seconds * self.hz))
-
     def __repr__(self) -> str:
         return f"Clock(tick={self.tick}, t={self.seconds:.2f}s)"

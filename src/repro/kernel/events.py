@@ -166,9 +166,5 @@ class MessageQueue(WaitObject):
             return self._messages.popleft()
         return None
 
-    def peek_all(self) -> tuple[object, ...]:
-        """Snapshot of queued messages without consuming."""
-        return tuple(self._messages)
-
     def __len__(self) -> int:
         return len(self._messages)

@@ -117,10 +117,6 @@ class IoSubsystem:
         self.start(kernel, request)
         return request.done
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self.inflight)
-
     def tick(self, kernel: "SimKernel") -> None:
         """Advance one jiffy: share bandwidth across in-flight requests."""
         if not self.inflight:

@@ -203,10 +203,6 @@ class LWP:
     def total_jiffies(self) -> float:
         return self.utime + self.stime
 
-    def distinct_cpus_used(self) -> CpuSet:
-        """CPUs this thread actually executed on (migration evidence)."""
-        return CpuSet(self.cpu_jiffies)
-
     def __repr__(self) -> str:
         return (
             f"<LWP {self.tid} {self.role_label()} state={self.state.value} "

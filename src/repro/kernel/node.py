@@ -107,15 +107,6 @@ class SimNode:
             f"node {self.hostname} has no GPU {physical_index}"
         )
 
-    def visible_gpu(self, visible_index: int) -> "GpuDevice":
-        """Look up by runtime (HIP/CUDA) enumeration index."""
-        for dev in self.gpus:
-            if dev.info.visible_index == visible_index:
-                return dev
-        raise SchedulerError(
-            f"node {self.hostname} has no visible GPU {visible_index}"
-        )
-
     def __repr__(self) -> str:
         return (
             f"<SimNode {self.hostname} cpus={len(self.hwts)} "

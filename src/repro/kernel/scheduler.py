@@ -966,20 +966,25 @@ class SimKernel:
         self.clock.advance(ticks)
 
     def park(self, tick: int) -> bool:
-        """Idle the clock forward to ``tick`` if no thread is runnable
-        and no device or I/O work ends before it; report whether the
-        clock got there.
+        """Idle the clock forward to ``tick`` while no thread is
+        runnable; report whether the clock got there.
 
         Sleeper and timer deadlines are not honoured: the sharded
         launcher parks a shard that waits for a message from another
-        shard, or whose own work is over, at the epoch or job end.
+        shard, or whose own work is over, at the epoch or job end.  A
+        tick with no window (a device starts a queued kernel, as when a
+        rank exits in the tick it submits one, or a kernel or transfer
+        completes) is stepped, as serial steps it, and the jump resumes
+        after it.
         """
-        ticks = tick - self.clock.tick
-        if ticks <= 0:
-            return True
-        if self._runnable_count or self._window(ticks) < ticks:
-            return False
-        self._advance_window(ticks)
+        while self.clock.tick < tick:
+            if self._runnable_count:
+                return False
+            ticks = self._window(tick - self.clock.tick)
+            if ticks:
+                self._advance_window(ticks)
+            else:
+                self.step()
         return True
 
     def run(

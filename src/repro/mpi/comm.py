@@ -147,13 +147,6 @@ class MpiJob:
         for comm in self.comms.values():
             comm.process.world_size = self.size
 
-    def comm_for(self, rank: int) -> "RankComm":
-        """The communicator handle of a rank."""
-        try:
-            return self.comms[rank]
-        except KeyError:
-            raise MpiError(f"no rank {rank} in communicator") from None
-
     # -- cross-shard seam ---------------------------------------------------
     def is_remote_rank(self, rank: int) -> bool:
         """True if ``rank`` exists in the world but lives in another

@@ -93,12 +93,6 @@ class OpenMPRuntime:
         self.places_spec = self.env.get("OMP_PLACES")
 
     # ------------------------------------------------------------------
-    def team_affinity(self, thread_num: int) -> CpuSet:
-        """The bound cpuset of one team member (after initialization)."""
-        if not self._team_affinities:
-            raise LaunchError("team not initialized yet")
-        return self._team_affinities[min(thread_num, len(self._team_affinities) - 1)]
-
     def _compute_affinities(self, team: int) -> list[CpuSet]:
         machine = self.process.node.machine
         bound = self.proc_bind and self.proc_bind.lower() != "false"

@@ -193,10 +193,6 @@ class Machine:
         """All NUMA domains, tree order."""
         return list(self._by_type[ObjType.NUMA])
 
-    def l3_regions(self) -> list[TopoObject]:
-        """All L3 cache regions, tree order."""
-        return list(self._by_type[ObjType.L3])
-
     def packages(self) -> list[TopoObject]:
         """All sockets/packages, tree order."""
         return list(self._by_type[ObjType.PACKAGE])
@@ -226,10 +222,6 @@ class Machine:
     def numa_of(self, cpu: int) -> Optional[TopoObject]:
         """The NUMA domain of a hardware thread, if any."""
         return self.pu(cpu).ancestor(ObjType.NUMA)
-
-    def l3_of(self, cpu: int) -> Optional[TopoObject]:
-        """The L3 region of a hardware thread, if any."""
-        return self.pu(cpu).ancestor(ObjType.L3)
 
     def smt_siblings(self, cpu: int) -> CpuSet:
         """All PUs sharing a core with ``cpu`` (including itself)."""
@@ -271,31 +263,12 @@ class Machine:
         raise TopologyError(f"no NUMA domain with OS index {numa_os_index}")
 
     # -- GPUs -------------------------------------------------------------
-    def gpus_of_numa(self, numa_os_index: int) -> list[GpuInfo]:
-        """GPUs attached to one NUMA domain."""
-        return [g for g in self.gpus if g.numa == numa_os_index]
-
     def gpu_by_physical(self, physical_index: int) -> GpuInfo:
         """GPU by hardware (physical) index."""
         for g in self.gpus:
             if g.physical_index == physical_index:
                 return g
         raise TopologyError(f"no GPU with physical index {physical_index}")
-
-    def closest_gpus(self, cpuset: CpuSet) -> list[GpuInfo]:
-        """GPUs attached to the NUMA domains covering ``cpuset``.
-
-        This is what ``--gpu-bind=closest`` resolves: the devices local
-        to the CPUs a rank runs on.  Falls back to all GPUs if the
-        cpuset spans no NUMA-attached device.
-        """
-        numas = set()
-        for cpu in cpuset:
-            dom = self.numa_of(cpu)
-            if dom is not None and dom.os_index is not None:
-                numas.add(dom.os_index)
-        local = [g for g in self.gpus if g.numa in numas]
-        return local if local else list(self.gpus)
 
     def __repr__(self) -> str:
         return (

@@ -26,21 +26,6 @@ GIB: int = 1024 * MIB
 PAGE_SIZE: int = 4096
 
 
-def seconds_to_jiffies(seconds: float) -> int:
-    """Convert wall-clock seconds to an integral jiffy count (rounded)."""
-    return round(seconds * USER_HZ)
-
-
-def jiffies_to_seconds(jiffies: float) -> float:
-    """Convert a jiffy count back to seconds."""
-    return jiffies / USER_HZ
-
-
-def bytes_to_kib(n: int) -> int:
-    """Bytes to whole KiB, truncating like the kernel does in meminfo."""
-    return n // KIB
-
-
 def pages(nbytes: int) -> int:
     """Number of whole pages needed to back ``nbytes`` of memory."""
     return -(-nbytes // PAGE_SIZE)

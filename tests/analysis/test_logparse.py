@@ -94,8 +94,6 @@ class TestP2PFromLogs:
         for row in [(0, 9, 100, 1), (-1, 2, 100, 1)]:
             log = ParsedLog(p2p_rows=[row])
             with pytest.raises(MonitorError, match="outside world"):
-                log.p2p_matrix(world_size=4)
-            with pytest.raises(MonitorError, match="outside world"):
                 merge_p2p_logs([log], world_size=4)
 
     def test_empty_merge_rejected(self):

@@ -86,7 +86,7 @@ class TestDependencyDiet:
         store = SampleStore()
         writer = JournalWriter(journal, fsync=False)
         writer.open(store, {"pid": 1, "hostname": "node0"})
-        store.add_lwp_row(1, (1.0,) + (0.0,) * 8, name="main")
+        store.add_row("lwp", 1, (1.0,) + (0.0,) * 8, name="main")
         store.commit(1.0, [])
         writer.record_period(store, 1.0)
         writer.close(store)

@@ -276,13 +276,13 @@ class TestStoreWatermark:
 
     def test_rollback_restores_everything(self):
         store = SampleStore()
-        store.add_lwp_row(1, lwp_row(1.0), name="main", affinity=CpuSet([0]))
+        store.add_row("lwp", 1, lwp_row(1.0), name="main", affinity=CpuSet([0]))
         before = self._store_state(store)
 
         store.begin()
-        store.add_lwp_row(1, lwp_row(2.0), name="renamed", affinity=CpuSet([1]))
-        store.add_lwp_row(77, lwp_row(2.0), name="new")  # new series
-        store.add_mem_row((2.0, 0, 0, 0, 0, 0, 0))
+        store.add_row("lwp", 1, lwp_row(2.0), name="renamed", affinity=CpuSet([1]))
+        store.add_row("lwp", 77, lwp_row(2.0), name="new")  # new series
+        store.add_row("mem", 0, (2.0, 0, 0, 0, 0, 0, 0))
         discarded = store.rollback()
 
         assert discarded == 3
@@ -296,7 +296,7 @@ class TestStoreWatermark:
     def test_release_keeps_rows(self):
         store = SampleStore()
         store.begin()
-        store.add_lwp_row(1, lwp_row(1.0))
+        store.add_row("lwp", 1, lwp_row(1.0))
         store.release()
         assert len(store.lwp_series[1]) == 1
 
@@ -372,9 +372,9 @@ class _FlakyCollector:
 
     def collect(self, tick):
         self.calls += 1
-        self.store.add_lwp_row(900, lwp_row(tick, utime=1.0))
+        self.store.add_row("lwp", 900, lwp_row(tick, utime=1.0))
         if self.calls <= self.failures:
-            self.store.add_lwp_row(901, lwp_row(tick))  # torn partial row
+            self.store.add_row("lwp", 901, lwp_row(tick))  # torn partial row
             raise self.exc_factory()
         return [ThreadSnapshot(tid=900, state="R", total_jiffies=1.0)]
 
@@ -467,7 +467,7 @@ class TestContainment:
             name = "VanishingCollector"
 
             def collect(self, tick):
-                store.add_lwp_row(55, lwp_row(tick))
+                store.add_row("lwp", 55, lwp_row(tick))
                 raise ProcessVanishedError("process 1 vanished")
 
         engine = CollectionEngine(store, [VanishingCollector()])
@@ -482,10 +482,10 @@ class TestContainment:
             name = "TextMetricCollector"
 
             def collect(self, tick):
-                store.add_hwt_row(0, (tick,) + (0.0,) * (len(HWT_COLUMNS) - 1))
+                store.add_row("hwt", 0, (tick,) + (0.0,) * (len(HWT_COLUMNS) - 1))
                 bad = list(lwp_row(tick))
                 bad[3] = "n/a"  # right width: only the apply step can tell
-                store.add_lwp_row(55, bad, name="main", affinity=CpuSet([0]))
+                store.add_row("lwp", 55, bad, name="main", affinity=CpuSet([0]))
                 return []
 
         engine = CollectionEngine(

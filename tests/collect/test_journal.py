@@ -48,12 +48,12 @@ def hwt_row(tick: float, user: float) -> tuple:
 def drive(store: SampleStore, writer: JournalWriter, ticks) -> None:
     """Simulate committed periods the way a driver would."""
     for t in ticks:
-        store.add_lwp_row(100, lwp_row(t, 10.0 * t), name="main",
+        store.add_row("lwp", 100, lwp_row(t, 10.0 * t), name="main",
                           affinity=CpuSet([0]))
-        store.add_lwp_row(101, lwp_row(t, 5.0 * t), name="worker",
+        store.add_row("lwp", 101, lwp_row(t, 5.0 * t), name="worker",
                           affinity=CpuSet([1]))
-        store.add_hwt_row(0, hwt_row(t, 50.0))
-        store.add_mem_row((t,) + (0.0,) * (len(MEM_COLUMNS) - 1))
+        store.add_row("hwt", 0, hwt_row(t, 50.0))
+        store.add_row("mem", 0, (t,) + (0.0,) * (len(MEM_COLUMNS) - 1))
         store.commit(t, [])
         writer.record_period(store, t)
 
@@ -291,7 +291,7 @@ class TestRoundTrip:
             raise OSError(28, "No space left on device")
 
         for t, write in ((2.0, disk_full), (3.0, real_write)):
-            store.add_lwp_row(102, lwp_row(t, t), name="late",
+            store.add_row("lwp", 102, lwp_row(t, t), name="late",
                               affinity=CpuSet([2]))
             store.ledger.record_error("LwpCollector", t, f"hiccup {t}")
             store.commit(t, [])
@@ -655,9 +655,9 @@ class TestFuzz:
     def _drive(store, writer, ticks):
         """``drive`` with one thread and no HWT: thousands of cases."""
         for t in ticks:
-            store.add_lwp_row(100, lwp_row(t, 10.0 * t), name="main",
+            store.add_row("lwp", 100, lwp_row(t, 10.0 * t), name="main",
                               affinity=CpuSet([0]))
-            store.add_mem_row((t,) + (0.0,) * (len(MEM_COLUMNS) - 1))
+            store.add_row("mem", 0, (t,) + (0.0,) * (len(MEM_COLUMNS) - 1))
             store.commit(t, [])
             writer.record_period(store, t)
 
@@ -760,7 +760,7 @@ class _ScriptedLwp:
         for tid, name, cpus in rows:
             # utime + a steady stream of involuntary switches
             row = (tick, 0.0, 8.0 * p, 1.0 * p, 6.0 * p, 0.0, 0.0, 0.0, cpus[0])
-            self.store.add_lwp_row(tid, row, name=name, affinity=CpuSet(cpus))
+            self.store.add_row("lwp", tid, row, name=name, affinity=CpuSet(cpus))
             snaps.append(ThreadSnapshot(tid=tid, state="R",
                                         total_jiffies=9.0 * p))
             if p % 4 == 0:
@@ -780,8 +780,8 @@ class _ScriptedHwt:
         if self.period % 3 == 0:
             raise ProcFSError("/proc/stat unreadable")
         for cpu in (0, 1):
-            self.store.add_hwt_row(cpu, hwt_row(tick, 7.0 * self.period))
-        self.store.add_mem_row((tick,) + (1.0,) * (len(MEM_COLUMNS) - 1))
+            self.store.add_row("hwt", cpu, hwt_row(tick, 7.0 * self.period))
+        self.store.add_row("mem", 0, (tick,) + (1.0,) * (len(MEM_COLUMNS) - 1))
         return []
 
 

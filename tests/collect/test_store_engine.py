@@ -18,27 +18,27 @@ class TestRetention:
     def test_full_series_by_default(self):
         store = SampleStore()
         for t in range(5):
-            store.add_lwp_row(7, lwp_row(float(t)))
+            store.add_row("lwp", 7, lwp_row(float(t)))
         assert len(store.lwp_series[7]) == 5
 
 
 class TestIdentity:
     def test_name_and_affinity_recorded(self):
         store = SampleStore()
-        store.add_lwp_row(3, lwp_row(1.0), name="w", affinity=CpuSet([2]))
+        store.add_row("lwp", 3, lwp_row(1.0), name="w", affinity=CpuSet([2]))
         assert store.lwp_names[3] == "w"
         assert store.lwp_affinity[3] == CpuSet([2])
 
     def test_affinity_rerecorded_on_change(self):
         store = SampleStore()
-        store.add_lwp_row(3, lwp_row(1.0), affinity=CpuSet([0]))
-        store.add_lwp_row(3, lwp_row(2.0), affinity=CpuSet([5]))
+        store.add_row("lwp", 3, lwp_row(1.0), affinity=CpuSet([0]))
+        store.add_row("lwp", 3, lwp_row(2.0), affinity=CpuSet([5]))
         assert store.lwp_affinity[3] == CpuSet([5])
 
     def test_observed_tids_sorted(self):
         store = SampleStore()
         for tid in (9, 2, 5):
-            store.add_lwp_row(tid, lwp_row(1.0))
+            store.add_row("lwp", tid, lwp_row(1.0))
         assert store.observed_tids() == [2, 5, 9]
 
 
@@ -87,7 +87,7 @@ class TestEngine:
 
     def test_make_event_uses_interval_deltas(self):
         store = SampleStore()
-        store.add_mem_row((0.0, 0, 0, 0, 512.0, 0, 0))
+        store.add_row("mem", 0, (0.0, 0, 0, 0, 512.0, 0, 0))
         engine = CollectionEngine(store, [])
         first = [ThreadSnapshot(tid=1, state="R", total_jiffies=10.0)]
         engine.commit(0.0, first)

@@ -1,13 +1,11 @@
-"""Extension features: probe detection, deadlock termination, SYCL."""
+"""Extension features: probe detection, deadlock termination."""
 
 import pytest
 
 from tests.helpers import run_miniqmc
 from repro.apps import deadlock_app
 from repro.core import ZeroSumConfig, build_report, zerosum_mpi
-from repro.errors import GpuError, MonitorError
-from repro.gpu import KernelRequest, SyclRuntime
-from repro.kernel import SimKernel
+from repro.errors import MonitorError
 from repro.launch import SrunOptions, launch_job
 from repro.topology import generic_node
 
@@ -90,52 +88,3 @@ class TestDeadlockTermination:
     def test_bad_action_rejected(self):
         with pytest.raises(MonitorError):
             ZeroSumConfig(deadlock_action="panic")
-
-
-class TestSyclRuntime:
-    @pytest.fixture
-    def runtime(self):
-        kernel = SimKernel(generic_node(cores=1, gpus=2))
-        return kernel, SyclRuntime(kernel.nodes[0].gpus)
-
-    def test_discovery(self, runtime):
-        _, sycl = runtime
-        assert sycl.device_count() == 2
-        assert sycl.device_count("cpu") == 0
-        info = sycl.get_device_info(0)
-        assert info.global_mem_size > 0
-        assert info.name
-
-    def test_unknown_device(self, runtime):
-        _, sycl = runtime
-        with pytest.raises(GpuError):
-            sycl.get_device_info(7)
-
-    def test_engine_stats_delta_based(self, runtime):
-        kernel, sycl = runtime
-        sycl.engine_stats(0, kernel.now)  # baseline
-        kernel.nodes[0].gpus[0].submit(KernelRequest(jiffies=20))
-        for _ in range(40):
-            kernel.step()
-        stats = sycl.engine_stats(0, kernel.now)
-        assert stats.active_percent == pytest.approx(50.0, abs=5.0)
-
-    def test_memory_state(self, runtime):
-        kernel, sycl = runtime
-        dev = kernel.nodes[0].gpus[0]
-        before = sycl.memory_state(0)
-        dev.alloc_vram(1 << 30)
-        after = sycl.memory_state(0)
-        assert after.used - before.used == 1 << 30
-        assert after.size == dev.info.memory_bytes
-
-    def test_scalar_telemetry(self, runtime):
-        _, sycl = runtime
-        assert sycl.power_watts(0) >= 90.0
-        assert sycl.temperature_celsius(0) >= 30.0
-        assert sycl.frequency_mhz(0) >= 700.0
-
-    def test_full_sample(self, runtime):
-        kernel, sycl = runtime
-        sample = sycl.sample(1, kernel.now)
-        assert sample.uvd_vcn_activity == 0.0

@@ -61,12 +61,6 @@ class TestSeriesBuffer:
         s.append((1.0,))
         assert s.array.base is not None
 
-    def test_iter_rows(self):
-        s = SeriesBuffer(("a", "b"))
-        s.append((1.0, 2.0))
-        rows = list(s.iter_rows())
-        assert rows == [{"a": 1.0, "b": 2.0}]
-
     def test_to_csv(self):
         s = SeriesBuffer(("tick", "v"))
         s.append((1.0, 2.5))

@@ -54,15 +54,6 @@ class TestSampleStream:
         assert max(e.threads for e in events) >= 9
         assert all(e.hostname.startswith("frontier") for e in events)
 
-    def test_unsubscribe(self):
-        stream = SampleStream()
-        sub = CallbackSubscriber(lambda e: None)
-        stream.subscribe(sub)
-        stream.unsubscribe(sub)
-        stream.unsubscribe(sub)  # idempotent
-        run_streamed(stream)
-        assert stream.published > 0  # publishing still works, nobody listens
-
     def test_multiple_subscribers(self):
         stream = SampleStream()
         a, b = [], []
@@ -79,22 +70,13 @@ class TestLdmsAggregator:
         stream.subscribe(ldms)
         run_streamed(stream)
         assert ldms.ranks() == list(range(8))
-        assert ldms.mean_busy(0) > 50.0
         assert ldms.peak_rss_kib(0) > 0
         assert ldms.latest(3) is not None
 
     def test_unknown_rank(self):
         ldms = LdmsAggregator()
         assert ldms.latest(5) is None
-        assert ldms.mean_busy(5) == 0.0
         assert ldms.peak_rss_kib(5) == 0.0
-
-    def test_job_busy(self):
-        stream = SampleStream()
-        ldms = LdmsAggregator()
-        stream.subscribe(ldms)
-        run_streamed(stream)
-        assert ldms.job_busy_pct() >= 0.0
 
     def test_stalled_ranks_visible_live(self):
         """A hung job shows up in the live stream before it ends —

@@ -84,15 +84,15 @@ class StoreDriver:
         self.tick += PERIOD
         t = self.tick
         for tid, kwargs, affinity in lwps:
-            self.store.add_lwp_row(
+            self.store.add_row("lwp", 
                 tid, lwp_row(t, **kwargs),
                 name=f"lwp{tid}",
                 affinity=CpuSet(affinity) if affinity is not None else None,
             )
         if mem is not None:
-            self.store.add_mem_row(mem_row(t, **mem))
+            self.store.add_row("mem", 0, mem_row(t, **mem))
         for index, kwargs in gpus:
-            self.store.add_gpu_row(index, gpu_row(t, **kwargs))
+            self.store.add_row("gpu", index, gpu_row(t, **kwargs))
         self.store.commit(t, [])
         findings = self.detector.observe(self.store, t)
         self.fired.extend(findings)

@@ -158,7 +158,7 @@ class TestJournalNotes:
         writer.open(store, META)
         for p in range(1, 4):
             t = 10.0 * p
-            store.add_lwp_row(
+            store.add_row("lwp", 
                 7, (t, 0.0, 10.0 * p, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
             )
             store.commit(t, [])
@@ -185,7 +185,7 @@ class TestEngineIntegration:
         per_period = []
         for p in range(1, 4):
             t = 10.0 * p
-            store.add_lwp_row(
+            store.add_row("lwp", 
                 7,
                 (t, 0.0, 10.0 * p, 0.0, 5.0 * p, 0.0, 0.0, 0.0, 0.0),
             )

@@ -1,12 +1,17 @@
-"""SMI shim tests: ROCm-SMI and NVML query surfaces."""
+"""The SMI session: one query surface over every vendor's devices."""
 
 import pytest
 
 from repro.errors import GpuError
-from repro.gpu import GpuDevice, KernelRequest, Nvml, RocmSmi
+from repro.gpu import KernelRequest, RocmSmi
 from repro.gpu.metrics import METRIC_LABELS, METRIC_ORDER
 from repro.kernel import SimKernel
-from repro.topology import GpuInfo, generic_node
+from repro.topology import (
+    aurora_node,
+    frontier_node,
+    generic_node,
+    perlmutter_node,
+)
 
 
 @pytest.fixture
@@ -54,50 +59,22 @@ class TestRocmSmi:
             assert hasattr(s, metric)
         assert set(METRIC_LABELS) == set(METRIC_ORDER)
 
-    def test_memory_usage(self, world):
-        _, devices = world
-        smi = RocmSmi(devices)
-        used, free = smi.memory_usage(0)
-        assert used + free == devices[0].info.memory_bytes
-
     def test_uvd_always_zero(self, world):
         kernel, devices = world
         assert RocmSmi(devices).sample(1, 0).uvd_vcn_activity == 0.0
 
-
-class TestNvml:
-    def test_requires_init(self, world):
-        _, devices = world
-        nvml = Nvml(devices)
-        with pytest.raises(GpuError):
-            nvml.device_count()
-
-    def test_init_shutdown(self, world):
-        _, devices = world
-        nvml = Nvml(devices)
-        nvml.init()
-        assert nvml.device_count() == 2
-        nvml.shutdown()
-        with pytest.raises(GpuError):
-            nvml.device_count()
-
-    def test_utilization_and_memory(self, world):
-        kernel, devices = world
-        nvml = Nvml(devices)
-        nvml.init()
-        devices[0].submit(KernelRequest(jiffies=30))
-        for _ in range(30):
+    @pytest.mark.parametrize(
+        "factory", [frontier_node, perlmutter_node, aurora_node]
+    )
+    def test_every_vendor_samples(self, factory):
+        """AMD, NVIDIA and Intel devices answer the one session alike."""
+        kernel = SimKernel(factory())
+        devices = kernel.nodes[0].gpus[:2]
+        smi = RocmSmi(devices)
+        assert smi.num_devices() == 2
+        devices[0].submit(KernelRequest(jiffies=10))
+        smi.sample(0, kernel.now)  # baseline
+        for _ in range(20):
             kernel.step()
-        util = nvml.utilization_rates(0, kernel.now)
-        assert util.gpu > 50.0
-        mem = nvml.memory_info(0)
-        assert mem.total == devices[0].info.memory_bytes
-        assert mem.used + mem.free == mem.total
-
-    def test_scalar_queries(self, world):
-        kernel, devices = world
-        nvml = Nvml(devices)
-        nvml.init()
-        assert nvml.power_usage_mw(0) >= 90_000
-        assert nvml.temperature_c(0) >= 30
-        assert nvml.clock_mhz(0) >= 700
+        assert smi.sample(0, kernel.now).busy_percent > 20.0
+        assert smi.device(1) is devices[1]

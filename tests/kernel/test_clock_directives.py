@@ -22,13 +22,6 @@ class TestClock:
         with pytest.raises(ValueError):
             Clock().advance(-1)
 
-    def test_ticks_for(self):
-        clock = Clock()
-        assert clock.ticks_for(1.0) == 100
-        assert clock.ticks_for(0.004) == 1  # rounds up to at least 1
-        assert clock.ticks_for(0) == 0
-        assert clock.ticks_for(-5) == 0
-
     def test_custom_hz(self):
         clock = Clock(hz=1000)
         clock.advance(500)

@@ -212,4 +212,5 @@ class TestMessageQueue:
         q = MessageQueue()
         q._messages.extend(["a", "b"])
         assert len(q) == 2
-        assert q.peek_all() == ("a", "b")
+        assert q.ready(None)  # a look that consumes nothing
+        assert len(q) == 2

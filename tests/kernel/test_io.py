@@ -146,7 +146,3 @@ class TestSubsystemValidation:
     def test_bad_bandwidth(self):
         with pytest.raises(SchedulerError):
             IoSubsystem(bandwidth_bytes_per_tick=0)
-
-    def test_queue_depth(self):
-        sub = IoSubsystem()
-        assert sub.queue_depth == 0

@@ -111,21 +111,58 @@ class TestBitIdentical:
             assert sharded.rank_results[rank].crash_reports == []
 
 
-def _offload_tail_app(ctx):
-    """Node 1's ranks leave a GPU kernel running past the job's end."""
+def _offload_tail_app(linger: int = 2, jiffies: float = 400.5):
+    """Node 1's ranks leave a GPU kernel running past the job's end;
+    with ``linger=0`` a rank exits in the very tick it submits, so its
+    kernel is still queued, not started."""
 
-    def main():
-        if ctx.rank < 4:
-            yield Compute(60)
-            return
-        yield Compute(5)
-        device = ctx.gpus[0]
-        request = KernelRequest(jiffies=400.5, name=f"tail-{ctx.rank}")
-        # fire and forget: the rank exits with its kernel in flight
-        yield Call(lambda k, l: device.submit(request, tick=k.now))
-        yield Compute(2)
+    def app(ctx):
+        def main():
+            if ctx.rank < 4:
+                yield Compute(60)
+                return
+            yield Compute(5)
+            device = ctx.gpus[0]
+            request = KernelRequest(jiffies=jiffies, name=f"tail-{ctx.rank}")
+            # fire and forget: the rank exits with its kernel in flight
+            yield Call(lambda k, l: device.submit(request, tick=k.now))
+            if linger:
+                yield Compute(linger)
 
-    return main()
+        return main()
+
+    return app
+
+
+def _assert_tail_job_matches_serial(app):
+    def launch(workers):
+        step = launch_job(
+            [generic_node(cores=4, gpus=4, name=f"node{i}")
+             for i in range(2)],
+            SrunOptions(ntasks=8, gpus_per_task=1, command="tail"),
+            app,
+            monitor_factory=zerosum_mpi(ZeroSumConfig(period_seconds=0.2)),
+            fabric=Fabric(remote_latency=8),
+            workers=workers,
+        )
+        step.run()
+        step.finalize()
+        return step
+
+    serial, sharded = launch(1), launch(2)
+    assert isinstance(sharded, ShardedJobStep)
+    assert sharded.degradations == []
+    assert sharded.ticks_run == serial.ticks_run
+    for rank in range(8):
+        assert sharded.report(rank).render() == \
+            serial.report(rank).render()
+        ours, theirs = MemorySink(), MemorySink()
+        write_log(sharded.monitor(rank), ours)
+        write_log(serial.monitor(rank), theirs)
+        assert ours.documents == theirs.documents
+    # the tail ranks' devices were sampled
+    gpu = serial.monitor(4).gpu_series
+    assert gpu and all(len(series) for series in gpu.values())
 
 
 class TestParkedShard:
@@ -133,35 +170,18 @@ class TestParkedShard:
         """A shard whose ranks are done while its GPUs still run parks
         at the job's end tick with the devices busy-integrated, as the
         serial kernel steps them."""
+        _assert_tail_job_matches_serial(_offload_tail_app())
 
-        def launch(workers):
-            step = launch_job(
-                [generic_node(cores=4, gpus=4, name=f"node{i}")
-                 for i in range(2)],
-                SrunOptions(ntasks=8, gpus_per_task=1, command="tail"),
-                _offload_tail_app,
-                monitor_factory=zerosum_mpi(ZeroSumConfig(period_seconds=0.2)),
-                fabric=Fabric(remote_latency=8),
-                workers=workers,
-            )
-            step.run()
-            step.finalize()
-            return step
-
-        serial, sharded = launch(1), launch(2)
-        assert isinstance(sharded, ShardedJobStep)
-        assert sharded.degradations == []
-        assert sharded.ticks_run == serial.ticks_run
-        for rank in range(8):
-            assert sharded.report(rank).render() == \
-                serial.report(rank).render()
-            ours, theirs = MemorySink(), MemorySink()
-            write_log(sharded.monitor(rank), ours)
-            write_log(serial.monitor(rank), theirs)
-            assert ours.documents == theirs.documents
-        # the parked devices really were busy at the end
-        gpu = serial.monitor(4).gpu_series
-        assert gpu and all(len(series) for series in gpu.values())
+    @pytest.mark.parametrize("jiffies", [400.5, 20.5],
+                             ids=["busy_at_end", "done_before_end"])
+    def test_kernel_queued_in_the_exit_tick_matches_serial(self, jiffies):
+        """A rank that exits in the tick it submits leaves its kernel
+        queued, with no window to jump: parking steps the tick that
+        starts it (and the one that completes it, if that comes before
+        the job's end tick) and jumps the rest."""
+        _assert_tail_job_matches_serial(
+            _offload_tail_app(linger=0, jiffies=jiffies)
+        )
 
 
 class TestCollectives:

@@ -261,8 +261,20 @@ class TestJob:
 
     def test_unknown_rank_rejected(self):
         kernel, job = make_world(1, cores=1)
-        with pytest.raises(MpiError):
-            job.comm_for(5)
+        errors = []
+
+        def behaviors(r, comms):
+            def gen():
+                try:
+                    yield from comms[r].send(1, dest=5)
+                except MpiError as exc:
+                    errors.append(str(exc))
+
+            return gen()
+
+        spawn_ranks(kernel, job, [behaviors])
+        kernel.run()
+        assert errors == ["no rank 5 in communicator"]
 
 
 class TestFabricTiming:

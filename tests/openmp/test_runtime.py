@@ -160,18 +160,6 @@ class TestBinding:
         kernel.run()
         assert proc.main_thread.affinity == CpuSet.from_list("0-3")
 
-    def test_team_affinity_accessor(self):
-        env = {"OMP_NUM_THREADS": "2", "OMP_PROC_BIND": "spread",
-               "OMP_PLACES": "threads"}
-        kernel, proc, omp = make_world("0-3", env=env)
-        kernel.run()
-        assert omp.team_affinity(0) == CpuSet([0])
-
-    def test_team_affinity_before_init_rejected(self):
-        kernel, proc, omp = make_world("0-3")
-        with pytest.raises(LaunchError):
-            omp.team_affinity(0)
-
 
 class TestOmpt:
     def test_thread_begin_callbacks(self):

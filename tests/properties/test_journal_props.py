@@ -74,9 +74,9 @@ def run(path: Path, checkpoint_every: int, periods: int, stall_at: int,
         for tid, name, cpus in threads:
             row = (tick, 0.0, 8.0 * p + tid % 7, 1.0 * p, 6.0 * p,
                    0.0, 0.0, 0.0, float(cpus[0]))
-            store.add_lwp_row(tid, row, name=name, affinity=CpuSet(cpus))
-        store.add_hwt_row(0, (tick, 7.0 * p) + (0.0,) * (len(HWT_COLUMNS) - 2))
-        store.add_mem_row((tick,) + (1.0 * p,) * (len(MEM_COLUMNS) - 1))
+            store.add_row("lwp", tid, row, name=name, affinity=CpuSet(cpus))
+        store.add_row("hwt", 0, (tick, 7.0 * p) + (0.0,) * (len(HWT_COLUMNS) - 2))
+        store.add_row("mem", 0, (tick,) + (1.0 * p,) * (len(MEM_COLUMNS) - 1))
         store.samples_taken += 1
         store.last_thread_count = len(threads)
         store.commit(tick, [ThreadSnapshot(tid=tid, state="R",

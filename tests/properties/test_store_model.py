@@ -1,7 +1,7 @@
 """Model-based test of ``SampleStore``: brackets, rollback, periods.
 
 A hypothesis state machine drives a store through ``begin`` /
-``add_*_row`` / ``rollback`` / ``release`` / ``commit`` in any order
+``add_row`` / ``rollback`` / ``release`` / ``commit`` in any order
 (``commit`` only between brackets, where a period closes) and compares
 it, after every step, with a plain-list model that keeps each series'
 whole history.  What a store shows *inside* an open bracket is
@@ -123,19 +123,19 @@ class StoreMachine(RuleBasedStateMachine):
     def add_lwp(self, tid, value, name, cpus):
         affinity = None if cpus is None else CpuSet(cpus)
         row = self._add("lwp", tid, value, name, affinity)
-        self.store.add_lwp_row(tid, row, name=name, affinity=affinity)
+        self.store.add_row("lwp", tid, row, name=name, affinity=affinity)
 
     @rule(cpu=st.integers(0, 2), value=values)
     def add_hwt(self, cpu, value):
-        self.store.add_hwt_row(cpu, self._add("hwt", cpu, value))
+        self.store.add_row("hwt", cpu, self._add("hwt", cpu, value))
 
     @rule(index=st.integers(0, 1), value=values)
     def add_gpu(self, index, value):
-        self.store.add_gpu_row(index, self._add("gpu", index, value))
+        self.store.add_row("gpu", index, self._add("gpu", index, value))
 
     @rule(value=values)
     def add_mem(self, value):
-        self.store.add_mem_row(self._add("mem", 0, value))
+        self.store.add_row("mem", 0, self._add("mem", 0, value))
 
     # -- the comparison --------------------------------------------------
     @invariant()

@@ -71,7 +71,7 @@ class TestBuilder:
         m = build_machine(spec)
         assert len(m.packages()) == 2
         assert len(m.numa_domains()) == 4
-        assert len(m.l3_regions()) == 8
+        assert sum(o.type is ObjType.L3 for o in m.root.walk()) == 8
         assert len(m.cores()) == 32
         assert len(m.pus()) == 64
 
@@ -134,8 +134,9 @@ class TestMachineLookups:
 
     def test_l3_of(self):
         m = frontier_node()
-        assert m.l3_of(1) is m.l3_of(7)
-        assert m.l3_of(7) is not m.l3_of(8)
+        l3 = {cpu: m.pu(cpu).ancestor(ObjType.L3) for cpu in (1, 7, 8)}
+        assert l3[1] is l3[7]
+        assert l3[7] is not l3[8]
 
     def test_cpuset_total(self):
         assert len(frontier_node().cpuset()) == 128
@@ -156,7 +157,7 @@ class TestFrontierModel:
         """GPU indexing [[4,5],[2,3],[6,7],[0,1]] vs NUMA [0,1,2,3]."""
         m = frontier_node()
         by_numa = {
-            n: sorted(g.physical_index for g in m.gpus_of_numa(n))
+            n: sorted(g.physical_index for g in m.gpus if g.numa == n)
             for n in range(4)
         }
         assert by_numa == {0: [4, 5], 1: [2, 3], 2: [6, 7], 3: [0, 1]}
@@ -203,9 +204,3 @@ class TestOtherMachines:
     def test_gpu_lookup_unknown(self):
         with pytest.raises(TopologyError):
             perlmutter_node().gpu_by_physical(42)
-
-    def test_closest_gpus_from_cpuset(self):
-        m = frontier_node()
-        # cores 49-55 are in NUMA 3 -> GCDs 0, 1
-        local = m.closest_gpus(CpuSet.from_list("49-55"))
-        assert sorted(g.physical_index for g in local) == [0, 1]

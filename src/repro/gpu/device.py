@@ -133,10 +133,6 @@ class GpuDevice:
             raise GpuError("free must be >= 0")
         self.vram_used = max(0, self.vram_used - nbytes)
 
-    @property
-    def vram_free(self) -> int:
-        return self.info.memory_bytes - self.vram_used
-
     # -- simulation ----------------------------------------------------------
     def tick(self, kernel: "SimKernel") -> None:
         """Advance one jiffy of device time."""

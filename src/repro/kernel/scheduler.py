@@ -21,15 +21,19 @@ The loop is event-driven rather than scan-the-world:
   and runnable LWPs (maintained by the LWP state setter), so the run
   loop's ``alive_work()``/``stalled()`` checks never rescan ``lwps``;
 * :meth:`SimKernel.run` takes every **window** of ticks that needs no
-  scheduler decision in one call: no CPU on the scalar path (each busy
-  CPU is steady on the batched SoA path, see :mod:`repro.kernel.soa`,
-  or none is busy), no GPU kernel about to start, and the window ends
-  before the next sleeper or timer deadline, SoA eviction, GPU kernel
-  completion or I/O completion.  Such a tick only runs arithmetic
-  (accounting adds, device sensor recurrences, bandwidth drain,
-  iowait), and the window applies the same sequential arithmetic for
-  ``k`` ticks at once; idle jiffies are derived from the clock (see
-  ``HWTState.idle_at``).  The tick that changes state is stepped.
+  scheduler decision in one call.  Each busy CPU is steady on the
+  batched SoA path (see :mod:`repro.kernel.soa`) or in a steady
+  round-robin on the scalar path: every occupant mid-``Compute``, no
+  wake preemption armed, so a thread is switched out only when its
+  timeslice expires.  No GPU kernel is about to start, and the window
+  ends before the next sleeper or timer deadline, compute running
+  out, SoA eviction, GPU kernel or I/O completion, or a balance that
+  could steal a queued thread.  Such a tick only runs arithmetic
+  (accounting adds, slice expiries and queue rotations, device sensor
+  recurrences, bandwidth drain, iowait), and the window applies the
+  same sequential arithmetic for ``k`` ticks at once; idle jiffies are
+  derived from the clock (see ``HWTState.idle_at``).  The tick that
+  changes state is stepped.
 
 Determinism: given identical inputs the simulation is bit-identical,
 with the window jump enabled or not (``fast_forward=False`` steps
@@ -52,7 +56,7 @@ from repro.kernel.io import IoRequest
 from repro.kernel.lwp import LWP, Behavior, ThreadRole, ThreadState
 from repro.kernel.node import SimNode
 from repro.kernel.process import SimProcess
-from repro.kernel.soa import NodeAccounting
+from repro.kernel.soa import NodeAccounting, ticks_above
 from repro.topology.cpuset import CpuSet
 from repro.topology.objects import Machine
 
@@ -907,25 +911,29 @@ class SimKernel:
         """Ticks from now (at most ``limit``) that need no scheduler
         decision, so :meth:`_advance_window` may take them in one call.
 
-        Zero while any CPU sits on the scalar path (scan set or enroll
-        candidates) or a device holds a queued kernel that has not
-        started.  Otherwise every tick before the first state change:
-        an SoA member evicted, a GPU kernel or I/O transfer completing.
-        The tick that changes state is left to :meth:`step`.  Sleeper
-        and timer deadlines are the caller's bound (see :meth:`run`).
-        With no CPU on the scalar path every runqueue is empty, so the
-        periodic balancer has nothing to move inside the window.
+        Zero while an SoA enroll candidate waits, a CPU on the scalar
+        path is not in a steady round-robin (see :meth:`_rotation_ticks`)
+        or a device holds a queued kernel that has not started.
+        Otherwise every tick before the first state change: a rotating
+        thread's compute about to run out, a balance that could steal a
+        queued thread, an SoA member evicted, a GPU kernel or I/O
+        transfer completing.  The tick that changes state is left to
+        :meth:`step`.  Sleeper and timer deadlines are the caller's bound
+        (see :meth:`run`).
         """
         if limit < 1:
             return 0
         nodes = self.nodes
         for node in nodes:
-            if node.scan_cpus:
-                return 0
             acct = node._acct
             if acct is not None and acct.pending:
                 return 0
         now = self.clock.tick
+        for node in nodes:
+            if node.scan_cpus:
+                limit = self._rotation_ticks(node, now, limit)
+                if limit < 1:
+                    return 0
         for node in nodes:
             acct = node._acct
             if acct is not None:
@@ -939,17 +947,108 @@ class SimKernel:
                 return 0
         return limit
 
+    def _rotation_ticks(self, node: SimNode, now: int, limit: int) -> int:
+        """Ticks (at most ``limit``) for which every scan CPU of ``node``
+        stays in a steady round-robin; 0 at the first CPU that is not.
+
+        A CPU is steady while it has a current thread, no wake or fork
+        preemption is armed, and every occupant, current or queued, is
+        runnable and mid-``Compute`` with more than ``_ENROLL_ABOVE`` of
+        work left.  Each tick then charges the current thread one full
+        jiffy, and the only switch is a slice expiry: the current thread
+        runs out its ``slice_left``, then the queue takes ``timeslice``
+        ticks each, in order, the current thread last.  So the tick on
+        which an occupant would first start a tick with too little work
+        left is integer arithmetic on its ``ticks_above`` quota and its
+        slot in that rotation.  A lone thread is never switched out.
+
+        The periodic balancer only steals queued threads, onto idle CPUs
+        their affinity allows.  If the occupants' affinities reach an
+        idle CPU, the window ends before the next balance.
+        """
+        if self.smt_efficiency != 1.0:
+            return 0  # the SMT model's rate depends on the sibling lane
+        below = _ENROLL_ABOVE
+        timeslice = self.timeslice
+        running = ThreadState.RUNNING
+        hwts = node.hwts
+        movable = 0
+        for cpu in node.scan_cpus:
+            hwt = hwts[cpu]
+            cur = hwt._current
+            if cur is None or hwt.preempt_pending:
+                return 0
+            directive = cur.current_directive
+            if (
+                directive is None
+                or cur._state is not running
+                or not directive.remaining > below
+            ):
+                return 0
+            queue = hwt.runqueue
+            # an occupant with more than limit + 2 left takes at least
+            # limit steady ticks, so it cannot bind: skip its quota
+            rem = directive.remaining
+            if not queue:
+                if rem <= limit + 2:
+                    limit = min(limit, ticks_above(rem, below) + 1)
+                continue
+            first = cur.slice_left if cur.slice_left > 0 else 0
+            cycle = (len(queue) + 1) * timeslice
+            if rem <= limit + 2:
+                # ticks the current thread may still take: the first
+                # ones now, the rest in the last slot of each cycle
+                quota = ticks_above(rem, below) + 1
+                if quota < first:
+                    limit = min(limit, quota)
+                else:
+                    turns, extra = divmod(quota - first, timeslice)
+                    limit = min(limit, first + turns * cycle
+                                + len(queue) * timeslice + extra)
+            for slot, lwp in enumerate(queue):
+                directive = lwp.current_directive
+                if (
+                    directive is None
+                    or lwp._state is not running
+                    or not directive.remaining > below
+                ):
+                    return 0
+                rem = directive.remaining
+                if rem <= limit + 2:
+                    quota = ticks_above(rem, below) + 1
+                    turns, extra = divmod(quota, timeslice)
+                    limit = min(limit, first + turns * cycle
+                                + slot * timeslice + extra)
+                movable |= lwp.affinity.mask
+            movable |= cur.affinity.mask
+        if movable and self.lb_interval > 0:
+            active = node.active_cpus
+            while movable:
+                low_bit = movable & -movable
+                movable ^= low_bit
+                if low_bit.bit_length() - 1 not in active:
+                    # step() balances once the clock reaches a multiple
+                    # of lb_interval: stop one tick short of that
+                    lb = self.lb_interval
+                    return min(limit, lb - 1 - now % lb)
+        return limit
+
     def _advance_window(self, ticks: int) -> None:
         """Advance ``ticks`` jiffies of a :meth:`_window`, bit-identical
         to stepping them.
 
-        Per stepped tick, such a window only runs the batched accounting
-        tick, device progress, I/O drain and iowait, and an idle balance
-        that finds every runqueue empty; each of those advances ``ticks``
-        at once with the same sequential arithmetic.  Idle jiffies are
-        derived from the clock.
+        Per stepped tick, such a window only runs the round-robin
+        rotations of the scan CPUs, the batched accounting tick, device
+        progress, I/O drain and iowait, and a balance that finds no
+        idle CPU a queued thread may move to; each of those advances
+        ``ticks`` at once with the same sequential arithmetic.  Idle
+        jiffies are derived from the clock.
         """
         for node in self.nodes:
+            if node.scan_cpus:
+                hwts = node.hwts
+                for cpu in node.scan_cpus:
+                    self._rotate(hwts[cpu], ticks)
             acct = node._acct
             if acct is not None:
                 acct.advance(ticks)
@@ -964,6 +1063,59 @@ class SimKernel:
                 for hwt in node.hwts.values():
                     hwt.busy_prev = False
         self.clock.advance(ticks)
+
+    def _rotate(self, hwt: HWTState, ticks: int) -> None:
+        """Take ``ticks`` steady round-robin ticks of one CPU (see
+        :meth:`_rotation_ticks`) as :meth:`_schedule_hwt` steps them.
+
+        Segment by segment, one per thread run: each thread's counters
+        take their own sequential adds, the CPU's take them in tick
+        order, and a slice expiry preempts, rotates and dispatches.
+        """
+        cpu = hwt.os_index
+        queue = hwt.runqueue
+        cur = hwt._current
+        user = hwt._user
+        system = hwt._system
+        # ticks until the current slice expires; a lone thread runs on
+        run = cur.slice_left if queue else ticks
+        left = ticks
+        while True:
+            if run > 0:
+                seg = run if run < left else left
+                if cur.last_cpu != cpu:  # LWP.charge on a first run here
+                    cur.migrations += 1
+                    cur.last_cpu = cpu
+                directive = cur.current_directive
+                user_frac = directive.user_frac
+                system_frac = 1.0 - user_frac
+                utime = cur._utime
+                stime = cur._stime
+                jiffies = cur._cpu_jiffies.get(cpu, 0.0)
+                remaining = directive.remaining
+                for _ in range(seg):
+                    utime += user_frac
+                    stime += system_frac
+                    jiffies += 1.0
+                    remaining -= 1.0
+                    user += user_frac
+                    system += system_frac
+                cur._utime = utime
+                cur._stime = stime
+                cur._cpu_jiffies[cpu] = jiffies
+                directive.remaining = remaining
+                cur.slice_left -= seg
+                left -= seg
+                if not left:
+                    break
+            # the slice expired with others queued: preempt and dispatch
+            cur.nvcsw += 1
+            queue.append(cur)
+            cur = queue.popleft()
+            cur.slice_left = run = self.timeslice
+        hwt._current = cur
+        hwt._user = user
+        hwt._system = system
 
     def park(self, tick: int) -> bool:
         """Idle the clock forward to ``tick`` while no thread is

@@ -67,12 +67,27 @@ if TYPE_CHECKING:
     from repro.kernel.lwp import LWP
     from repro.kernel.node import SimNode
 
-__all__ = ["NodeAccounting"]
+__all__ = ["NodeAccounting", "ticks_above"]
 
 #: elements per accumulate block in :meth:`NodeAccounting.advance`:
 #: bounds the buffer a long window needs (blocks chain, so the
 #: additions stay sequential)
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def ticks_above(rem: float, below: float) -> int:
+    """The most ticks ``j`` after which ``rem - j`` still exceeds
+    ``below`` (> 1), for ``rem`` above it.
+
+    Each ``- 1.0`` of such a countdown is exact, so ``rem - j`` is the
+    value ``j`` stepped ticks leave, and the bound is tested as such.
+    """
+    ticks = math.floor(rem - below)  # off by at most one either way
+    if rem - (ticks + 1) > below:
+        ticks += 1
+    elif not rem - ticks > below:
+        ticks -= 1
+    return ticks
 
 
 #: accumulator rows of ``_acc``, one column per enrolled CPU; each row
@@ -216,24 +231,13 @@ class NodeAccounting:
     def steady_ticks(self, limit: int) -> int:
         """Ticks (at most ``limit``) every member takes before the first
         one's remaining work reaches ``exhaust_below``; the tick that
-        evicts it is not included.
-
-        Remaining work only ever loses ``1.0`` per tick while it exceeds
-        ``exhaust_below`` (> 1), and each such subtraction is exact, so
-        after ``j`` ticks a member holds exactly ``rem - j``: the member
-        with the least work binds, and its bound is tested as such, not
-        estimated.
+        evicts it is not included.  The member with the least work
+        binds (see :func:`ticks_above`).
         """
         if not self.n:
             return limit
         rem = float(self._rem[: self.n].min())
-        below = self.exhaust_below
-        ticks = math.floor(rem - below)  # off by at most one either way
-        if rem - (ticks + 1) > below:
-            ticks += 1
-        elif not rem - ticks > below:
-            ticks -= 1
-        return min(limit, ticks)
+        return min(limit, ticks_above(rem, self.exhaust_below))
 
     def advance(self, ticks: int) -> None:
         """Advance every member by ``ticks`` pure accounting ticks, as

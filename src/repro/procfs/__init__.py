@@ -19,7 +19,6 @@ from repro.procfs.parsers import (
     parse_pid_stat,
     parse_pid_status,
     parse_proc_stat,
-    parse_uptime,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "parse_pid_status",
     "parse_proc_stat",
     "parse_meminfo",
-    "parse_uptime",
 ]

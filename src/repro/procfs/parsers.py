@@ -28,7 +28,6 @@ __all__ = [
     "parse_pid_status",
     "parse_proc_stat",
     "parse_meminfo",
-    "parse_uptime",
 ]
 
 
@@ -264,11 +263,3 @@ def parse_meminfo(text: str) -> dict[str, int]:
     if "MemTotal" not in result:
         raise ProcParseError("meminfo missing MemTotal")
     return result
-
-
-def parse_uptime(text: str) -> tuple[float, float]:
-    """Parse /proc/uptime into (uptime, idle) seconds."""
-    parts = text.split()
-    if len(parts) < 2:
-        raise ProcParseError(f"malformed uptime: {text!r}")
-    return float(parts[0]), float(parts[1])

@@ -149,7 +149,3 @@ class TestVram:
             dev.alloc_vram(-1)
         with pytest.raises(GpuError):
             dev.free_vram(-1)
-
-    def test_vram_free(self):
-        dev = make_device()
-        assert dev.vram_free == dev.info.memory_bytes - dev.vram_used

@@ -10,16 +10,21 @@ journal file.  Likewise the run loop's window jump (every tick that
 needs no scheduler decision taken in one call) must leave the same
 bytes as stepping each tick.
 
-Each axis runs one journaled ``zerosum-mpi`` miniQMC rank, built by
-:func:`repro.launch.job.build_world` on a hand-made kernel of each
-kind:
+Each shape runs a journaled ``zerosum-mpi`` miniQMC job with online
+detection, built by :func:`repro.launch.job.build_world` on a
+hand-made kernel of each kind:
 
-* accounting: 56 OpenMP threads sampled at 10 Hz with online detection
-  (the e2e benchmark's ``sim_sampling`` shape);
+* accounting: 56 OpenMP threads sampled at 10 Hz (the e2e benchmark's
+  ``sim_sampling`` shape);
 * window jump: 4 OpenMP threads offloading to their GPU (the
   ``sim_bound`` shape, Listing 2), whose ticks are mostly SoA-steady
-  or GPU-busy windows.
+  or GPU-busy windows;
+* window jump: two ranks of 7 OpenMP threads time-slicing on one
+  hardware thread each (the ``sim_oversub`` shape, Table 1), whose
+  ticks are mostly steady round-robin windows.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -40,15 +45,18 @@ OFFLOAD = (
     "--gpus-per-task=1 --cpus-per-task=7 --gpu-bind=closest "
     "--threads-per-core=1 zerosum-mpi miniqmc"
 )
-#: axis -> (command line, offload, period in seconds)
+OVERSUBSCRIBED = "OMP_NUM_THREADS=7 srun -n2 zerosum-mpi miniqmc"
+#: shape -> (kernel switch under test, command line, offload, period
+#: in seconds)
 SHAPES = {
-    "vector_accounting": (SAMPLING, False, 0.1),
-    "fast_forward": (OFFLOAD, True, 0.5),
+    "sampling": ("vector_accounting", SAMPLING, False, 0.1),
+    "offload": ("fast_forward", OFFLOAD, True, 0.5),
+    "oversubscribed": ("fast_forward", OVERSUBSCRIBED, False, 0.5),
 }
 
 
-def _monitored_run(axis: str, on: bool, journal) -> dict:
-    cmdline, offload, period = SHAPES[axis]
+def _monitored_run(shape: str, on: bool, journals) -> dict:
+    axis, cmdline, offload, period = SHAPES[shape]
     machine = frontier_node(name="frontier00000")
     options = SrunOptions.parse(cmdline)
     app = miniqmc_app(
@@ -56,9 +64,12 @@ def _monitored_run(axis: str, on: bool, journal) -> dict:
             blocks=4, block_jiffies=100, jitter=0.01, seed=1, offload=offload
         )
     )
-    config = ZeroSumConfig(
-        period_seconds=period, detect_online=True, journal_path=str(journal)
-    )
+    config = ZeroSumConfig(period_seconds=period, detect_online=True)
+
+    def journaled(ctx):
+        path = str(journals / f"{shape}-{on}-{ctx.rank}.zsj")
+        return zerosum_mpi(replace(config, journal_path=path))(ctx)
+
     kernel = SimKernel([machine], **{axis: on})
     steps = 0
     step_one = kernel.step
@@ -76,30 +87,31 @@ def _monitored_run(axis: str, on: bool, journal) -> dict:
         options,
         app,
         helper_thread=True,
-        monitor_factory=zerosum_mpi(config),
+        monitor_factory=journaled,
     )
     step.run()
     step.finalize()
-    monitor = step.monitor(0)
-    sink = MemorySink()
-    name = write_log(monitor, sink)
-    return {
-        "ticks": kernel.now,
-        "stepped": steps,
-        "samples": monitor.samples_taken,
-        "report": monitor.report().render(),
-        "log": sink.documents[name],
-        "alerts": monitor.store.alerts,
-        "journal": journal.read_bytes(),
-    }
+    run = {"ticks": kernel.now, "stepped": steps, "samples": [], "report": [],
+           "log": [], "alerts": [], "journal": []}
+    for rank, monitor in enumerate(step.monitors):
+        sink = MemorySink()
+        name = write_log(monitor, sink)
+        run["samples"].append(monitor.samples_taken)
+        run["report"].append(monitor.report().render())
+        run["log"].append(sink.documents[name])
+        run["alerts"].append(monitor.store.alerts)
+        run["journal"].append(
+            (journals / f"{shape}-{on}-{rank}.zsj").read_bytes()
+        )
+    return run
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("monitored")
+    journals = tmp_path_factory.mktemp("monitored")
     return {
-        (axis, on): _monitored_run(axis, on, tmp / f"{axis}-{on}.zsj")
-        for axis in SHAPES
+        (shape, on): _monitored_run(shape, on, journals)
+        for shape in SHAPES
         for on in (True, False)
     }
 
@@ -107,32 +119,50 @@ def runs(tmp_path_factory):
 class TestMonitoredRunIdentity:
     """The batch accounting path against the scalar one."""
 
-    axis = "vector_accounting"
+    shape = "sampling"
     #: 10 Hz over four 100-jiffy blocks: dozens of mid-run samples
     min_samples = 30
 
     def test_the_run_is_monitored(self, runs):
-        assert runs[self.axis, True]["samples"] > self.min_samples
-        assert runs[self.axis, True]["alerts"] is not None
+        for samples in runs[self.shape, True]["samples"]:
+            assert samples > self.min_samples
+        for alerts in runs[self.shape, True]["alerts"]:
+            assert alerts is not None
 
     @pytest.mark.parametrize("output", ["report", "log", "journal"])
     def test_byte_identical(self, runs, output):
-        assert runs[self.axis, True][output] == runs[self.axis, False][output]
+        assert runs[self.shape, True][output] == runs[self.shape, False][output]
 
     def test_same_alert_ledger(self, runs):
-        on, off = runs[self.axis, True]["alerts"], runs[self.axis, False]["alerts"]
-        assert on == off
-        assert on.summary_lines() == off.summary_lines()
+        for on, off in zip(runs[self.shape, True]["alerts"],
+                           runs[self.shape, False]["alerts"]):
+            assert on == off
+            assert on.summary_lines() == off.summary_lines()
 
 
 class TestWindowJumpIdentity(TestMonitoredRunIdentity):
     """The window jump against stepping every tick."""
 
-    axis = "fast_forward"
+    shape = "offload"
     #: 2 Hz over the offload run's ~8 s
     min_samples = 10
+    #: most of the run's ticks are jumped
+    max_stepped_share = 0.5
 
     def test_the_run_is_mostly_jumped(self, runs):
-        jumped, stepped = runs[self.axis, True], runs[self.axis, False]
+        jumped, stepped = runs[self.shape, True], runs[self.shape, False]
         assert jumped["ticks"] == stepped["ticks"] == stepped["stepped"]
-        assert jumped["stepped"] < jumped["ticks"] / 2
+        assert jumped["stepped"] < jumped["ticks"] * self.max_stepped_share
+
+
+class TestOversubscribedWindowJumpIdentity(TestWindowJumpIdentity):
+    """The window jump against stepping every tick, on CPUs time-sliced
+    by nine threads each: the jumped ticks are round-robin rotations."""
+
+    shape = "oversubscribed"
+    #: 243 of 2 823 ticks are stepped when this was written
+    max_stepped_share = 0.2
+
+    def test_the_findings_fire(self, runs):
+        for alerts in runs[self.shape, True]["alerts"]:
+            assert len(alerts) > 0

@@ -10,7 +10,6 @@ from repro.procfs.parsers import (
     parse_pid_stat,
     parse_pid_status,
     parse_proc_stat,
-    parse_uptime,
 )
 
 
@@ -109,15 +108,6 @@ class TestMeminfo:
     def test_missing_total_rejected(self):
         with pytest.raises(ProcFSError):
             parse_meminfo("MemFree: 1 kB\n")
-
-
-class TestUptime:
-    def test_parse(self):
-        assert parse_uptime("12.5 30.25\n") == (12.5, 30.25)
-
-    def test_malformed(self):
-        with pytest.raises(ProcFSError):
-            parse_uptime("12.5")
 
 
 @pytest.mark.skipif(

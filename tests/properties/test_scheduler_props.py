@@ -9,7 +9,8 @@ Whatever the workload mix, these must hold:
 * determinism — identical inputs give identical outcomes;
 * window jump — skipping the ticks that need no scheduler decision is
   bit-identical to stepping every one of them, whatever mixes of
-  compute, sleep, file I/O, GPU offload and timers the run holds.
+  compute, sleep, file I/O, GPU offload, timers, time-sliced CPUs,
+  wakes and affinity moves the run holds.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import KernelRequest
-from repro.kernel import Call, Compute, FileIo, SimKernel, Sleep, Wait
+from repro.kernel import Call, Compute, Event, FileIo, SimKernel, Sleep, Wait
 from repro.procfs import ProcFS
 from repro.topology import CpuSet, generic_node
 
@@ -163,33 +164,51 @@ _MIXED_PHASE = st.one_of(
     st.tuples(st.just("sleep"), st.integers(1, 40)),
     st.tuples(st.just("io"), st.integers(1, 90_000_000), st.booleans()),
     st.tuples(st.just("gpu"), st.floats(0.5, 45.0), st.integers(0, 1)),
+    st.tuples(st.just("wait")),
 )
+#: single CPUs are drawn often, so several threads share one and
+#: time-slice it
+_AFFINITIES = [None, [0], [0], [0], [1], [1], [2], [2, 3], [0, 1, 2, 3]]
 
 
 @st.composite
 def mixed_runs(draw):
-    """Threads mixing every kind of directive, fire-and-forget GPU
-    kernels submitted by timers, and the ``max_ticks`` slices the run
-    is observed at."""
-    threads = [
-        (
-            draw(st.lists(_MIXED_PHASE, min_size=1, max_size=6)),
-            draw(st.sampled_from([None, [0], [1], [2, 3], [0, 1, 2, 3]])),
-        )
-        for _ in range(draw(st.integers(1, 4)))
-    ]
-    timers = draw(
-        st.lists(
-            st.tuples(st.integers(0, 150), st.floats(0.5, 30.0),
-                      st.integers(0, 1)),
-            max_size=3,
-        )
-    )
-    slices = draw(st.lists(st.integers(1, 80), min_size=1, max_size=6))
-    return threads, timers, slices
+    """Threads mixing every kind of directive on a drawn timeslice and
+    balance interval; fire-and-forget GPU kernels submitted by timers;
+    a timer that sets the event every ``wait`` phase blocks on (a wake
+    onto a CPU that may be busy); timers that re-pin a thread, so its
+    first run on the new CPU may fall in a round-robin window; and the
+    ``max_ticks`` slices the run is observed at."""
+    return {
+        "threads": [
+            (
+                draw(st.lists(_MIXED_PHASE, min_size=1, max_size=6)),
+                draw(st.sampled_from(_AFFINITIES)),
+            )
+            for _ in range(draw(st.integers(1, 9)))
+        ],
+        "timers": draw(
+            st.lists(
+                st.tuples(st.integers(0, 150), st.floats(0.5, 30.0),
+                          st.integers(0, 1)),
+                max_size=3,
+            )
+        ),
+        "wake_at": draw(st.integers(0, 150)),
+        "moves": draw(
+            st.lists(
+                st.tuples(st.integers(0, 150), st.integers(0, 8),
+                          st.sampled_from([[0], [1], [3], [1, 2]])),
+                max_size=2,
+            )
+        ),
+        "timeslice": draw(st.integers(1, 4)),
+        "lb_interval": draw(st.integers(0, 7)),
+        "slices": draw(st.lists(st.integers(1, 80), min_size=1, max_size=6)),
+    }
 
 
-def _mixed_behavior(node, phases):
+def _mixed_behavior(node, phases, event):
     def gen():
         for phase in phases:
             kind = phase[0]
@@ -199,6 +218,8 @@ def _mixed_behavior(node, phases):
                 yield Sleep(phase[1])
             elif kind == "io":
                 yield FileIo(phase[1], write=phase[2])
+            elif kind == "wait":
+                yield Wait(event)
             else:
                 dev = node.gpus[phase[2]]
                 request = KernelRequest(jiffies=phase[1])
@@ -209,24 +230,28 @@ def _mixed_behavior(node, phases):
 
 
 def _mixed_world(run, fast_forward, vector_accounting):
-    threads, timers, _ = run
+    threads = run["threads"]
     kernel = SimKernel(
         generic_node(cores=4, gpus=2),
+        timeslice=run["timeslice"],
+        lb_interval=run["lb_interval"],
         fast_forward=fast_forward,
         vector_accounting=vector_accounting,
     )
     node = kernel.nodes[0]
+    event = Event("wake")
     proc = kernel.spawn_process(
-        node, CpuSet([0, 1, 2, 3]), _mixed_behavior(node, threads[0][0]),
-        command="mixed",
+        node, CpuSet([0, 1, 2, 3]),
+        _mixed_behavior(node, threads[0][0], event), command="mixed",
     )
+    lwps = [proc.main_thread]
     for phases, affinity in threads[1:]:
-        kernel.spawn_thread(
+        lwps.append(kernel.spawn_thread(
             proc,
-            _mixed_behavior(node, phases),
+            _mixed_behavior(node, phases, event),
             affinity=CpuSet(affinity) if affinity else None,
-        )
-    for tick, jiffies, gpu in timers:
+        ))
+    for tick, jiffies, gpu in run["timers"]:
         dev = node.gpus[gpu]
         kernel.call_at(
             tick,
@@ -234,11 +259,19 @@ def _mixed_world(run, fast_forward, vector_accounting):
                 KernelRequest(jiffies=jiffies), k.now
             ),
         )
+    kernel.call_at(run["wake_at"], event.set)
+    for tick, index, cpus in run["moves"]:
+        lwp = lwps[index % len(lwps)]
+        kernel.call_at(
+            tick,
+            lambda k, lwp=lwp, cpus=cpus: k.set_affinity(lwp, CpuSet(cpus)),
+        )
     return kernel, proc
 
 
 def _observed(kernel, proc):
-    """What a monitor can see: /proc text, thread counters, sensors."""
+    """What a monitor can see: /proc text, thread counters, sensors; and
+    the scheduler state the next tick starts from."""
     node = kernel.nodes[0]
     fs = ProcFS(kernel, node)
     state = [kernel.now, fs.read("/proc/stat"), fs.read(f"/proc/{proc.pid}/io")]
@@ -247,9 +280,11 @@ def _observed(kernel, proc):
         state.append(fs.read(f"/proc/{proc.pid}/task/{tid}/status"))
     for lwp in proc.threads.values():
         state.append((lwp.tid, lwp.state, lwp.utime, lwp.stime, lwp.vcsw,
-                      lwp.nvcsw, lwp.migrations, lwp.last_cpu))
+                      lwp.nvcsw, lwp.migrations, lwp.last_cpu, lwp.cur_cpu))
     for hwt in node.hwts.values():
-        state.append((hwt.user, hwt.system, hwt.iowait))
+        current = hwt.current.tid if hwt.current is not None else None
+        state.append((hwt.user, hwt.system, hwt.iowait, current,
+                      [lwp.tid for lwp in hwt.runqueue]))
     for dev in node.gpus:
         state.append((dev.total_jiffies, dev.busy_jiffies, dev.clock_gfx_mhz,
                       dev.power_w, dev.temperature_c, dev.energy_j,
@@ -267,7 +302,7 @@ class TestWindowJump:
             _mixed_world(run, fast_forward, vector_accounting)
             for fast_forward in (True, False)
         ]
-        for ticks in run[2] + [50_000]:
+        for ticks in run["slices"] + [50_000]:
             observed = []
             for kernel, proc in worlds:
                 kernel.run(max_ticks=ticks)

@@ -244,17 +244,42 @@ class HwtCollector:
 
 
 class MemoryCollector:
-    """§3.2: ``/proc/meminfo`` plus the process's own RSS and I/O."""
+    """§3.2: ``/proc/meminfo`` plus the process's own RSS and I/O.
+
+    Uses the reader's snapshot tier (``read_memory_raw``, the six
+    integers the row keeps) when available and ``snapshots`` is left
+    on; falls back to parsing ``meminfo``, ``status`` and ``io``
+    otherwise.  On the text tier an unreadable ``io`` (it needs
+    privileges) reads as 0/0, while ``io`` text that was readable and
+    does not parse fails the collector.
+    """
 
     name = "MemoryCollector"
 
-    def __init__(self, reader: ProcReader, store: SampleStore, pid: int):
+    def __init__(
+        self,
+        reader: ProcReader,
+        store: SampleStore,
+        pid: int,
+        *,
+        snapshots: bool = True,
+    ):
         self.reader = reader
         self.store = store
         self.pid = pid
+        self._raw = getattr(reader, "read_memory_raw", None) if snapshots else None
 
     def collect(self, tick: float) -> list[ThreadSnapshot]:
         """Record node memory, process RSS, and cumulative I/O."""
+        if self._raw is not None:
+            counters = self._raw(self.pid)
+        else:
+            counters = self._read_text()
+        self.store.add_row("mem", 0, (tick,) + counters)
+        return []
+
+    def _read_text(self) -> tuple[int, ...]:
+        """The row's six integers, parsed from the three texts."""
         meminfo = read_meminfo(self.reader)
         self_status = parse_pid_status(
             self.reader.read(f"/proc/{self.pid}/status")
@@ -266,20 +291,14 @@ class MemoryCollector:
         else:  # text that was readable must parse: no swallowed parse errors
             io = parse_pid_io(io_text)
             io_read, io_write = io.read_bytes // 1024, io.write_bytes // 1024
-        self.store.add_row(
-            "mem",
-            0,
-            (
-                tick,
-                meminfo.get("MemTotal", 0),
-                meminfo.get("MemFree", 0),
-                meminfo.get("MemAvailable", 0),
-                self_status.vm_rss_kib,
-                io_read,
-                io_write,
-            ),
+        return (
+            meminfo.get("MemTotal", 0),
+            meminfo.get("MemFree", 0),
+            meminfo.get("MemAvailable", 0),
+            self_status.vm_rss_kib,
+            io_read,
+            io_write,
         )
-        return []
 
 
 class GpuCollector:

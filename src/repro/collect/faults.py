@@ -306,7 +306,7 @@ class _Injection:
     """One injected fault, for assertions and debugging."""
 
     call: int
-    op: str  # "read" | "listdir" | "read_tasks_raw" | "read_cpu_times_raw"
+    op: str  # "read", "listdir" or a snapshot-tier method's name
     path: str
     kind: str
 
@@ -321,10 +321,11 @@ class FaultyProc:
     consumes exactly one draw, so adding or changing the filter never
     shifts the schedule of the remaining calls.
 
-    The snapshot tier (``read_tasks_raw``/``read_cpu_times_raw``) is
-    forwarded — with missing/EACCES/slow injection — only when the
-    wrapped reader implements it, so collectors' ``getattr`` probing
-    sees the same tier either way.
+    The snapshot tier (``read_tasks_raw``/``read_cpu_times_raw``/
+    ``read_memory_raw``) is forwarded — one draw per call, with
+    missing/EACCES/slow injection — only when the wrapped reader
+    implements it, so collectors' ``getattr`` probing sees the same
+    tier either way.
     """
 
     def __init__(
@@ -361,6 +362,8 @@ class FaultyProc:
             self.read_tasks_raw = self._read_tasks_raw
         if hasattr(base, "read_cpu_times_raw"):
             self.read_cpu_times_raw = self._read_cpu_times_raw
+        if hasattr(base, "read_memory_raw"):
+            self.read_memory_raw = self._read_memory_raw
 
     # -- the draw -------------------------------------------------------
     def _draw(self, op: str, path: str, kinds=_FAULT_KINDS) -> Optional[str]:
@@ -416,24 +419,22 @@ class FaultyProc:
         return self.base.listdir(path)
 
     # -- snapshot tier (bound in __init__ when the base has it) ---------
-    def _read_tasks_raw(self, pid):
-        kind = self._draw(
-            "read_tasks_raw",
-            f"/proc/{pid}/task",
-            kinds=("missing", "eacces", "slow"),
-        )
+    def _snapshot_draw(self, op: str, path: str) -> None:
+        """One draw for a structured read: it can vanish, deny or stall."""
+        kind = self._draw(op, path, kinds=("missing", "eacces", "slow"))
         if kind in ("missing", "eacces"):
-            self._raise(kind, f"/proc/{pid}/task")
+            self._raise(kind, path)
         if kind == "slow" and self._sleep is not None:
             self._sleep(self.slow_seconds)
+
+    def _read_tasks_raw(self, pid):
+        self._snapshot_draw("read_tasks_raw", f"/proc/{pid}/task")
         return self.base.read_tasks_raw(pid)
 
     def _read_cpu_times_raw(self, cpus):
-        kind = self._draw(
-            "read_cpu_times_raw", "/proc/stat", kinds=("missing", "eacces", "slow")
-        )
-        if kind in ("missing", "eacces"):
-            self._raise(kind, "/proc/stat")
-        if kind == "slow" and self._sleep is not None:
-            self._sleep(self.slow_seconds)
+        self._snapshot_draw("read_cpu_times_raw", "/proc/stat")
         return self.base.read_cpu_times_raw(cpus)
+
+    def _read_memory_raw(self, pid):
+        self._snapshot_draw("read_memory_raw", f"/proc/{pid}/status")
+        return self.base.read_memory_raw(pid)

@@ -20,11 +20,13 @@ invoked from exactly one place regardless of substrate — the paper's
 The protocol is two-tier.  Every reader speaks the textual tier
 (``read``/``listdir``).  A reader that *owns* structured state — the
 simulated ``ProcFS`` — may additionally implement the **snapshot
-tier** (:class:`SnapshotProcReader`): ``read_tasks_raw(pid)`` and
-``read_cpu_times_raw(cpus)`` return parsed counter records directly,
-letting collectors skip the render-text-then-reparse round trip.  The
-tier is scoped to what the caller watches — one process's threads, the
-CPUs of one ``Cpus_allowed_list``, no aggregate ``cpu`` row — so eight
+tier** (:class:`SnapshotProcReader`): ``read_tasks_raw(pid)``,
+``read_cpu_times_raw(cpus)`` and ``read_memory_raw(pid)`` return parsed
+counter records directly, letting collectors skip the
+render-text-then-reparse round trip.  The tier is scoped to what the
+caller watches — one process's threads, the CPUs of one
+``Cpus_allowed_list``, no aggregate ``cpu`` row, the six integers of
+``meminfo`` + ``status`` + ``io`` the memory series keeps — so eight
 ranks on a 128-HWT node pay for 8 x 7 rows per period, not 8 x 128.
 Collectors probe for the tier with ``getattr`` and silently fall back
 to text, so :class:`RealProc` (and any trace reader) needs no changes.
@@ -40,7 +42,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ProcFSError
-from repro.procfs.parsers import CpuTimes, TaskCounters
+from repro.procfs.parsers import CpuTimes, MemoryCounters, TaskCounters
 
 __all__ = ["ProcReader", "SnapshotProcReader", "RealProc", "TaskCounters"]
 
@@ -73,6 +75,10 @@ class SnapshotProcReader(ProcReader, Protocol):
 
     def read_cpu_times_raw(self, cpus) -> dict[int, CpuTimes]:
         """Jiffies of each CPU in ``cpus`` by OS index; unknown CPUs absent."""
+        ...
+
+    def read_memory_raw(self, pid: int | str) -> MemoryCounters:
+        """MemTotal/MemFree/MemAvailable, ``pid``'s VmRSS and I/O, in KiB."""
         ...
 
 

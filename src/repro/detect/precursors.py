@@ -53,9 +53,16 @@ def precursor_memory_leak(det: "OnlineDetector") -> list[Condition]:
     mem = det.mem
     if not _window_ready(mem, det.window):
         return []
+    min_slope = det.thresholds.leak_min_slope_kib_s
+    rss = mem.metrics["rss_kib"]
+    if min_slope > 0 and rss.count(rss[0]) == len(rss):
+        # a flat RSS window skips both fits: its values are whole KiB,
+        # so their mean is exact and the least-squares slope is ±0.0,
+        # which the positive threshold below would reject anyway
+        return []
     rss_slope = mem.slope("rss_kib", det.hz)  # KiB/s
     avail_slope = mem.slope("mem_available_kib", det.hz)
-    if rss_slope < det.thresholds.leak_min_slope_kib_s or avail_slope >= 0:
+    if rss_slope < min_slope or avail_slope >= 0:
         return []
     avail = mem.last("mem_available_kib")
     eta_s = avail / -avail_slope

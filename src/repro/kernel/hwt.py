@@ -161,12 +161,6 @@ class HWTState:
             pass
         self._deactivate_if_idle()
 
-    def pop_next(self) -> "LWP":
-        """Pop the head of the runqueue (caller checks non-emptiness)."""
-        lwp = self.runqueue.popleft()
-        self._deactivate_if_idle()
-        return lwp
-
     def __repr__(self) -> str:
         cur = self._current.tid if self._current else None
         return f"<HWT {self.os_index} running={cur} queued={len(self.runqueue)}>"

@@ -212,12 +212,3 @@ class IoSubsystem:
             for _ in range(ticks):
                 r -= share
             request.remaining = r
-
-    def waiting_cpus(self) -> set[int]:
-        """CPUs whose last occupant is blocked on this subsystem —
-        these accrue iowait while otherwise idle."""
-        return {
-            r.lwp.cur_cpu
-            for r in self.inflight
-            if r.lwp.cur_cpu is not None and r.lwp.blocked
-        }

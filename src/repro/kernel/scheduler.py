@@ -654,8 +654,8 @@ class SimKernel:
         if cache is not None and cache[0] == key:
             targets = cache[1]
         else:
-            # inline equivalent of filtering io.waiting_cpus() through
-            # the occupancy test — one pass over the in-flight list,
+            # the CPUs whose last occupant is blocked on I/O and that
+            # nothing occupies now — one pass over the in-flight list,
             # no intermediate set, no property dispatch
             hwts = node.hwts
             targets = []
@@ -745,9 +745,9 @@ class SimKernel:
                     # thread drained above may have emptied the CPU
                     hwt._deactivate_if_idle()
                     return
-                # dispatch without the transient deactivate/reactivate
-                # the pop_next + current-setter pair would perform (the
-                # CPU had queued work, so it stays active throughout)
+                # dispatch straight from the runqueue head, with no
+                # transient deactivate/reactivate of the CPU (it had
+                # queued work, so it stays active throughout)
                 cur = hwt.runqueue.popleft()
                 if not cur.runnable:  # killed while queued
                     continue

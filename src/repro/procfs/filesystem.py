@@ -13,15 +13,17 @@ Two performance-minded design points:
   dispatching top-level files through a dict built at construction —
   no regex engine runs on the per-sample hot path.
 * **Snapshot fast path.**  Beyond the textual ``ProcReader`` protocol,
-  :class:`ProcFS` offers :meth:`read_tasks_raw` and
-  :meth:`read_cpu_times_raw`, which hand collectors structured
-  counters directly and skip the render-text-then-reparse round trip.
-  Each is scoped to what its caller watches — one process's threads,
-  one CPU set — so a rank's sample costs what the rank observes, not
-  what the node has.  The values are floored and trimmed exactly as
-  the renderers would, so both paths yield bit-identical samples (see
-  the reader contract tests; the text tier is the oracle).  Real
-  ``/proc`` readers simply do not implement these methods.
+  :class:`ProcFS` offers :meth:`read_tasks_raw`,
+  :meth:`read_cpu_times_raw` and :meth:`read_memory_raw`, which hand
+  collectors structured counters directly and skip the
+  render-text-then-reparse round trip.  Each is scoped to what its
+  caller watches — one process's threads, one CPU set, the node's
+  memory plus one process's RSS and I/O — so a rank's sample costs
+  what the rank observes, not what the node has.  The values are
+  floored and trimmed exactly as the renderers would, so both paths
+  yield bit-identical samples (see the reader contract tests; the text
+  tier is the oracle).  Real ``/proc`` readers simply do not implement
+  these methods.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from repro.kernel.lwp import ThreadState
 from repro.kernel.node import SimNode
 from repro.kernel.scheduler import SimKernel
 from repro.procfs import formats
-from repro.procfs.parsers import CpuTimes, TaskCounters
+from repro.procfs.parsers import CpuTimes, MemoryCounters, TaskCounters
+from repro.units import KIB
 
 __all__ = ["ProcFS"]
 
@@ -81,6 +84,21 @@ class ProcFS:
             raise ProcFSError(f"no such process: {pid_text}")
         return int(pid_text)
 
+    def _process(self, pid_text: str):
+        """``(process, lwp)`` of a pid, ``self`` or a tid on this node.
+
+        ``lwp`` is the addressed thread when a tid was given (Linux
+        allows ``/proc/<tid>``), else None.
+        """
+        pid = self._resolve_pid(pid_text)
+        proc = self.node.processes.get(pid)
+        if proc is not None:
+            return proc, None
+        lwp = self.kernel.lwps.get(pid)
+        if lwp is None or lwp.process.node is not self.node:
+            raise ProcFSError(f"no such process: {pid}")
+        return lwp.process, lwp
+
     def read(self, path: str) -> str:
         """Read a /proc file; raises ProcFSError for unknown paths."""
         if not path.startswith("/proc/"):
@@ -93,15 +111,7 @@ class ProcFS:
         if head != "self" and not _is_id(head):
             raise ProcFSError(f"no such file: {path}")
 
-        pid = self._resolve_pid(head)
-        proc = self.node.processes.get(pid)
-        lwp = None
-        if proc is None:
-            # maybe a tid addressed directly (Linux allows /proc/<tid>)
-            lwp = self.kernel.lwps.get(pid)
-            if lwp is None or lwp.process.node is not self.node:
-                raise ProcFSError(f"no such process: {pid}")
-            proc = lwp.process
+        proc, lwp = self._process(head)
         rest = tail.strip("/")
         parts = rest.split("/") if rest else []
 
@@ -229,6 +239,27 @@ class ProcFS:
                 0,  # steal
             )
         return result
+
+    def read_memory_raw(self, pid: int | str) -> MemoryCounters:
+        """Node memory plus ``pid``'s RSS and I/O, in whole KiB.
+
+        Exactly what parsing :meth:`read` of ``/proc/meminfo``
+        (MemTotal, MemFree, MemAvailable), ``/proc/<pid>/status``
+        (VmRSS) and ``/proc/<pid>/io`` (read_bytes and write_bytes,
+        floored to KiB) yields.  ``pid`` resolves as :meth:`read`
+        resolves it — ``self`` and a tid included — and an unknown pid
+        raises the same :class:`ProcFSError`.
+        """
+        proc, _ = self._process(str(pid))
+        memory = self.node.memory
+        return MemoryCounters(
+            memory.total_bytes // KIB,
+            memory.free_bytes // KIB,
+            memory.available_bytes // KIB,
+            proc.rss_bytes // KIB,
+            proc.read_bytes // KIB,
+            proc.write_bytes // KIB,
+        )
 
     def _mask_words(self) -> int:
         ncpus = max(self.node.hwts) + 1 if self.node.hwts else 1

@@ -23,6 +23,7 @@ __all__ = [
     "TaskStat",
     "TaskStatus",
     "TaskCounters",
+    "MemoryCounters",
     "CpuTimes",
     "parse_pid_stat",
     "parse_pid_status",
@@ -92,6 +93,23 @@ class TaskCounters(NamedTuple):
     nvcsw: int
     processor: int
     affinity: CpuSet
+
+
+class MemoryCounters(NamedTuple):
+    """The memory collector's counters, independent of text formats.
+
+    The snapshot-tier record of ``/proc/meminfo`` plus one process's
+    ``status`` and ``io``: whole KiB, exactly what parsing the rendered
+    text yields (the I/O byte counters floored to KiB), in the order of
+    the memory series' columns after ``tick``.
+    """
+
+    mem_total_kib: int
+    mem_free_kib: int
+    mem_available_kib: int
+    vm_rss_kib: int
+    io_read_kib: int
+    io_write_kib: int
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ def make_engine(reader, pid, *, snapshots=True, policy=None, gpu=None):
             reader, store, pid, missing_process="ignore", snapshots=snapshots
         ),
         HwtCollector(reader, store, [0, 1], snapshots=snapshots),
-        MemoryCollector(reader, store, pid),
+        MemoryCollector(reader, store, pid, snapshots=snapshots),
     ]
     if gpu is not None:
         collectors.append(gpu)
@@ -341,9 +341,10 @@ class TestFaultyProc:
 
     def test_snapshot_tier_only_when_base_has_it(self, world, tmp_path):
         _, proc, fs = world
-        assert hasattr(FaultyProc(fs), "read_tasks_raw")
+        tier = ("read_tasks_raw", "read_cpu_times_raw", "read_memory_raw")
+        assert all(hasattr(FaultyProc(fs), attr) for attr in tier)
         real = materialize(fs, proc.pid, tmp_path)
-        assert not hasattr(FaultyProc(real), "read_tasks_raw")
+        assert not any(hasattr(FaultyProc(real), attr) for attr in tier)
 
     def test_match_filter_scopes_injection(self, world):
         _, proc, fs = world
@@ -661,7 +662,8 @@ class TestDeadThreadRace:
         self, world, fault, contained
     ):
         """An unreadable ``io`` (it needs privileges) reads as 0/0; text
-        that *was* readable and does not parse is a collector failure."""
+        that *was* readable and does not parse is a collector failure.
+        A rule of the text tier: the snapshot read has no ``io`` file."""
         _, proc, fs = world
         faulty = FaultyProc(
             fs, seed=0, match=lambda p: p.endswith("/io"), **{fault: 1.0}
@@ -669,7 +671,7 @@ class TestDeadThreadRace:
         store = SampleStore()
         engine = CollectionEngine(
             store,
-            [MemoryCollector(faulty, store, proc.pid)],
+            [MemoryCollector(faulty, store, proc.pid, snapshots=False)],
             policy=FaultPolicy(max_retries=0, disable_after=0),
         )
         engine.sample(1.0)

@@ -29,7 +29,7 @@ from repro.collect import (
 )
 from repro.collect.faults import TRANSIENT, classify_failure
 from repro.errors import ProcFSError
-from repro.kernel import Compute, SimKernel, Sleep
+from repro.kernel import Alloc, Compute, FileIo, Free, SimKernel, Sleep
 from repro.launch import SrunOptions, launch_job
 from repro.procfs import ProcFS
 from repro.topology import CpuSet, frontier_node, generic_node, summit_node
@@ -182,7 +182,17 @@ def _assert_stores_equal(a: SampleStore, b: SampleStore) -> None:
         np.testing.assert_array_equal(
             a.hwt_series[cpu].array, b.hwt_series[cpu].array
         )
+    np.testing.assert_array_equal(a.mem_series.array, b.mem_series.array)
     assert a.prev_totals == b.prev_totals
+
+
+def _mem_row(reader, pid, *, snapshots) -> tuple:
+    """The one memory row a collector records for ``pid``."""
+    store = SampleStore()
+    MemoryCollector(reader, store, pid, snapshots=snapshots).collect(1.0)
+    store.commit(1.0, [])
+    (row,) = store.mem_series.array.tolist()
+    return tuple(row)
 
 
 class TestSnapshotTier:
@@ -216,6 +226,50 @@ class TestSnapshotTier:
         assert fs.read_cpu_times_raw([0, 1]) == {0: text[0], 1: text[1]}
         assert -1 in text  # the aggregate row lives in the text tier only
 
+    def test_raw_memory_matches_text(self, world):
+        _, proc, fs = world
+        proc.allocate(5 * 1024 * 1024 + 1023)
+        proc.read_bytes, proc.write_bytes = 2047, 3071
+        raw = fs.read_memory_raw(proc.pid)
+        meminfo = read_meminfo(fs)
+        status = read_task(fs, proc.pid, proc.pid)[1]
+        assert raw == (
+            meminfo["MemTotal"],
+            meminfo["MemFree"],
+            meminfo["MemAvailable"],
+            status.vm_rss_kib,
+            1,  # read_bytes // 1024
+            2,  # write_bytes // 1024
+        )
+        assert raw.vm_rss_kib == 5 * 1024
+
+    def test_memory_tiers_agree_on_how_a_pid_resolves(self, world):
+        """``self``, a tid and the pid itself give one row in both
+        tiers; a vanished pid fails both the same way."""
+        _, proc, fs = world
+        proc.allocate(3 * 1024 * 1024 + 517)
+        proc.read_bytes, proc.write_bytes = 70_001, 12_345
+        worker = next(t for t in proc.threads if t != proc.pid)
+        rows = {
+            (pid, snapshots): _mem_row(fs, pid, snapshots=snapshots)
+            for pid in (proc.pid, "self", worker)
+            for snapshots in (True, False)
+        }
+        assert len(set(rows.values())) == 1, rows
+        messages = []
+        for snapshots in (True, False):
+            collector = MemoryCollector(
+                fs, SampleStore(), 424242, snapshots=snapshots
+            )
+            with pytest.raises(ProcFSError) as info:
+                collector.collect(1.0)
+            assert info.value.errno is None
+            assert classify_failure(info.value) == TRANSIENT
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "no such process: 424242"
+        with pytest.raises(ProcFSError):
+            ProcFS(fs.kernel, fs.node).read_memory_raw("self")  # no self pid
+
     def test_raw_missing_process_policy(self, world):
         _, _, fs = world
         store = SampleStore()
@@ -230,8 +284,10 @@ class TestSnapshotTier:
         store = SampleStore()
         assert LwpCollector(fs, store, proc.pid, snapshots=False)._raw is None
         assert HwtCollector(fs, store, [0], snapshots=False)._raw is None
+        assert MemoryCollector(fs, store, proc.pid, snapshots=False)._raw is None
         assert LwpCollector(fs, store, proc.pid)._raw is not None
         assert HwtCollector(fs, store, [0])._raw is not None
+        assert MemoryCollector(fs, store, proc.pid)._raw is not None
 
     def test_fast_and_text_stores_identical_over_run(self):
         """Sample a full simulated run through both tiers in lockstep:
@@ -240,36 +296,52 @@ class TestSnapshotTier:
         node = kernel.nodes[0]
 
         def main():
-            for _ in range(6):
+            for n in range(6):
                 yield Compute(7, user_frac=0.6)
+                # byte counts off the KiB grid: the floors must agree
+                yield Alloc(3 * 1024 * 1024 + 517 * n + 1)
+                yield FileIo(70_001 + 1023 * n)
                 yield Sleep(23)
+            yield Free(2 * 1024 * 1024 + 3)
 
         proc = kernel.spawn_process(node, CpuSet([0, 1]), main(),
                                     command="demo")
 
         def worker():
-            for _ in range(4):
+            for n in range(4):
                 yield Compute(11)
+                yield FileIo(12_345 + 511 * n, write=True)
                 yield Sleep(31)
 
         kernel.spawn_thread(proc, worker(), name="w")
         fs = ProcFS(kernel, node, self_pid=proc.pid)
         cpus = [0, 1]
-        fast_store, text_store = SampleStore(), SampleStore()
-        fast_lwp = LwpCollector(fs, fast_store, proc.pid)
-        fast_hwt = HwtCollector(fs, fast_store, cpus)
-        text_lwp = LwpCollector(fs, text_store, proc.pid, snapshots=False)
-        text_hwt = HwtCollector(fs, text_store, cpus, snapshots=False)
+        tiers = []
+        for snapshots in (True, False):
+            store = SampleStore()
+            tiers.append((
+                store,
+                LwpCollector(fs, store, proc.pid, snapshots=snapshots),
+                HwtCollector(fs, store, cpus, snapshots=snapshots),
+                MemoryCollector(fs, store, proc.pid, snapshots=snapshots),
+            ))
         while kernel.alive_work():
             kernel.run(max_ticks=10)
             tick = float(kernel.now)
-            fast_snaps = fast_lwp.collect(tick)
-            fast_hwt.collect(tick)
-            fast_store.commit(tick, fast_snaps)
-            text_snaps = text_lwp.collect(tick)
-            text_hwt.collect(tick)
-            text_store.commit(tick, text_snaps)
-            assert fast_snaps == text_snaps
+            period = []
+            for store, lwp, hwt, mem in tiers:
+                snaps = lwp.collect(tick)
+                hwt.collect(tick)
+                mem.collect(tick)
+                store.commit(tick, snaps)
+                period.append(snaps)
+            assert period[0] == period[1]
+        (fast_store, *_), (text_store, *_) = tiers
+        rows = fast_store.mem_series.array
+        # the run moved every per-process column, off the KiB grid
+        for column in ("rss_kib", "io_read_kib", "io_write_kib"):
+            assert len(set(fast_store.mem_series.column(column))) > 2
+        assert len(rows) > 10
         _assert_stores_equal(fast_store, text_store)
 
 
@@ -463,15 +535,15 @@ class TestMultiRankTierIdentity:
             fs = ProcFS(kernel, ctx.node, self_pid=ctx.process.pid)
             cpus = ctx.assignment.cpuset
             tiers = []
+            pid = ctx.process.pid
             for snapshots in (True, False):
                 store = SampleStore()
                 tiers.append(
                     (
                         store,
-                        LwpCollector(
-                            fs, store, ctx.process.pid, snapshots=snapshots
-                        ),
+                        LwpCollector(fs, store, pid, snapshots=snapshots),
                         HwtCollector(fs, store, cpus, snapshots=snapshots),
+                        MemoryCollector(fs, store, pid, snapshots=snapshots),
                     )
                 )
             ranks.append((cpus, tiers))
@@ -479,22 +551,24 @@ class TestMultiRankTierIdentity:
             kernel.run(max_ticks=25)
             tick = float(kernel.now)
             for _, tiers in ranks:
-                for store, lwp, hwt in tiers:
+                for store, lwp, hwt, mem in tiers:
                     snaps = lwp.collect(tick)
                     hwt.collect(tick)
+                    mem.collect(tick)
                     store.commit(tick, snaps)
         return ranks
 
     def test_stores_bit_identical_on_every_rank(self, sampled):
         assert len(sampled) == 8
-        for cpus, ((fast, _, _), (text, _, _)) in sampled:
+        for cpus, ((fast, *_), (text, *_)) in sampled:
             assert sorted(fast.hwt_series) == list(cpus)
+            assert len(fast.mem_series) > 3
             _assert_stores_equal(fast, text)
 
     def test_zero_sum_law_per_hwt_on_every_rank(self, sampled):
         """user+system+idle+iowait advance by the elapsed ticks; each
         of the four counters is floored to whole jiffies, hence the 4."""
-        for cpus, ((fast, _, _), _) in sampled:
+        for cpus, ((fast, *_), _) in sampled:
             assert len(cpus) == 7
             for cpu in cpus:
                 rows = fast.hwt_series[cpu].array

@@ -116,7 +116,8 @@ class TestSubstrateIdentity:
                                  snapshots=snapshots),
                     HwtCollector(reader, store, [0, 1, 2, 3],
                                  snapshots=snapshots),
-                    MemoryCollector(reader, store, proc.pid),
+                    MemoryCollector(reader, store, proc.pid,
+                                    snapshots=snapshots),
                 ],
                 detector=detector,
                 journal=journal,

@@ -29,12 +29,8 @@ Quickstart::
 from repro.apps import (
     MiniQmcConfig,
     PicConfig,
-    SyntheticConfig,
-    cpu_bound_app,
     crash_app,
     deadlock_app,
-    imbalanced_app,
-    memory_bound_app,
     miniqmc_app,
     oom_app,
     pic_app,
@@ -49,7 +45,7 @@ from repro.core import (
     analyze,
     build_report,
     merge_monitors,
-    write_log,
+    render_log,
     zerosum_mpi,
 )
 from repro.kernel import SimKernel
@@ -98,7 +94,7 @@ __all__ = [
     "LdmsAggregator",
     "merge_monitors",
     "CommMatrix",
-    "write_log",
+    "render_log",
     # live
     "LiveZeroSum",
     # apps
@@ -106,11 +102,7 @@ __all__ = [
     "miniqmc_app",
     "PicConfig",
     "pic_app",
-    "SyntheticConfig",
-    "cpu_bound_app",
-    "memory_bound_app",
     "deadlock_app",
     "oom_app",
     "crash_app",
-    "imbalanced_app",
 ]

@@ -1,6 +1,6 @@
 """Post-processing: time series, overhead statistics, rank reordering."""
 
-from repro.analysis.logparse import CsvTable, ParsedLog, merge_p2p_logs, parse_log
+from repro.analysis.logparse import CsvTable, ParsedLog, parse_log
 from repro.analysis.cluster_view import (
     ClusterView,
     NodeSummary,
@@ -19,8 +19,6 @@ from repro.analysis.reorder import (
 )
 from repro.analysis.timeseries import (
     UtilizationSeries,
-    observed_migrations,
-    observed_processors,
     all_hwt_series,
     all_lwp_series,
     hwt_series,
@@ -31,7 +29,6 @@ __all__ = [
     "ParsedLog",
     "CsvTable",
     "parse_log",
-    "merge_p2p_logs",
     "ClusterView",
     "NodeSummary",
     "RankSummary",
@@ -47,6 +44,4 @@ __all__ = [
     "hwt_series",
     "all_lwp_series",
     "all_hwt_series",
-    "observed_processors",
-    "observed_migrations",
 ]

@@ -6,24 +6,25 @@ analysis of the periodic data.  The log file also contains the MPI
 point-to-point data collected between all ranks, which can be
 post-processed to produce a heatmap."
 
-This module is that post-processor: it parses a log written by
-:func:`repro.core.export.write_log` back into numpy arrays and a
-:class:`~repro.core.heatmap.CommMatrix`, without needing the monitor
-objects — exactly the offline workflow a user on a login node has.
+This module is that post-processor: it parses a log rendered by
+:func:`repro.core.export.render_log` back into numpy arrays, without
+needing the monitor objects — exactly the offline workflow a user on a
+login node has, and what :class:`repro.collect.ReplayZeroSum` (``zerosum-sim
+recover LOG``) rebuilds the report from.  The point-to-point section
+only bounds the sections before it: the heatmap is merged from the
+monitors (:func:`repro.core.heatmap.merge_monitors`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core.heatmap import CommMatrix
 from repro.errors import MonitorError
-from repro.mpi.interpose import dense_matrices
 
-__all__ = ["ParsedLog", "parse_log", "merge_p2p_logs"]
+__all__ = ["ParsedLog", "parse_log"]
 
 _SECTIONS = {
     "== LWP samples (CSV) ==": "lwp",
@@ -63,24 +64,15 @@ class ParsedLog:
     hwt: Optional[CsvTable] = None
     gpu: Optional[CsvTable] = None
     memory: Optional[CsvTable] = None
-    p2p_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    def _coo(self, world_size: int) -> np.ndarray:
-        """The rows as one COO block, every rank inside the world."""
-        coo = np.array(self.p2p_rows, dtype=np.int64).reshape(-1, 4)
-        outside = (coo[:, :2] < 0) | (coo[:, :2] >= world_size)
-        if outside.any():
-            src, dst = coo[outside.any(axis=1)][0, :2].tolist()
-            raise MonitorError(
-                f"p2p entry ({src},{dst}) outside world of {world_size}"
-            )
-        return coo
 
     def duration_seconds(self) -> float:
         """Run duration recovered from the report header."""
         for line in self.report_text.splitlines():
             if line.startswith("Duration of execution:"):
-                return float(line.split(":")[1].split()[0])
+                try:
+                    return float(line.split(":")[1].split()[0])
+                except (IndexError, ValueError):
+                    raise MonitorError(f"malformed {line!r}") from None
         raise MonitorError("log carries no duration line")
 
 
@@ -88,14 +80,14 @@ def _parse_csv(lines: list[str]) -> CsvTable:
     if not lines:
         raise MonitorError("empty CSV section")
     columns = tuple(lines[0].split(","))
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows, dtype=np.float64) if rows else np.zeros(
-        (0, len(columns))
-    )
+    try:  # a value that is no number, or rows of uneven width
+        rows = [[float(v) for v in line.split(",")]
+                for line in lines[1:] if line.strip()]
+        data = np.asarray(rows, dtype=np.float64) if rows else np.zeros(
+            (0, len(columns))
+        )
+    except ValueError as exc:
+        raise MonitorError(f"malformed CSV row: {exc}") from None
     if rows and data.shape[1] != len(columns):
         raise MonitorError("CSV row width does not match header")
     return CsvTable(columns=columns, rows=data)
@@ -126,21 +118,6 @@ def parse_log(text: str) -> ParsedLog:
         section = [l for l in lines[start + 1 : end] if l.strip()]
         if not section:
             continue
-        if kind == "p2p":
-            for line in section[1:]:  # skip header
-                src, dst, nbytes, messages = (int(v) for v in line.split(","))
-                out.p2p_rows.append((src, dst, nbytes, messages))
-        else:
+        if kind != "p2p":
             setattr(out, kind, _parse_csv(section))
     return out
-
-
-def merge_p2p_logs(logs: list[ParsedLog], world_size: int) -> CommMatrix:
-    """Merge the p2p sections of all ranks' logs into the Figure 5
-    heatmap matrix — the offline equivalent of
-    :func:`repro.core.heatmap.merge_monitors`."""
-    if not logs:
-        raise MonitorError("no logs to merge")
-    return CommMatrix(
-        *dense_matrices(world_size, [log._coo(world_size) for log in logs])
-    )

@@ -24,8 +24,6 @@ from repro.errors import MonitorError
 
 __all__ = [
     "UtilizationSeries",
-    "observed_processors",
-    "observed_migrations",
     "lwp_series",
     "hwt_series",
     "all_lwp_series",
@@ -143,19 +141,3 @@ def all_hwt_series(monitor) -> list[UtilizationSeries]:
         if len(monitor.hwt_series[cpu]) >= 2:
             out.append(hwt_series(monitor, cpu))
     return out
-
-
-def observed_processors(monitor, tid: int) -> np.ndarray:
-    """The CPU the thread was last seen on, per sample — the §4 data
-    behind "the OpenMP threads were all migrated at least once during
-    execution, as captured by ZeroSum recording the core on which the
-    thread last executed at each periodic measurement"."""
-    return monitor.lwp_series[tid].column("processor").astype(int)
-
-
-def observed_migrations(monitor, tid: int) -> int:
-    """Number of processor changes visible at sampling granularity."""
-    procs = observed_processors(monitor, tid)
-    if len(procs) < 2:
-        return 0
-    return int((np.diff(procs) != 0).sum())

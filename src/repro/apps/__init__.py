@@ -1,6 +1,6 @@
 """Workload applications driven through the public launch API."""
 
-from repro.apps.base import Workload, jitter_factor
+from repro.apps.base import jitter_factor
 from repro.apps.miniqmc import MiniQmcConfig, miniqmc_app
 from repro.apps.pic import PicConfig, pic_app
 from repro.apps.stencil import (
@@ -10,21 +10,9 @@ from repro.apps.stencil import (
     cart_rank,
     stencil_app,
 )
-from repro.apps.synthetic import (
-    SyntheticConfig,
-    cpu_bound_app,
-    crash_app,
-    deadlock_app,
-    imbalanced_app,
-    io_bound_app,
-    leak_app,
-    memory_bound_app,
-    oom_app,
-    oversubscribed_app,
-)
+from repro.apps.synthetic import crash_app, deadlock_app, oom_app
 
 __all__ = [
-    "Workload",
     "jitter_factor",
     "MiniQmcConfig",
     "miniqmc_app",
@@ -35,14 +23,7 @@ __all__ = [
     "cart_dims",
     "cart_coords",
     "cart_rank",
-    "SyntheticConfig",
-    "cpu_bound_app",
-    "memory_bound_app",
-    "io_bound_app",
     "deadlock_app",
     "oom_app",
-    "leak_app",
-    "oversubscribed_app",
     "crash_app",
-    "imbalanced_app",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["jitter_factor", "Workload"]
+__all__ = ["jitter_factor"]
 
 
 def jitter_factor(
@@ -27,12 +27,3 @@ def jitter_factor(
     rng = np.random.default_rng((seed, rank, thread, block))
     # the clamp np.clip would make, without its per-call ufunc set-up
     return min(max(float(rng.normal(1.0, sigma)), 0.5), 1.5)
-
-
-class Workload:
-    """Base class with a config slot, mostly for documentation."""
-
-    name = "workload"
-
-    def __call__(self, ctx):  # pragma: no cover - interface stub
-        raise NotImplementedError

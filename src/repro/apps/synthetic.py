@@ -1,83 +1,20 @@
-"""Synthetic workloads for targeted experiments and failure injection.
+"""Failure-injection workloads: the monitor's edge paths.
 
-These exercise the monitor's edge paths: CPU- vs memory-bound kernels,
-a deadlocking app (for the §3.3 progress detector), an OOM-driving app
-(for the §3.5 memory contention check), a crashing app (for the
-abnormal-exit backtrace handler), and an imbalanced app (for
-utilization asymmetry).
+A deadlocking app (for the §3.3 progress detector), an OOM-driving app
+(for the §3.5 memory contention check, and, in small chunks, the slow
+leak the online detector's ``mem-leak-oom`` precursor warns of) and a
+crashing app (for the abnormal-exit backtrace handler).
+``examples/failure_diagnosis.py`` runs all three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.kernel.directives import Alloc, Compute, FileIo, Free, Sleep, Wait
+from repro.kernel.directives import Alloc, Compute, Wait
 from repro.kernel.events import Event
 from repro.kernel.lwp import Behavior
 from repro.launch.job import RankContext
-from repro.units import MIB
 
-__all__ = [
-    "cpu_bound_app",
-    "io_bound_app",
-    "memory_bound_app",
-    "deadlock_app",
-    "oom_app",
-    "leak_app",
-    "oversubscribed_app",
-    "crash_app",
-    "imbalanced_app",
-    "SyntheticConfig",
-]
-
-
-@dataclass
-class SyntheticConfig:
-    """Common knobs for the synthetic apps."""
-
-    jiffies: float = 100.0
-    user_frac: float = 0.98
-    threads: int = 0  # 0 = use the runtime's default team size
-    alloc_bytes: int = 64 * MIB
-    phases: int = 4
-
-
-def cpu_bound_app(config: SyntheticConfig | None = None):
-    """Pure compute in an OpenMP team."""
-    cfg = config or SyntheticConfig()
-
-    def app(ctx: RankContext) -> Behavior:
-        def region(tn: int, team: int) -> Behavior:
-            yield Compute(cfg.jiffies, user_frac=cfg.user_frac)
-
-        def main() -> Behavior:
-            omp = ctx.omp
-            assert omp is not None
-            kwargs = {"num_threads": cfg.threads} if cfg.threads else {}
-            yield from omp.parallel(region, **kwargs)
-            yield from omp.shutdown()
-
-        return main()
-
-    return app
-
-
-def memory_bound_app(config: SyntheticConfig | None = None):
-    """Alternating allocate/compute/free with syscall-heavy phases."""
-    cfg = config or SyntheticConfig()
-
-    def app(ctx: RankContext) -> Behavior:
-        def main() -> Behavior:
-            for _ in range(cfg.phases):
-                yield Alloc(cfg.alloc_bytes)
-                # memory-bound work: notable system time from paging
-                yield Compute(cfg.jiffies / cfg.phases, user_frac=0.6)
-                yield Free(cfg.alloc_bytes)
-            yield Sleep(1)
-
-        return main()
-
-    return app
+__all__ = ["deadlock_app", "oom_app", "crash_app"]
 
 
 def deadlock_app(deadlock_after_jiffies: float = 50.0):
@@ -109,56 +46,6 @@ def oom_app(chunk_bytes: int = 16 * 1024**3, chunks: int = 64):
     return app
 
 
-def leak_app(leak_bytes: int = 8 * MIB, steps: int = 400,
-             step_jiffies: float = 2.0):
-    """The slow memory leak: a labeled precursor-evaluation scenario.
-
-    Allocates a small chunk every step and never frees, computing in
-    between, until the node's memory runs out.  The labels: the
-    *precursor* is a steady RSS climb mirrored by falling MemAvailable
-    (the online detector's ``mem-leak-oom`` shape, which should fire
-    many sampling periods early with a projected ETA); the *terminal
-    event* is the simulated kernel's OOM kill.  ``steps`` bounds the
-    run so a too-large node ends the job instead of hanging the test.
-    """
-
-    def app(ctx: RankContext) -> Behavior:
-        def main() -> Behavior:
-            for _ in range(steps):
-                yield Alloc(leak_bytes)
-                yield Compute(step_jiffies, user_frac=0.8)
-
-        return main()
-
-    return app
-
-
-def oversubscribed_app(threads: int, jiffies: float = 400.0):
-    """Deliberate thread oversubscription: a labeled eval scenario.
-
-    Spawns an OpenMP team of ``threads`` workers — callers pass more
-    than the rank's allotted CPUs — all computing flat out for
-    ``jiffies``.  The labels: the *condition* is §3.5 oversubscription
-    (more busy bound threads than hardware threads, with forced
-    time-slicing as a side effect), which the online detector should
-    raise well before the *terminal event*, the job simply ending.
-    """
-
-    def app(ctx: RankContext) -> Behavior:
-        def region(tn: int, team: int) -> Behavior:
-            yield Compute(jiffies, user_frac=0.95)
-
-        def main() -> Behavior:
-            omp = ctx.omp
-            assert omp is not None
-            yield from omp.parallel(region, num_threads=threads)
-            yield from omp.shutdown()
-
-        return main()
-
-    return app
-
-
 def crash_app(crash_after_jiffies: float = 30.0):
     """Raises mid-run: the simulated segmentation violation."""
 
@@ -166,44 +53,6 @@ def crash_app(crash_after_jiffies: float = 30.0):
         def main() -> Behavior:
             yield Compute(crash_after_jiffies, user_frac=0.95)
             raise RuntimeError("simulated segmentation fault (SIGSEGV)")
-
-        return main()
-
-    return app
-
-
-def imbalanced_app(config: SyntheticConfig | None = None, skew: float = 4.0):
-    """OpenMP team where thread i does ``1 + i*skew/team`` units of
-    work: classic load imbalance visible in the LWP utilization."""
-    cfg = config or SyntheticConfig()
-
-    def app(ctx: RankContext) -> Behavior:
-        def region(tn: int, team: int) -> Behavior:
-            factor = 1.0 + tn * skew / max(1, team - 1) if team > 1 else 1.0
-            yield Compute(cfg.jiffies * factor, user_frac=cfg.user_frac)
-
-        def main() -> Behavior:
-            omp = ctx.omp
-            assert omp is not None
-            kwargs = {"num_threads": cfg.threads} if cfg.threads else {}
-            yield from omp.parallel(region, **kwargs)
-            yield from omp.shutdown()
-
-        return main()
-
-    return app
-
-
-def io_bound_app(transfer_bytes: int = 256 * 1024**2, transfers: int = 8,
-                 compute_jiffies: float = 2.0):
-    """Alternating short compute and large blocking file transfers:
-    the checkpoint-writer pattern whose signature is iowait."""
-
-    def app(ctx: RankContext) -> Behavior:
-        def main() -> Behavior:
-            for i in range(transfers):
-                yield Compute(compute_jiffies, user_frac=0.7)
-                yield FileIo(transfer_bytes, write=i % 2 == 0)
 
         return main()
 

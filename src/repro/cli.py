@@ -9,9 +9,10 @@ Subcommands:
   heatmap;
 * ``live --seconds S`` — monitor this very process via the real /proc
   (``--journal PATH`` makes the run crash-durable);
-* ``recover <journal>`` — post-mortem: rebuild the utilization +
+* ``recover <journal | log>`` — post-mortem: rebuild the utilization +
   degradation report (and optional log/archive exports) from the
-  spill journal of a run that was killed mid-flight;
+  spill journal of a run that was killed mid-flight, or offline from
+  a finished run's §3.6 ``zerosum.*.log``;
 * ``reproduce [ID ...]`` — run the paper's experiments (DESIGN.md ids
   ``L1 L2 T1 T2 T3 RT F5 F6 F7 F8 A1 A2 A3``) and print the
   paper-vs-measured record on stdout; ``--check FILE`` fails when a
@@ -24,9 +25,11 @@ report of what was sampled.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from repro.analysis import build_cluster_view
 from repro.apps import MiniQmcConfig, PicConfig, miniqmc_app, pic_app
@@ -132,6 +135,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _cmd_live(args: argparse.Namespace) -> int:
     from repro.live import LiveZeroSum
 
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        raise ReproError(f"--seconds must be positive and finite, "
+                         f"not {args.seconds:g}")
     with _writing(args.heartbeat):
         monitor = LiveZeroSum(
             ZeroSumConfig(
@@ -155,27 +161,49 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
+def _recovered(path: str):
+    """The run ``recover`` reads from PATH, and its torn-record count.
+
+    A spill journal starts with its frame magic (``ZSJ2``; ``ZSJ1`` is
+    an older release's, which recovery names); anything else is read as
+    a §3.6 ``zerosum.*.log`` and replayed through the report pipeline.
+    """
+    from repro.collect import ReplayZeroSum
     from repro.collect.journal import recover_journal
-    from repro.core.archive import write_archive
-    from repro.core.export import FileSink, write_log
     from repro.errors import JournalError
 
     try:
-        recovered = recover_journal(args.journal)
+        with open(path, "rb") as fh:
+            head = fh.read(3)
+            text = None if head == b"ZSJ" else head + fh.read()
+        if text is None:
+            run = recover_journal(path)
+            return run, run.torn_records
     except OSError as exc:
-        raise JournalError(f"cannot recover {args.journal}: {exc}") from exc
+        raise JournalError(f"cannot recover {path}: {exc}") from exc
+    try:
+        return ReplayZeroSum(text.decode(errors="replace")), 0
+    except ReproError as exc:
+        raise ReproError(
+            f"{path}: neither a spill journal nor a ZeroSum log ({exc})"
+        ) from exc
+
+
+def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.core.archive import write_archive
+    from repro.core.export import render_log
+
+    recovered, torn = _recovered(args.path)
     print(recovered.report().render())
     print(analyze(recovered).render())
-    if recovered.torn_records:
-        print(
-            f"(discarded {recovered.torn_records} torn trailing journal "
-            f"record(s) — the run died mid-write)",
-            file=sys.stderr,
-        )
+    if torn:
+        print(f"(discarded {torn} torn trailing journal record(s) — the "
+              f"run died mid-write)", file=sys.stderr)
     if args.log_dir:
+        name, text = render_log(recovered)
         with _writing(args.log_dir):
-            name = write_log(recovered, FileSink(args.log_dir))
+            Path(args.log_dir).mkdir(parents=True, exist_ok=True)
+            (Path(args.log_dir) / name).write_text(text)
         print(f"log written: {args.log_dir}/{name}", file=sys.stderr)
     if args.archive:
         with _writing(args.archive):
@@ -263,9 +291,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_live)
 
     p = sub.add_parser(
-        "recover", help="rebuild the report from a crashed run's journal"
+        "recover", help="rebuild the report from a crashed run's journal "
+                        "or a finished run's log"
     )
-    p.add_argument("journal", help="spill journal path written by --journal")
+    p.add_argument("path", help="a spill journal written by --journal, or "
+                                "a zerosum.*.log written by --log-dir")
     p.add_argument("--log-dir", default=None, metavar="DIR",
                    help="also write the run's zerosum.*.log text dump to DIR")
     p.add_argument("--archive", default=None, metavar="PATH",

@@ -722,7 +722,7 @@ class RecoveredRun(StoreBackedRun):
     """A ``kill -9``'d run, rebuilt from its journal.
 
     The journal's meta dict *is* the run's identity record, so the
-    report, :func:`repro.core.export.write_log` and the archive writer
+    report, :func:`repro.core.export.render_log` and the archive writer
     work on a recovered run exactly as on the monitor that wrote it.
     """
 

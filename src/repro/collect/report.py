@@ -15,7 +15,10 @@ cover the substrates:
   exits early keeps the utilization it showed while observable.
 * ``"first"`` — counters predate the monitor (a live ``/proc``), so
   utilization is the last-minus-first delta over the first-to-last
-  window; a single-row series falls back to the zero baseline.
+  window.  A thread seen only in the run's first sample has no delta
+  and no row, as an HWT with fewer than two rows has none; a
+  single-row thread born after the first sample falls back to the
+  zero baseline.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class ReportBuilder:
         self.classify = classify or (lambda tid: "Other")
 
     # -- per-table assembly --------------------------------------------
-    def _lwp_row(self, tid: int) -> Optional[LwpRow]:
+    def _lwp_row(self, tid: int, first_tick: float) -> Optional[LwpRow]:
         arr = self.store.lwp_series[tid].array
         if len(arr) == 0:
             return None
@@ -66,12 +69,17 @@ class ReportBuilder:
         if self.baseline == "zero":
             window = max(1.0, last[_TICK] - self.start_tick)
             d_utime, d_stime = last[_UTIME], last[_STIME]
+        elif len(arr) > 1:
+            window = max(1.0, last[_TICK] - first[_TICK])
+            d_utime = last[_UTIME] - first[_UTIME]
+            d_stime = last[_STIME] - first[_STIME]
+        elif first[_TICK] == first_tick:
+            # counters that predate the monitor: one row is no delta
+            return None
         else:
-            window = max(
-                1.0, last[_TICK] - (0.0 if len(arr) == 1 else first[_TICK])
-            )
-            d_utime = last[_UTIME] - (first[_UTIME] if len(arr) > 1 else 0)
-            d_stime = last[_STIME] - (first[_STIME] if len(arr) > 1 else 0)
+            # born after the first sample: its counters started at zero
+            window = max(1.0, last[_TICK])
+            d_utime, d_stime = last[_UTIME], last[_STIME]
         return LwpRow(
             tid=tid,
             kind=self.classify(tid),
@@ -145,8 +153,14 @@ class ReportBuilder:
             cpus_allowed=cpus_allowed,
             deadlock_note=deadlock_note,
         )
+        first_tick = 0.0
+        if self.baseline == "first":  # the run's first sample: no delta there
+            first_tick = min(
+                (s.array[0, _TICK] for s in self.store.lwp_series.values()
+                 if len(s)), default=0.0,
+            )
         for tid in self.store.observed_tids():
-            row = self._lwp_row(tid)
+            row = self._lwp_row(tid, first_tick)
             if row is not None:
                 report.lwp_rows.append(row)
         for cpu in sorted(self.store.hwt_series):

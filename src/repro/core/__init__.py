@@ -16,18 +16,16 @@ an exported log, or ``recover_journal(path)`` of a run that was killed.
 """
 
 from repro.core.advisor import Advice, Suggestion, advise
-from repro.core.archive import ArchiveData, RankSeries, read_archive, write_archive
+from repro.core.archive import write_archive
 from repro.core.config import ZeroSumConfig
 from repro.core.contention import ContentionReport, Finding, Severity, analyze
 from repro.core.detect import ProcessConfig, detect_configuration
 from repro.core.export import (
-    FileSink,
-    MemorySink,
     gpu_csv,
     hwt_csv,
     lwp_csv,
     memory_csv,
-    write_log,
+    render_log,
 )
 from repro.core.heartbeat import ProgressTracker, ThreadSnapshot
 from repro.core.heatmap import CommMatrix, merge_monitors
@@ -55,9 +53,6 @@ __all__ = [
     "Advice",
     "Suggestion",
     "write_archive",
-    "read_archive",
-    "ArchiveData",
-    "RankSeries",
     "SampleStream",
     "SampleEvent",
     "LdmsAggregator",
@@ -82,9 +77,7 @@ __all__ = [
     "merge_monitors",
     "SeriesBuffer",
     "state_code",
-    "MemorySink",
-    "FileSink",
-    "write_log",
+    "render_log",
     "lwp_csv",
     "hwt_csv",
     "gpu_csv",

@@ -13,11 +13,11 @@ container; the closest dependency-free equivalent is a compressed
     rank{R}/p2p            -> (world, world) int64 bytes matrix
 
 plus a JSON metadata blob (column names, duration, hostnames), so the
-archive is loadable without this package.  :func:`write_archive` dumps
-any number of store-backed runs (rank monitors, a live monitor, or a
-journal-recovered run — which is what makes a ``kill -9``'d run
-archivable after the fact); :func:`read_archive` restores them into
-plain-array form for analysis.
+archive is loadable without this package: ``np.load`` gives every
+array by name, and ``json.loads(data["__meta__"].tobytes())`` the
+metadata.  :func:`write_archive` dumps any number of store-backed runs
+(rank monitors, a live monitor, or a journal-recovered run — which is
+what makes a ``kill -9``'d run archivable after the fact).
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -36,12 +34,7 @@ from repro.core.records import HWT_COLUMNS, LWP_COLUMNS, MEM_COLUMNS
 from repro.errors import MonitorError
 from repro.gpu.metrics import METRIC_ORDER
 
-__all__ = [
-    "RankSeries",
-    "ArchiveData",
-    "write_archive",
-    "read_archive",
-]
+__all__ = ["write_archive"]
 
 
 def _atomic_savez(path: str | Path | io.BytesIO, arrays: dict) -> None:
@@ -66,35 +59,6 @@ def _atomic_savez(path: str | Path | io.BytesIO, arrays: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, final)
-
-
-@dataclass
-class RankSeries:
-    """One rank's arrays, as restored from an archive."""
-
-    rank: int
-    hostname: str
-    duration_seconds: float
-    lwp: dict[int, np.ndarray] = field(default_factory=dict)
-    hwt: dict[int, np.ndarray] = field(default_factory=dict)
-    gpu: dict[int, np.ndarray] = field(default_factory=dict)
-    mem: Optional[np.ndarray] = None
-    p2p: Optional[np.ndarray] = None
-
-
-@dataclass
-class ArchiveData:
-    """A whole job's restored archive."""
-
-    columns: dict[str, list[str]]
-    ranks: dict[int, RankSeries] = field(default_factory=dict)
-
-    def rank(self, r: int) -> RankSeries:
-        """One rank's restored series; raises for unknown ranks."""
-        try:
-            return self.ranks[r]
-        except KeyError:
-            raise MonitorError(f"archive has no rank {r}") from None
 
 
 def write_archive(
@@ -140,35 +104,3 @@ def write_archive(
         json.dumps(meta).encode(), dtype=np.uint8
     )
     _atomic_savez(path, arrays)
-
-
-def read_archive(path: str | Path | io.BytesIO) -> ArchiveData:
-    """Restore an archive written by :func:`write_archive`."""
-    with np.load(path) as data:
-        if "__meta__" not in data:
-            raise MonitorError("not a ZeroSum archive (missing metadata)")
-        meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
-        out = ArchiveData(columns=meta["columns"])
-        for key, info in meta["ranks"].items():
-            out.ranks[int(key)] = RankSeries(
-                rank=int(key),
-                hostname=info["hostname"],
-                duration_seconds=info["duration_seconds"],
-            )
-        for name in data.files:
-            if name == "__meta__":
-                continue
-            parts = name.split("/")
-            rank = int(parts[0][len("rank"):])
-            series = out.ranks[rank]
-            if parts[1] == "lwp":
-                series.lwp[int(parts[2])] = data[name]
-            elif parts[1] == "hwt":
-                series.hwt[int(parts[2])] = data[name]
-            elif parts[1] == "gpu":
-                series.gpu[int(parts[2])] = data[name]
-            elif parts[1] == "mem":
-                series.mem = data[name]
-            elif parts[1] == "p2p":
-                series.p2p = data[name]
-    return out

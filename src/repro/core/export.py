@@ -4,60 +4,27 @@ Every monitored process can write a log containing the same summary
 rank 0 prints, followed by a detailed CSV dump of every sample — LWP
 state, faults, context switches and last CPU; HWT jiffies; memory; and
 GPU sensors — enabling the time-series analyses of Figures 6 and 7.
-Sinks are pluggable so the data can also be streamed to another tool
-(the LDMS/TAU integration direction of §6).
+:func:`render_log` returns the log's name and text; the caller decides
+where it goes (``zerosum-sim recover --log-dir`` writes it to a file).
 """
 
 from __future__ import annotations
 
 import io
-from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Mapping
 
 from repro.collect.report import StoreBackedRun
 from repro.core.heatmap import CommMatrix
 from repro.core.records import SeriesBuffer
 
 __all__ = [
-    "ExportSink",
-    "MemorySink",
-    "FileSink",
-    "write_log",
+    "render_log",
     "series_csv",
     "lwp_csv",
     "hwt_csv",
     "gpu_csv",
     "memory_csv",
 ]
-
-
-class ExportSink(Protocol):
-    """Anything that accepts named text documents."""
-
-    def write(self, name: str, content: str) -> None: ...
-
-
-class MemorySink:
-    """Collects documents in a dict (tests, streaming integrations)."""
-
-    def __init__(self) -> None:
-        self.documents: dict[str, str] = {}
-
-    def write(self, name: str, content: str) -> None:
-        """Store the document in memory."""
-        self.documents[name] = content
-
-
-class FileSink:
-    """Writes documents under a directory (the per-rank log files)."""
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def write(self, name: str, content: str) -> None:
-        """Write the document under the sink directory."""
-        (self.directory / name).write_text(content)
 
 
 def series_csv(series_map: Mapping[int, SeriesBuffer], key_name: str) -> str:
@@ -91,8 +58,8 @@ def memory_csv(run: StoreBackedRun) -> str:
     return run.mem_series.to_csv()
 
 
-def write_log(run: StoreBackedRun, sink: ExportSink) -> str:
-    """Write one run's full log; returns the log document name.
+def render_log(run: StoreBackedRun) -> tuple[str, str]:
+    """One run's full log: ``(file name, text)``.
 
     Any store-backed run — simulated, live, replayed or recovered from
     a journal — exports through here, in the one section layout
@@ -132,5 +99,4 @@ def write_log(run: StoreBackedRun, sink: ExportSink) -> str:
             bytes=run.recorder.bytes, messages=run.recorder.messages
         )
         parts.append(mat.to_csv())
-    sink.write(name, "\n".join(parts))
-    return name
+    return name, "\n".join(parts)

@@ -380,7 +380,7 @@ class DetachedRun(StoreBackedRun):
 
     The store, the identity record and every value the report, the
     analyses (``analyze``, ``advise``, ``build_cluster_view``),
-    ``merge_monitors`` and ``write_log`` read of the monitor, frozen at
+    ``merge_monitors`` and ``render_log`` read of the monitor, frozen at
     detach time.  It pickles, so a rank simulated in a sharded
     launcher's worker comes home as the same kind of run a serial rank
     is.

@@ -13,7 +13,7 @@ from repro.kernel.directives import (
     YieldCpu,
 )
 from repro.kernel.io import IoRequest, IoSubsystem
-from repro.kernel.events import Barrier, Event, MessageQueue, Semaphore, WaitObject
+from repro.kernel.events import Barrier, Event, MessageQueue, WaitObject
 from repro.kernel.hwt import HWTState
 from repro.kernel.lwp import LWP, Behavior, ThreadRole, ThreadState
 from repro.kernel.memory import MemoryAccounting
@@ -37,7 +37,6 @@ __all__ = [
     "WaitObject",
     "Event",
     "Barrier",
-    "Semaphore",
     "MessageQueue",
     "HWTState",
     "LWP",

@@ -17,7 +17,7 @@ if TYPE_CHECKING:
     from repro.kernel.lwp import LWP
     from repro.kernel.scheduler import SimKernel
 
-__all__ = ["WaitObject", "Event", "Barrier", "Semaphore", "MessageQueue"]
+__all__ = ["WaitObject", "Event", "Barrier", "MessageQueue"]
 
 
 class WaitObject:
@@ -112,36 +112,6 @@ class Barrier(WaitObject):
             self.wake_all(kernel)
             return False
         return True
-
-
-class Semaphore(WaitObject):
-    """Counting semaphore (mutex when initialized to 1)."""
-
-    def __init__(self, value: int = 1, name: str = ""):
-        super().__init__(name)
-        if value < 0:
-            raise SchedulerError("semaphore value must be >= 0")
-        self.value = value
-
-    def try_acquire(self) -> bool:
-        """Take a token without blocking; False if none left."""
-        if self.value > 0:
-            self.value -= 1
-            return True
-        return False
-
-    def ready(self, lwp: "LWP") -> bool:
-        """Acquire-or-block, atomically within the tick."""
-        # the scheduler calls ready() right before blocking; acquiring
-        # here keeps try/block atomic within one tick
-        return self.try_acquire()
-
-    def release(self, kernel: "SimKernel") -> None:
-        """Return a token, handing it to a waiter if one sleeps."""
-        woken = self.wake_one(kernel)
-        if woken is None:
-            self.value += 1
-        # if a waiter was woken it inherits the token (value stays 0)
 
 
 class MessageQueue(WaitObject):

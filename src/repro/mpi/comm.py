@@ -1,7 +1,7 @@
 """Simulated MPI: communicators, point-to-point, collectives.
 
 The API deliberately mirrors mpi4py's lower-case object interface
-(``send``/``recv``/``isend``/``irecv``/``bcast``/``gather``/...), but
+(``send``/``recv``/``irecv``/``waitall``/``allreduce``), but
 every call is a *generator* to be driven with ``yield from`` inside an
 LWP behavior, since blocking must be expressed to the simulated kernel.
 
@@ -70,9 +70,8 @@ class _Arrival(WaitObject):
 
 @dataclass
 class Request:
-    """Nonblocking operation handle (mpi4py ``Request``)."""
+    """Nonblocking receive handle (mpi4py ``Request``)."""
 
-    kind: str  # "send" | "recv"
     comm: "RankComm"
     source: int = ANY_SOURCE
     tag: int = ANY_TAG
@@ -82,9 +81,6 @@ class Request:
     def test(self) -> bool:
         """Nonblocking completion check (no sim-time cost)."""
         if self.completed:
-            return True
-        if self.kind == "send":
-            self.completed = True  # eager protocol: buffer reusable at once
             return True
         msg = self.comm._match(self.source, self.tag)
         if msg is not None:
@@ -236,7 +232,7 @@ class RankComm:
     ) -> Behavior:
         """Blocking standard-mode send (eager: returns after injection)."""
         if dest == self.rank:
-            raise MpiError("send to self: use sendrecv or a buffer")
+            raise MpiError("send to self: use a local buffer")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         dst_comm = self.job.comms.get(dest)
         if dst_comm is None and not self.job.is_remote_rank(dest):
@@ -270,17 +266,6 @@ class RankComm:
         yield Compute(self.CALL_COST, user_frac=self.CALL_USER_FRAC)
         yield Call(inject)
 
-    def isend(
-        self,
-        payload: object,
-        dest: int,
-        tag: int = 0,
-        nbytes: Optional[int] = None,
-    ) -> Behavior:
-        """Nonblocking send; returns a completed-on-test Request."""
-        yield from self.send(payload, dest, tag, nbytes)
-        return Request(kind="send", comm=self)
-
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Behavior:
         """Blocking receive; returns the payload."""
         yield Compute(self.CALL_COST, user_frac=self.CALL_USER_FRAC)
@@ -296,21 +281,7 @@ class RankComm:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Behavior:
         """Nonblocking receive returning a Request (drive with wait())."""
         yield Compute(self.CALL_COST, user_frac=self.CALL_USER_FRAC)
-        return Request(kind="recv", comm=self, source=source, tag=tag)
-
-    def sendrecv(
-        self,
-        payload: object,
-        dest: int,
-        source: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        nbytes: Optional[int] = None,
-    ) -> Behavior:
-        """Combined send+recv, deadlock-free like MPI_Sendrecv."""
-        yield from self.send(payload, dest, sendtag, nbytes)
-        result = yield from self.recv(source, recvtag)
-        return result
+        return Request(comm=self, source=source, tag=tag)
 
     def wait(self, request: Request) -> Behavior:
         """Block until a request completes; returns its payload."""
@@ -363,48 +334,6 @@ class RankComm:
         yield Call(depart)
         return result
 
-    def barrier(self) -> Behavior:
-        """MPI_Barrier."""
-        yield from self._collective(
-            "barrier", lambda s: None, lambda s: None
-        )
-
-    def bcast(self, payload: object, root: int = 0) -> Behavior:
-        """MPI_Bcast: every rank returns the root's payload."""
-        def contribute(state: _CollState) -> None:
-            if self.rank == root:
-                state.data[root] = payload
-
-        def finish(state: _CollState) -> None:
-            if root not in state.data:
-                raise MpiError(f"bcast root {root} never arrived")
-            state.result = state.data[root]
-
-        result = yield from self._collective("bcast", contribute, finish)
-        return result
-
-    def gather(self, value: object, root: int = 0) -> Behavior:
-        """MPI_Gather: the root returns the value list, others None."""
-        def contribute(state: _CollState) -> None:
-            state.data[self.rank] = value
-
-        def finish(state: _CollState) -> None:
-            state.result = [state.data[r] for r in sorted(state.data)]
-
-        result = yield from self._collective("gather", contribute, finish)
-        return result if self.rank == root else None
-
-    def allgather(self, value: object) -> Behavior:
-        """MPI_Allgather: every rank returns the full value list."""
-        def contribute(state: _CollState) -> None:
-            state.data[self.rank] = value
-
-        def finish(state: _CollState) -> None:
-            state.result = [state.data[r] for r in sorted(state.data)]
-
-        result = yield from self._collective("allgather", contribute, finish)
-        return result
-
     def allreduce(self, value: object, op: Callable = sum) -> Behavior:
         """MPI_Allreduce with a Python reduction over the value list."""
         def contribute(state: _CollState) -> None:
@@ -416,26 +345,6 @@ class RankComm:
 
         result = yield from self._collective("allreduce", contribute, finish)
         return result
-
-    def reduce(self, value: object, op: Callable = sum, root: int = 0) -> Behavior:
-        """MPI_Reduce: only the root returns the result."""
-        result = yield from self.allreduce(value, op)
-        return result if self.rank == root else None
-
-    def scatter(self, values: Optional[list], root: int = 0) -> Behavior:
-        """MPI_Scatter: each rank returns its slice of the root's list."""
-        def contribute(state: _CollState) -> None:
-            if self.rank == root:
-                if values is None or len(values) != self.job.size:
-                    raise MpiError("scatter needs one value per rank at root")
-                state.data["values"] = values
-
-        def finish(state: _CollState) -> None:
-            state.result = state.data["values"]
-
-        result = yield from self._collective("scatter", contribute, finish)
-        assert isinstance(result, list)
-        return result[self.rank]
 
     def __repr__(self) -> str:
         return f"<RankComm rank={self.rank}/{self.job.size} pid={self.process.pid}>"

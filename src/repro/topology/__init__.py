@@ -16,7 +16,6 @@ from repro.topology.cpuset import CpuSet
 from repro.topology.distance import (
     closest_gpu,
     cpu_gpu_distance,
-    gpu_affinity_cpuset,
     numa_distance_matrix,
 )
 from repro.topology.lstopo import format_cache_size, render_lstopo
@@ -50,6 +49,5 @@ __all__ = [
     "format_cache_size",
     "closest_gpu",
     "cpu_gpu_distance",
-    "gpu_affinity_cpuset",
     "numa_distance_matrix",
 ]

@@ -22,7 +22,6 @@ __all__ = [
     "numa_distance_matrix",
     "cpu_gpu_distance",
     "closest_gpu",
-    "gpu_affinity_cpuset",
 ]
 
 _LOCAL = 10
@@ -88,12 +87,3 @@ def closest_gpu(machine: Machine, cpuset: CpuSet, exclude: set[int] | None = Non
         return (dist, gpu.physical_index)
 
     return min(candidates, key=total)
-
-
-def gpu_affinity_cpuset(machine: Machine, gpu: GpuInfo) -> CpuSet:
-    """CPUs local to the GPU (its NUMA domain's cpuset)."""
-    for dom in machine.numa_domains():
-        if dom.os_index == gpu.numa:
-            return dom.cpuset()
-    # single-domain node: everything is local
-    return machine.cpuset()

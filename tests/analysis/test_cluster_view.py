@@ -4,7 +4,6 @@ import pytest
 
 from tests.helpers import run_miniqmc
 from repro.analysis import build_cluster_view
-from repro.apps import SyntheticConfig, imbalanced_app
 from repro.core import ZeroSumConfig, zerosum_mpi
 from repro.errors import MonitorError
 from repro.launch import SrunOptions, launch_job

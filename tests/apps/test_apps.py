@@ -2,21 +2,20 @@
 
 import pytest
 
+from tests.helpers import omp_team_app
 from repro.apps import (
     MiniQmcConfig,
     PicConfig,
-    SyntheticConfig,
-    cpu_bound_app,
-    imbalanced_app,
     jitter_factor,
-    memory_bound_app,
     miniqmc_app,
     pic_app,
 )
 from repro.core import ZeroSumConfig, build_report, zerosum_mpi
 from repro.errors import LaunchError
+from repro.kernel import Alloc, Compute, Free, Sleep
 from repro.launch import SrunOptions, launch_job
 from repro.topology import frontier_node, generic_node
+from repro.units import MIB
 
 
 class TestJitter:
@@ -148,16 +147,24 @@ class TestSynthetics:
     def test_cpu_bound(self):
         step = launch_job(
             [generic_node(cores=4)], SrunOptions(ntasks=1, cpus_per_task=4),
-            cpu_bound_app(SyntheticConfig(jiffies=40, threads=4)),
+            omp_team_app(40, threads=4),
             use_mpi=False, helper_thread=False,
         )
         ticks = step.run()
         assert ticks < 70
 
     def test_memory_bound_rss_returns_to_zero(self):
+        def memory_bound(ctx):
+            """Allocate / compute (paging: system time) / free, twice."""
+            for _ in range(2):
+                yield Alloc(64 * MIB)
+                yield Compute(10, user_frac=0.6)
+                yield Free(64 * MIB)
+            yield Sleep(1)
+
         step = launch_job(
             [generic_node(cores=2)], SrunOptions(ntasks=1),
-            memory_bound_app(SyntheticConfig(jiffies=20, phases=2)),
+            memory_bound,
             use_mpi=False, helper_thread=False,
         )
         step.run()
@@ -171,7 +178,7 @@ class TestSynthetics:
                                 "OMP_PLACES": "threads"})
         step = launch_job(
             [generic_node(cores=4)], opts,
-            imbalanced_app(SyntheticConfig(jiffies=30), skew=3.0),
+            omp_team_app(30, skew=3.0),
             monitor_factory=zerosum_mpi(ZeroSumConfig()),
             use_mpi=False, helper_thread=False,
         )

@@ -768,7 +768,7 @@ class TestDegradationSurfaces:
     def test_sim_monitor_report_and_replay_keep_degradation(self):
         """End to end: ZeroSum -> report -> log -> replay, notes intact."""
         from repro.core import ZeroSumConfig
-        from repro.core.export import MemorySink, write_log
+        from repro.core.export import render_log
         from repro.core.monitor import ZeroSum
         from repro.core.reports import build_report
         from repro.kernel import SimKernel
@@ -814,9 +814,8 @@ class TestDegradationSurfaces:
             for note in report.degradation_notes
         )
 
-        sink = MemorySink()
-        name = write_log(zs, sink)
-        replay = ReplayZeroSum(sink.documents[name], hz=kernel.clock.hz)
+        _, log = render_log(zs)
+        replay = ReplayZeroSum(log, hz=kernel.clock.hz)
         rebuilt = replay.report()
         assert rebuilt.degradation_notes == report.degradation_notes
         assert "Degradation Summary:" in rebuilt.render()

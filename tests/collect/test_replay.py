@@ -9,7 +9,7 @@ import pytest
 
 from repro.collect import ReplayZeroSum
 from repro.core import ZeroSumConfig, build_report
-from repro.core.export import MemorySink, write_log
+from repro.core.export import render_log
 from repro.core.records import PeriodBlock
 from repro.errors import MonitorError
 from repro.topology import aurora_node, frontier_node, perlmutter_node
@@ -22,11 +22,8 @@ T1_CMD = "OMP_NUM_THREADS=3 srun -n2 zerosum-mpi miniqmc"
 def sim_pair():
     step = run_miniqmc(T1_CMD, blocks=4)
     monitor = step.monitors[0]
-    sink = MemorySink()
-    name = write_log(monitor, sink)
-    replay = ReplayZeroSum(
-        sink.documents[name], hz=monitor.kernel.clock.hz
-    )
+    _, log = render_log(monitor)
+    replay = ReplayZeroSum(log, hz=monitor.kernel.clock.hz)
     return monitor, build_report(monitor), replay
 
 
@@ -78,9 +75,8 @@ class TestSimRoundTrip:
 
 def _round_trip(step):
     monitor = step.monitors[0]
-    sink = MemorySink()
-    name = write_log(monitor, sink)
-    replay = ReplayZeroSum(sink.documents[name], hz=monitor.kernel.clock.hz)
+    _, log = render_log(monitor)
+    replay = ReplayZeroSum(log, hz=monitor.kernel.clock.hz)
     return monitor.report(), replay.report()
 
 
@@ -122,8 +118,7 @@ class TestRejects:
 
     def test_bad_csv_columns(self, sim_pair):
         monitor, _, _ = sim_pair
-        sink = MemorySink()
-        name = write_log(monitor, sink)
-        text = sink.documents[name].replace("tid,tick,", "tid,wrong,")
+        _, log = render_log(monitor)
+        text = log.replace("tid,tick,", "tid,wrong,")
         with pytest.raises(MonitorError):
             ReplayZeroSum(text)

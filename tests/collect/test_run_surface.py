@@ -2,7 +2,7 @@
 
 Every store-backed run inherits :class:`repro.collect.StoreBackedRun`,
 so the view of the store, the identity record and ``report()`` are
-defined once, and ``write_log`` / ``write_archive`` take any of the
+defined once, and ``render_log`` / ``write_archive`` take any of the
 four (the archive case is ``tests/core/test_archive.py::TestStoreArchive``).  The round trips pin the drift the forked live exporter had: a
 recovered *sim* journal exported and replayed must rebuild the
 recovered report exactly (rank line, GPU table, zero baseline).
@@ -20,7 +20,7 @@ from repro.collect import (
     StoreBackedRun,
     recover_journal,
 )
-from repro.core import ContentionReport, MemorySink, ZeroSumConfig, analyze, write_log
+from repro.core import ContentionReport, ZeroSumConfig, analyze, render_log
 from repro.live import LiveZeroSum
 from tests.helpers import run_miniqmc
 
@@ -68,12 +68,6 @@ def _live(tmp_path):
     return zs, journal
 
 
-def _export(run) -> tuple[str, str]:
-    sink = MemorySink()
-    name = write_log(run, sink)
-    return name, sink.documents[name]
-
-
 def _assert_replays(rebuilt, original) -> None:
     """Byte for byte, GPU table included: the CSV dump writes every
     value as its shortest round-trip repr."""
@@ -95,7 +89,7 @@ def live_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def drivers(sim_runs, live_runs):
     sim, recovered = sim_runs
-    replay = ReplayZeroSum(_export(sim)[1], hz=sim.hz)
+    replay = ReplayZeroSum(render_log(sim)[1], hz=sim.hz)
     return {
         "sim": sim, "live": live_runs[0], "replay": replay,
         "recovered": recovered,
@@ -199,11 +193,11 @@ class TestAnalyzeAcrossDrivers:
 
 
 class TestSimJournalRoundTrip:
-    """recover -> write_log -> ReplayZeroSum on a sim journal."""
+    """recover -> render_log -> ReplayZeroSum on a sim journal."""
 
     def test_replay_of_recovered_log_matches(self, sim_runs):
         monitor, recovered = sim_runs
-        name, text = _export(recovered)
+        name, text = render_log(recovered)
         assert name == "zerosum.0.log"
         assert text.startswith(f"ZeroSum attached to PID {monitor.pid} on ")
         assert "(live)" not in text
@@ -225,7 +219,7 @@ class TestSimJournalRoundTrip:
 class TestLiveJournalRoundTrip:
     def test_replay_of_recovered_log_matches(self, live_runs):
         monitor, recovered = live_runs
-        name, text = _export(recovered)
+        name, text = render_log(recovered)
         assert name == f"zerosum.live.{monitor.pid}.log"
         assert text.startswith(
             f"ZeroSum (live) attached to PID {monitor.pid} on "
@@ -238,6 +232,6 @@ class TestLiveJournalRoundTrip:
 
     def test_unrecovered_live_log_keeps_its_name(self, live_runs):
         monitor, _ = live_runs
-        name, text = _export(monitor)
+        name, text = render_log(monitor)
         assert name == f"zerosum.live.{monitor.pid}.log"
         assert ReplayZeroSum(text).observed_tids() == monitor.observed_tids()

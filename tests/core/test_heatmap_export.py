@@ -7,14 +7,12 @@ from tests.helpers import run_miniqmc
 from repro.apps import PicConfig, crash_app, pic_app
 from repro.core import (
     CommMatrix,
-    MemorySink,
-    FileSink,
     ZeroSumConfig,
     lwp_csv,
     hwt_csv,
     memory_csv,
     merge_monitors,
-    write_log,
+    render_log,
     zerosum_mpi,
 )
 from repro.errors import MonitorError
@@ -118,20 +116,13 @@ class TestExport:
         csv = memory_csv(monitor)
         assert "mem_total_kib" in csv.splitlines()[0]
 
-    def test_write_log_memory_sink(self, monitor):
-        sink = MemorySink()
-        name = write_log(monitor, sink)
+    def test_render_log(self, monitor):
+        name, doc = render_log(monitor)
         assert name == "zerosum.0.log"
-        doc = sink.documents[name]
         assert "Duration of execution" in doc
+        assert "LWP (thread) Summary" in doc
         assert "== LWP samples (CSV) ==" in doc
         assert "HWLOC Node topology:" in doc
-
-    def test_write_log_file_sink(self, monitor, tmp_path):
-        sink = FileSink(tmp_path)
-        name = write_log(monitor, sink)
-        assert (tmp_path / name).exists()
-        assert "LWP (thread) Summary" in (tmp_path / name).read_text()
 
 
 class TestCrashBacktrace:

@@ -8,10 +8,8 @@ the materialized-real substrate, and journal replay yields the same
 alert ledger.
 """
 
-import pytest
-
 from tests.detect.conftest import node_facts
-from tests.helpers import materialize_proc
+from tests.helpers import materialize_proc, omp_team_app
 from repro.collect import (
     CollectionEngine,
     HwtCollector,
@@ -26,7 +24,8 @@ from repro.kernel import Compute, SimKernel
 from repro.launch import SrunOptions, launch_job
 from repro.procfs import ProcFS
 from repro.topology import CpuSet, generic_node
-from repro.apps import leak_app, oversubscribed_app
+from repro.apps import oom_app
+from repro.units import MIB
 
 
 class TestLeakLeadTime:
@@ -36,7 +35,8 @@ class TestLeakLeadTime:
         step = launch_job(
             [machine],
             SrunOptions(ntasks=1),
-            leak_app(steps=600),
+            # the slow leak: 8 MiB per step until the node runs out
+            oom_app(chunk_bytes=8 * MIB, chunks=600),
             monitor_factory=zerosum_mpi(config),
         )
         step.run(raise_on_stall=False)
@@ -67,7 +67,8 @@ class TestOversubscriptionScenario:
         step = launch_job(
             [machine],
             SrunOptions(ntasks=1, cpus_per_task=2),
-            oversubscribed_app(threads=8),
+            # 8 busy threads on the rank's 2 CPUs
+            omp_team_app(400.0, threads=8, user_frac=0.95),
             monitor_factory=zerosum_mpi(ZeroSumConfig(detect_online=True)),
         )
         step.run(raise_on_stall=False)

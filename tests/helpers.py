@@ -7,8 +7,9 @@ from pathlib import Path
 from repro.apps import MiniQmcConfig, miniqmc_app
 from repro.collect.journal import _parse_frame
 from repro.core import ZeroSumConfig, zerosum_mpi
+from repro.kernel import Compute
 from repro.launch import SrunOptions, launch_job
-from repro.topology import frontier_node, generic_node
+from repro.topology import frontier_node
 
 
 def run_miniqmc(
@@ -42,6 +43,26 @@ def run_miniqmc(
     step.run(max_ticks=1_000_000)
     step.finalize()
     return step
+
+
+def omp_team_app(jiffies: float, *, threads: int = 0, skew: float = 0.0,
+                 user_frac: float = 0.98):
+    """An OpenMP team computing flat out; thread ``i`` of ``n`` does
+    ``1 + i * skew / (n - 1)`` units of ``jiffies`` (a load imbalance
+    when ``skew > 0``).  ``threads=0`` takes the runtime's team size."""
+
+    def app(ctx):
+        def region(tn: int, team: int):
+            factor = 1.0 + tn * skew / (team - 1) if team > 1 else 1.0
+            yield Compute(jiffies * factor, user_frac=user_frac)
+
+        def main():
+            yield from ctx.omp.parallel(region, num_threads=threads or None)
+            yield from ctx.omp.shutdown()
+
+        return main()
+
+    return app
 
 
 #: the identity record the journal tests open their journals with

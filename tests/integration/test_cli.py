@@ -1,8 +1,11 @@
 """CLI smoke tests (zerosum-sim)."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import render_log
+from tests.helpers import run_miniqmc
 
 
 class TestTopologyCommand:
@@ -50,6 +53,40 @@ class TestMisuse:
         monkeypatch.setattr(cli, "launch_job", boom)
         with pytest.raises(RuntimeError, match="bug"):
             main(["run", "srun -n1 miniqmc"])
+
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+    def test_seconds_not_positive_and_finite_is_one_error_line(
+        self, capsys, seconds
+    ):
+        """A run too short to sample twice reported 3900 % utime."""
+        assert main(["live", "--seconds", seconds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"zerosum-sim: error: --seconds must be positive and finite, "
+            f"not {float(seconds):g}"
+        ]
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"", "log carries no duration line"),
+        (b"node0042\n", "log carries no duration line"),
+        (b"\xff\xfe\x00\x81", "log carries no duration line"),
+        (b"Duration of execution: 1.0 s\n== LWP samples (CSV) ==\n"
+         b"tid,tick\n1,x\n", "malformed CSV row: could not convert "
+                             "string to float: 'x'"),
+    ], ids=["empty", "hostname", "binary", "malformed-log"])
+    def test_neither_journal_nor_log_is_one_error_line(
+        self, capsys, tmp_path, content, reason
+    ):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert main(["recover", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"zerosum-sim: error: {path}: neither a spill journal nor a "
+            f"ZeroSum log ({reason})"
+        ]
 
     @pytest.fixture
     def journal(self, tmp_path):
@@ -105,6 +142,43 @@ class TestMisuse:
         monkeypatch.setattr(live.LiveZeroSum, "start", boom)
         with pytest.raises(OSError):
             main(["live", "--seconds", "0.1"])
+
+
+class TestRecoverLog:
+    """``recover PATH`` rebuilds a finished run's report from its §3.6
+    log as well as from a journal: the offline workflow (a live log:
+    ``tests/live/test_live.py::TestLiveReplayRoundTrip``)."""
+
+    @pytest.fixture(scope="class")
+    def sim_rank(self):
+        step = run_miniqmc("OMP_NUM_THREADS=3 srun -n2 zerosum-mpi miniqmc",
+                           blocks=4)
+        return step.monitor(1)
+
+    @staticmethod
+    def _recover(capsys, path, *options):
+        assert main(["recover", str(path), *options]) == 0
+        return capsys.readouterr().out
+
+    def test_sim_rank_log(self, capsys, tmp_path, sim_rank):
+        name, text = render_log(sim_rank)
+        (tmp_path / name).write_text(text)
+        out = self._recover(capsys, tmp_path / name)
+        assert out.startswith(sim_rank.report().render() + "\n")
+        assert "Contention report (rank 1)" in out
+
+    def test_log_dir_and_archive_work_on_a_log(self, capsys, tmp_path,
+                                               sim_rank):
+        name, text = render_log(sim_rank)
+        (tmp_path / name).write_text(text)
+        out_dir, archive = tmp_path / "out", tmp_path / "run.npz"
+        self._recover(capsys, tmp_path / name, "--log-dir", str(out_dir),
+                      "--archive", str(archive))
+        # the rewritten log recovers to the same report again
+        out = self._recover(capsys, out_dir / name)
+        assert out.startswith(sim_rank.report().render() + "\n")
+        with np.load(archive) as npz:
+            assert f"rank1/lwp/{sim_rank.pid}" in npz.files
 
 
 class TestRunCommand:

@@ -1,14 +1,11 @@
 """Failure-injection integration: deadlock, OOM, crash, noisy neighbour."""
 
-import pytest
-
 from repro.apps import crash_app, deadlock_app, oom_app
 from repro.core import (
-    MemorySink,
     ZeroSumConfig,
     analyze,
     build_report,
-    write_log,
+    render_log,
     zerosum_mpi,
 )
 from repro.kernel import Compute, Sleep
@@ -46,9 +43,8 @@ class TestDeadlockScenario:
         )
         step.run(max_ticks=300, raise_on_stall=False)
         step.finalize()
-        sink = MemorySink()
-        name = write_log(step.monitors[0], sink)
-        assert "deadlock" in sink.documents[name]
+        _, log = render_log(step.monitors[0])
+        assert "deadlock" in log
 
 
 class TestOomScenario:
@@ -130,9 +126,8 @@ class TestCrashScenario:
         )
         step.run(raise_on_stall=False)
         step.finalize()
-        sink = MemorySink()
-        name = write_log(step.monitors[0], sink)
-        assert "abnormal-exit handler" in sink.documents[name]
+        _, log = render_log(step.monitors[0])
+        assert "abnormal-exit handler" in log
 
     def test_monitor_only_reports_own_process(self):
         step = launch_job(

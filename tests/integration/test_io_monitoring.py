@@ -1,19 +1,30 @@
 """End-to-end I/O monitoring: the checkpoint-writer scenario."""
 
-import pytest
-
-from repro.apps import io_bound_app
+from repro.apps import MiniQmcConfig, miniqmc_app
 from repro.core import ZeroSumConfig, analyze, build_report, zerosum_mpi
+from repro.kernel import Compute, FileIo
 from repro.launch import SrunOptions, launch_job
 from repro.topology import generic_node
 from repro.units import MIB
+
+
+def checkpointer(transfers, transfer_bytes):
+    """Short compute between large blocking file transfers, reads and
+    writes alternating: the checkpoint writer whose signature is iowait."""
+
+    def app(ctx):
+        for i in range(transfers):
+            yield Compute(2.0, user_frac=0.7)
+            yield FileIo(transfer_bytes, write=i % 2 == 0)
+
+    return app
 
 
 def run_io_job(transfers=8, transfer_bytes=256 * MIB):
     step = launch_job(
         [generic_node(cores=2)],
         SrunOptions(ntasks=1, command="checkpointer"),
-        io_bound_app(transfer_bytes=transfer_bytes, transfers=transfers),
+        checkpointer(transfers, transfer_bytes),
         monitor_factory=zerosum_mpi(ZeroSumConfig(period_seconds=0.1)),
     )
     step.run()
@@ -47,12 +58,10 @@ class TestIoMonitoring:
         assert STATE_CODES["D"] in set(states.astype(int))
 
     def test_cpu_bound_job_has_no_io_finding(self):
-        from repro.apps import SyntheticConfig, cpu_bound_app
-
         step = launch_job(
             [generic_node(cores=2)],
-            SrunOptions(ntasks=1),
-            cpu_bound_app(SyntheticConfig(jiffies=50, threads=2)),
+            SrunOptions(ntasks=1, env={"OMP_NUM_THREADS": "2"}),
+            miniqmc_app(MiniQmcConfig(blocks=2, block_jiffies=25)),
             monitor_factory=zerosum_mpi(ZeroSumConfig()),
         )
         step.run()

@@ -29,7 +29,7 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import MiniQmcConfig, miniqmc_app
-from repro.core import MemorySink, ZeroSumConfig, write_log, zerosum_mpi
+from repro.core import ZeroSumConfig, render_log, zerosum_mpi
 from repro.kernel import SimKernel
 from repro.launch import SrunOptions, assign_tasks
 from repro.launch.job import build_world
@@ -94,11 +94,10 @@ def _monitored_run(shape: str, on: bool, journals) -> dict:
     run = {"ticks": kernel.now, "stepped": steps, "samples": [], "report": [],
            "log": [], "alerts": [], "journal": []}
     for rank, monitor in enumerate(step.monitors):
-        sink = MemorySink()
-        name = write_log(monitor, sink)
+        _, log = render_log(monitor)
         run["samples"].append(monitor.samples_taken)
         run["report"].append(monitor.report().render())
-        run["log"].append(sink.documents[name])
+        run["log"].append(log)
         run["alerts"].append(monitor.store.alerts)
         run["journal"].append(
             (journals / f"{shape}-{on}-{rank}.zsj").read_bytes()

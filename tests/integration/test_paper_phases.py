@@ -9,14 +9,12 @@ for the reproduction.
 
 import pytest
 
-from tests.helpers import run_miniqmc
 from repro.core import (
-    MemorySink,
     ZeroSumConfig,
     advise,
     analyze,
     build_report,
-    write_log,
+    render_log,
     zerosum_mpi,
 )
 from repro.core.stream import LdmsAggregator, SampleStream
@@ -98,9 +96,7 @@ class TestPhase5ContentionReport:
 class TestPhase6DataExport:
     def test_log_with_csv_series(self, run):
         step, _ = run
-        sink = MemorySink()
-        name = write_log(step.monitor(0), sink)
-        doc = sink.documents[name]
+        _, doc = render_log(step.monitor(0))
         for section in ("== LWP samples (CSV) ==", "== HWT samples (CSV) ==",
                         "== memory samples (CSV) ==",
                         "== MPI point-to-point (CSV) =="):

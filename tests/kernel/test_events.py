@@ -1,4 +1,4 @@
-"""Wait-object unit tests (events, barriers, semaphores, queues)."""
+"""Wait-object unit tests (events, barriers, queues)."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.kernel import (
     Compute,
     Event,
     MessageQueue,
-    Semaphore,
     SimKernel,
     Wait,
 )
@@ -121,54 +120,6 @@ class TestBarrier:
         # iterations strictly ordered: all of it=0 before any it=2
         its = [it for it, _ in passes]
         assert its == sorted(its)
-
-
-class TestSemaphore:
-    def test_negative_value_rejected(self):
-        with pytest.raises(SchedulerError):
-            Semaphore(-1)
-
-    def test_mutex_excludes(self):
-        kernel = make_kernel(2)
-        mutex = Semaphore(1)
-        in_critical = []
-        overlaps = []
-
-        def worker(n):
-            def gen():
-                yield Wait(mutex)  # acquire (ready() consumes the token)
-                in_critical.append(n)
-                if len(in_critical) > 1:
-                    overlaps.append(tuple(in_critical))
-                yield Compute(5)
-                in_critical.remove(n)
-                yield Call(lambda k, l: mutex.release(k))
-
-            return gen()
-
-        proc = kernel.spawn_process(kernel.nodes[0], CpuSet([0, 1]), worker(0))
-        kernel.spawn_thread(proc, worker(1))
-        kernel.run()
-        assert overlaps == []
-
-    def test_release_wakes_waiter(self):
-        kernel = make_kernel(1)
-        sem = Semaphore(0)
-        got = []
-
-        def waiter():
-            yield Wait(sem)
-            got.append("acquired")
-            yield Compute(1)
-
-        def releaser():
-            yield Compute(3)
-            yield Call(lambda k, l: sem.release(k))
-
-        proc = kernel.spawn_process(kernel.nodes[0], CpuSet([0]), waiter())
-        kernel.spawn_thread(proc, releaser())
-        kernel.run()
-        assert got == ["acquired"]
 
 
 class TestMessageQueue:

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import build_cluster_view
 from repro.apps import PicConfig, pic_app
 from repro.collect import StoreBackedRun
-from repro.core import MemorySink, ZeroSumConfig, write_log, zerosum_mpi
+from repro.core import ZeroSumConfig, render_log, zerosum_mpi
 from repro.errors import LaunchError
 from repro.gpu.device import KernelRequest
 from repro.kernel import Call, Compute
@@ -99,10 +99,7 @@ class TestBitIdentical:
         for rank in range(8):
             run = sharded.monitor(rank)
             assert isinstance(run, StoreBackedRun)
-            ours, theirs = MemorySink(), MemorySink()
-            write_log(run, ours)
-            write_log(serial.monitor(rank), theirs)
-            assert ours.documents == theirs.documents
+            assert render_log(run) == render_log(serial.monitor(rank))
 
     def test_no_degradations_or_crashes(self, serial_and_sharded):
         _, sharded = serial_and_sharded
@@ -156,10 +153,8 @@ def _assert_tail_job_matches_serial(app):
     for rank in range(8):
         assert sharded.report(rank).render() == \
             serial.report(rank).render()
-        ours, theirs = MemorySink(), MemorySink()
-        write_log(sharded.monitor(rank), ours)
-        write_log(serial.monitor(rank), theirs)
-        assert ours.documents == theirs.documents
+        assert render_log(sharded.monitor(rank)) == \
+            render_log(serial.monitor(rank))
     # the tail ranks' devices were sampled
     gpu = serial.monitor(4).gpu_series
     assert gpu and all(len(series) for series in gpu.values())

@@ -124,6 +124,41 @@ class TestLiveMonitor:
         assert "LWP (thread) Summary:" in text
 
 
+class TestOneSampleReport:
+    """Under the ``first`` baseline a lone row is no delta: its counters
+    predate the monitor, unless the thread was born after the run's
+    first sample."""
+
+    @needs_proc
+    def test_one_sample_run_has_no_lwp_row_above_100_percent(self):
+        zs = LiveZeroSum(ZeroSumConfig(period_seconds=0.05))
+        zs.sample_once()  # `live --seconds` too short for the sampler
+        report = zs.report()
+        assert all(r.utime_pct + r.stime_pct <= 100.0
+                   for r in report.lwp_rows)
+        # every thread's only row is the first sample: none is reported,
+        # as no HWT with fewer than two rows is
+        assert report.lwp_rows == [] and report.hwt_rows == []
+
+    def test_a_thread_born_after_the_first_sample_keeps_its_row(self):
+        from repro.collect import ReportBuilder, SampleStore
+
+        store = SampleStore()
+        # (tick, state, utime, stime, nv_ctx, ctx, minflt, majflt, cpu)
+        for tick, rows in ((10.0, {1: 500.0, 2: 900.0}),
+                           (20.0, {1: 505.0, 3: 4.0})):
+            for tid, utime in rows.items():
+                store.add_row("lwp", tid, (tick, 0, utime, 0, 0, 0, 0, 0, 0))
+            store.commit(tick, ())
+        report = ReportBuilder(store, baseline="first").build(
+            duration_seconds=0.2, rank=None, pid=1, hostname="n",
+            cpus_allowed=CpuSet([0]),
+        )
+        rows = {r.tid: r.utime_pct for r in report.lwp_rows}
+        # tid 2 only in the first sample: 900 jiffies of its past, no row
+        assert rows == {1: 50.0, 3: 20.0}
+
+
 class TestNodeFacts:
     def test_pinned_process_on_a_bigger_node_is_oversubscribed(self, tmp_path):
         """The node is /proc/stat's cpuN rows, not the allowed set.
@@ -190,9 +225,10 @@ class TestHeartbeatFile:
 
 @needs_proc
 class TestLiveReplayRoundTrip:
-    def test_live_log_replays_to_matching_report(self):
+    def test_live_log_replays_to_matching_report(self, capsys, tmp_path):
+        from repro.cli import main
         from repro.collect import ReplayZeroSum
-        from repro.core.export import MemorySink, write_log
+        from repro.core.export import render_log
 
         zs = LiveZeroSum(ZeroSumConfig(period_seconds=0.05))
         zs.start()
@@ -202,13 +238,16 @@ class TestLiveReplayRoundTrip:
             x += sum(i for i in range(500))
         zs.stop()
 
-        sink = MemorySink()
-        name = write_log(zs, sink)
-        replay = ReplayZeroSum(sink.documents[name])
+        name, log = render_log(zs)
+        replay = ReplayZeroSum(log)
         assert replay.driver == "live"
         assert replay.pid == zs.pid
         assert replay.observed_tids() == sorted(zs.lwp_series)
 
         # the series survive the CSV dump exactly (values are written as
-        # their shortest round-trip repr), so the report is rebuilt whole
+        # their shortest round-trip repr), so the report is rebuilt whole,
+        # in process and by `zerosum-sim recover LOG`
         assert replay.report().render() == zs.report().render()
+        (tmp_path / name).write_text(log)
+        assert main(["recover", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out.startswith(zs.report().render() + "\n")

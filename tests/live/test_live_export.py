@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.analysis import parse_log
-from repro.core import MemorySink, ZeroSumConfig, write_log
+from repro.core import ZeroSumConfig, render_log
 from repro.live import LiveZeroSum
 
 needs_proc = pytest.mark.skipif(
@@ -28,25 +28,21 @@ class TestLiveLog:
         return zs
 
     def test_log_written(self, monitor):
-        sink = MemorySink()
-        name = write_log(monitor, sink)
+        name, doc = render_log(monitor)
         assert name == f"zerosum.live.{monitor.pid}.log"
-        doc = sink.documents[name]
         assert "LWP (thread) Summary:" in doc
         assert "== LWP samples (CSV) ==" in doc
 
     def test_log_parses_back(self, monitor):
         """The offline parser works on live logs too."""
-        sink = MemorySink()
-        name = write_log(monitor, sink)
-        parsed = parse_log(sink.documents[name])
+        _, log = render_log(monitor)
+        parsed = parse_log(log)
         assert parsed.lwp is not None
         assert monitor.pid in parsed.lwp.column("tid").astype(int)
         assert parsed.duration_seconds() > 0
 
     def test_memory_section_present(self, monitor):
-        sink = MemorySink()
-        name = write_log(monitor, sink)
-        parsed = parse_log(sink.documents[name])
+        _, log = render_log(monitor)
+        parsed = parse_log(log)
         assert parsed.memory is not None
         assert parsed.memory.column("mem_total_kib")[0] > 0

@@ -1,7 +1,5 @@
 """Collective operations over the simulated communicator."""
 
-import pytest
-
 from repro.kernel import Call, Compute, SimKernel
 from repro.mpi import MpiJob
 from repro.topology import CpuSet, generic_node
@@ -30,105 +28,28 @@ def run_collective(nranks, body):
     return results
 
 
-class TestBarrier:
-    def test_barrier_synchronizes(self):
+class TestRendezvous:
+    def test_allreduce_synchronizes(self):
         times = {}
 
         def body(r, comm):
             yield Compute(5 * (r + 1))
-            yield from comm.barrier()
+            yield from comm.allreduce(r)
             times[r] = yield Call(lambda k, l: k.now)
             return None
 
         run_collective(3, body)
         assert max(times.values()) - min(times.values()) <= 1
 
-    def test_repeated_barriers(self):
+    def test_repeated_allreduces(self):
         def body(r, comm):
-            for _ in range(5):
-                yield from comm.barrier()
-            return "ok"
+            out = []
+            for i in range(5):
+                out.append((yield from comm.allreduce(r + i)))
+            return out
 
         results = run_collective(2, body)
-        assert set(results.values()) == {"ok"}
-
-
-class TestBcast:
-    def test_root_value_broadcast(self):
-        def body(r, comm):
-            value = yield from comm.bcast("payload" if r == 0 else None, root=0)
-            return value
-
-        results = run_collective(4, body)
-        assert all(v == "payload" for v in results.values())
-
-    def test_nonzero_root(self):
-        def body(r, comm):
-            value = yield from comm.bcast(r if r == 2 else None, root=2)
-            return value
-
-        results = run_collective(3, body)
-        assert all(v == 2 for v in results.values())
-
-
-class TestGatherScatter:
-    def test_gather_to_root(self):
-        def body(r, comm):
-            out = yield from comm.gather(r * r, root=0)
-            return out
-
-        results = run_collective(4, body)
-        assert results[0] == [0, 1, 4, 9]
-        assert results[1] is None
-
-    def test_allgather(self):
-        def body(r, comm):
-            out = yield from comm.allgather(chr(ord("a") + r))
-            return out
-
-        results = run_collective(3, body)
-        assert all(v == ["a", "b", "c"] for v in results.values())
-
-    def test_scatter(self):
-        def body(r, comm):
-            out = yield from comm.scatter(
-                [10, 20, 30] if r == 0 else None, root=0
-            )
-            return out
-
-        results = run_collective(3, body)
-        assert results == {0: 10, 1: 20, 2: 30}
-
-    def test_scatter_wrong_length_raises(self):
-        from repro.errors import MpiError
-
-        caught = {}
-
-        def body(r, comm):
-            try:
-                yield from comm.scatter([1] if r == 0 else None, root=0)
-            except MpiError:
-                caught[r] = True
-                # unblock peers
-                return None
-            return None
-
-        kernel = SimKernel(generic_node(cores=2))
-        job = MpiJob(kernel)
-        comms = {}
-
-        def factory(r):
-            def gen():
-                yield from body(r, comms[r])
-
-            return gen()
-
-        for r in range(2):
-            proc = kernel.spawn_process(kernel.nodes[0], CpuSet([r]), factory(r))
-            comms[r] = job.add_rank(r, proc)
-        job.finalize_ranks()
-        kernel.run(raise_on_stall=False)
-        assert caught
+        assert all(v == [1, 3, 5, 7, 9] for v in results.values())
 
 
 class TestReductions:
@@ -148,15 +69,6 @@ class TestReductions:
         results = run_collective(5, body)
         assert all(v == 4 for v in results.values())
 
-    def test_reduce_only_root_gets_value(self):
-        def body(r, comm):
-            out = yield from comm.reduce(r + 1, root=1)
-            return out
-
-        results = run_collective(3, body)
-        assert results[1] == 6
-        assert results[0] is None and results[2] is None
-
     def test_collectives_not_counted_as_p2p(self):
         from repro.mpi import P2PRecorder
 
@@ -168,7 +80,7 @@ class TestReductions:
         def factory(r):
             def gen():
                 yield from comms[r].allreduce(r)
-                yield from comms[r].barrier()
+                yield from comms[r].allreduce(r)
 
             return gen()
 

@@ -10,7 +10,6 @@ from repro.topology import (
     cpu_gpu_distance,
     frontier_node,
     generic_node,
-    gpu_affinity_cpuset,
     numa_distance_matrix,
     summit_node,
     testnode_i7,
@@ -130,15 +129,3 @@ class TestClosestGpuHoist:
         # measured before the hoist: 112 918 walk() calls for this
         # assignment (252 cpu x gpu pairs, up to two tree walks each)
         assert len(walks) * 10 <= 112_918
-
-
-class TestGpuAffinity:
-    def test_affinity_is_numa_cpuset(self):
-        m = frontier_node()
-        gcd0 = m.gpu_by_physical(0)
-        assert gpu_affinity_cpuset(m, gcd0) == m.numa_cpuset(3)
-
-    def test_single_domain_fallback(self):
-        m = generic_node(cores=4, gpus=1)
-        g = m.gpus[0]
-        assert gpu_affinity_cpuset(m, g) == m.cpuset()

@@ -8,9 +8,11 @@ handlers, no atexit, nothing.
 Spawn a busy child that monitors itself with ``LiveZeroSum`` (journal
 + heartbeat on), let it commit a handful of periods, kill it with
 ``-9``, and assert that ``python -m repro.cli recover`` rebuilds a
-complete utilization report from what hit disk.  It runs twice over the
-append-only journal: sealed every 5 periods, and sealed every period
-(so the kill may land inside a seal's fsync too).
+complete utilization report from what hit disk.  The recovery also
+writes the run's §3.6 log (``--log-dir``), and ``recover`` on that log
+must print the same lines again: the offline workflow.  It runs twice
+over the append-only journal: sealed every 5 periods, and sealed every
+period (so the kill may land inside a seal's fsync too).
 
 Exit status 0 = both recoveries look right; anything else fails CI.
 """
@@ -49,6 +51,23 @@ while time.time() < deadline:
 """
 
 
+def _recover(env: dict, path: str, *options: str):
+    """``python -m repro.cli recover PATH``; ``None`` when it failed."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "recover", path, *options],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    print(result.stdout)
+    print(result.stderr, file=sys.stderr)
+    if result.returncode != 0:
+        print(f"recover {path} exited non-zero", file=sys.stderr)
+        return None
+    return result
+
+
 def _journal_case(env: dict, checkpoint_every: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         journal = os.path.join(tmp, "run.zsj")
@@ -77,17 +96,9 @@ def _journal_case(env: dict, checkpoint_every: int) -> int:
             )
             return 1
 
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "recover", journal],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        print(result.stdout)
-        print(result.stderr, file=sys.stderr)
-        if result.returncode != 0:
-            print("recover exited non-zero", file=sys.stderr)
+        log_dir = os.path.join(tmp, "logs")
+        result = _recover(env, journal, "--log-dir", log_dir)
+        if result is None:
             return 1
         for needle in (
             "Duration of execution",
@@ -98,6 +109,19 @@ def _journal_case(env: dict, checkpoint_every: int) -> int:
             if needle not in result.stdout:
                 print(f"recovered report missing {needle!r}", file=sys.stderr)
                 return 1
+
+        logs = list(Path(log_dir).glob("zerosum.live.*.log"))
+        if len(logs) != 1:
+            print(f"--log-dir wrote {logs}, expected one live log",
+                  file=sys.stderr)
+            return 1
+        from_log = _recover(env, str(logs[0]))
+        if from_log is None:
+            return 1
+        if from_log.stdout != result.stdout:
+            print("recover of the written log printed other report lines",
+                  file=sys.stderr)
+            return 1
 
         hb = Path(heartbeat).read_text()
         if "last_sample_age=" not in hb:

@@ -7,16 +7,17 @@ point-to-point data collected between all ranks, which can be
 post-processed to produce a heatmap."
 
 This module is that post-processor: it parses a log rendered by
-:func:`repro.core.export.render_log` back into numpy arrays, without
-needing the monitor objects — exactly the offline workflow a user on a
-login node has, and what :class:`repro.collect.ReplayZeroSum` (``zerosum-sim
-recover LOG``) rebuilds the report from.  The point-to-point section
-only bounds the sections before it: the heatmap is merged from the
-monitors (:func:`repro.core.heatmap.merge_monitors`).
+:func:`repro.core.export.render_log` into numpy arrays and the run
+record, without the monitor objects — the offline workflow of a user on
+a login node, and what ``zerosum-sim recover LOG`` rebuilds the run
+from; the banner and printed report are prose, not parsed.  The
+point-to-point section only bounds the sections before it: the heatmap
+is merged from the monitors (:func:`repro.core.heatmap.merge_monitors`).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +28,7 @@ from repro.errors import MonitorError
 __all__ = ["ParsedLog", "parse_log"]
 
 _SECTIONS = {
+    "== run record (JSON) ==": "record",
     "== LWP samples (CSV) ==": "lwp",
     "== HWT samples (CSV) ==": "hwt",
     "== GPU samples (CSV) ==": "gpu",
@@ -58,22 +60,12 @@ class CsvTable:
 class ParsedLog:
     """Everything recoverable from one rank's log file."""
 
-    header: str = ""
-    report_text: str = ""
+    #: the run-record section: the record, names, affinities, ledgers
+    record: Optional[dict] = None
     lwp: Optional[CsvTable] = None
     hwt: Optional[CsvTable] = None
     gpu: Optional[CsvTable] = None
     memory: Optional[CsvTable] = None
-
-    def duration_seconds(self) -> float:
-        """Run duration recovered from the report header."""
-        for line in self.report_text.splitlines():
-            if line.startswith("Duration of execution:"):
-                try:
-                    return float(line.split(":")[1].split()[0])
-                except (IndexError, ValueError):
-                    raise MonitorError(f"malformed {line!r}") from None
-        raise MonitorError("log carries no duration line")
 
 
 def _parse_csv(lines: list[str]) -> CsvTable:
@@ -102,22 +94,16 @@ def parse_log(text: str) -> ParsedLog:
     for i, line in enumerate(lines):
         if line.strip() in _SECTIONS:
             marks.append((i, _SECTIONS[line.strip()]))
-    body_end = marks[0][0] if marks else len(lines)
-    body = lines[:body_end]
-    # split banner from report at the Duration line
-    for i, line in enumerate(body):
-        if line.startswith("Duration of execution:"):
-            out.header = "\n".join(body[:i])
-            out.report_text = "\n".join(body[i:])
-            break
-    else:
-        out.header = "\n".join(body)
-
     for idx, (start, kind) in enumerate(marks):
         end = marks[idx + 1][0] if idx + 1 < len(marks) else len(lines)
         section = [l for l in lines[start + 1 : end] if l.strip()]
         if not section:
             continue
-        if kind != "p2p":
+        if kind == "record":
+            try:
+                out.record = json.loads("\n".join(section))
+            except ValueError as exc:
+                raise MonitorError(f"malformed run record: {exc}") from None
+        elif kind != "p2p":
             setattr(out, kind, _parse_csv(section))
     return out

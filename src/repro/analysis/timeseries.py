@@ -6,11 +6,12 @@ cumulative jiffy counters; these functions difference them into
 per-interval percentages.  Output is plain numpy arrays, so no
 plotting stack is required to inspect the shapes.
 
-These functions accept *any* monitor driver — simulated
+These functions accept *any* store-backed run — simulated
 (:class:`repro.core.ZeroSum`), live
-(:class:`repro.live.LiveZeroSum`), or replayed
-(:class:`repro.collect.ReplayZeroSum`) — since all three expose the
-same ``lwp_series``/``hwt_series``/``classify``/``hz`` surface over a
+(:class:`repro.live.LiveZeroSum`), or frozen
+(:class:`repro.collect.RecoveredRun`: recovered from a journal,
+replayed from a log, detached) — since all of them expose the same
+``lwp_series``/``hwt_series``/``classify``/``hz`` surface over a
 shared :class:`~repro.collect.store.SampleStore`.
 """
 

@@ -166,10 +166,10 @@ def _recovered(path: str):
 
     A spill journal starts with its frame magic (``ZSJ2``; ``ZSJ1`` is
     an older release's, which recovery names); anything else is read as
-    a §3.6 ``zerosum.*.log`` and replayed through the report pipeline.
+    a §3.6 ``zerosum.*.log`` and rebuilt from its run-record section.
     """
-    from repro.collect import ReplayZeroSum
     from repro.collect.journal import recover_journal
+    from repro.collect.replay import replay_log
     from repro.errors import JournalError
 
     try:
@@ -182,7 +182,7 @@ def _recovered(path: str):
     except OSError as exc:
         raise JournalError(f"cannot recover {path}: {exc}") from exc
     try:
-        return ReplayZeroSum(text.decode(errors="replace")), 0
+        return replay_log(text.decode(errors="replace")), 0
     except ReproError as exc:
         raise ReproError(
             f"{path}: neither a spill journal nor a ZeroSum log ({exc})"

@@ -2,13 +2,15 @@
 
 One sampling pipeline — ``ProcReader`` → ``Collector`` →
 ``SampleStore`` → ``ReportBuilder`` — shared by every monitor driver:
-the simulated :class:`repro.core.ZeroSum`, the live
-:class:`repro.live.LiveZeroSum`, and the offline
-:class:`ReplayZeroSum`.  Drivers only schedule samples and manage
-lifecycle; everything that reads, parses, stores, or summarizes
+the simulated :class:`repro.core.ZeroSum` and the live
+:class:`repro.live.LiveZeroSum`.  Drivers only schedule samples and
+manage lifecycle; everything that reads, parses, stores, or summarizes
 observations lives in this package, including the
-:class:`StoreBackedRun` surface every driver (and a journal-recovered
-run) inherits.
+:class:`StoreBackedRun` surface every driver inherits and the one
+frozen run, :class:`RecoveredRun` — a store plus its run record,
+rebuilt from a journal (:func:`recover_journal`), from a §3.6 log
+(:func:`repro.collect.replay.replay_log`) or detached from a sharded
+worker.
 """
 
 from repro.collect.collectors import (
@@ -42,7 +44,7 @@ from repro.collect.reader import (
     TaskCounters,
 )
 from repro.collect.report import ReportBuilder, StoreBackedRun
-from repro.collect.replay import ReplayZeroSum
+from repro.collect.replay import replay_log
 from repro.collect.store import SampleStore
 
 __all__ = [
@@ -67,7 +69,7 @@ __all__ = [
     "SampleStore",
     "ReportBuilder",
     "StoreBackedRun",
-    "ReplayZeroSum",
+    "replay_log",
     "DegradationEvent",
     "DegradationLedger",
     "FaultPolicy",

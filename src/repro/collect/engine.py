@@ -257,14 +257,15 @@ class CollectionEngine:
             self._journal_failures = 0
         return findings
 
-    def close_journal(self, tick: float) -> None:
+    def close_journal(self, tick: float, meta: Optional[dict] = None) -> None:
         """Close the spill journal (contained): its residue record, or a
-        bounded store's final compaction."""
+        bounded store's final compaction, with the closing ``meta``
+        amendment (:meth:`StoreBackedRun.closing_meta`)."""
         journal = self.journal
         if journal is None:
             return
         try:
-            journal.close(self.store)
+            journal.close(self.store, meta)
         except Exception as exc:
             self.store.ledger.record_error(
                 "Journal",

@@ -49,6 +49,7 @@ import struct
 import threading
 import zlib
 from dataclasses import asdict
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -58,6 +59,7 @@ from repro.collect.faults import DegradationEvent, DegradationLedger
 from repro.collect.report import StoreBackedRun
 from repro.collect.store import KEYED_FAMILIES, SampleStore
 from repro.detect.findings import AlertLedger, OnlineFinding
+from repro.detect.rules import TopologyFacts
 from repro.core.records import MEM_COLUMNS, PeriodBlock, SeriesBuffer
 from repro.errors import JournalError, ReproError
 from repro.topology.cpuset import CpuSet
@@ -366,20 +368,35 @@ def _block_from_state(state: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return block
 
 
-def _store_state(store: SampleStore) -> dict:
-    """Marshal a store's complete state (series, identity, ledgers)."""
+def run_state(store: SampleStore) -> dict:
+    """A store's state beside its series: identity, ledger, alerts (a
+    snapshot's, and as JSON a §3.6 log's record section)."""
+    ledger = store.ledger
     state: dict = {
         **_identity_state(store, store.lwp_names, store.lwp_affinity),
-        "mem": _series_state(store.mem_series),
         "ledger": _ledger_state(
-            store.ledger,
-            since=store.ledger.total_events - len(store.ledger.events),
+            ledger, since=ledger.total_events - len(ledger.events)
         ),
     }
     if store.alerts is not None:
         # a compaction drops the alert notes written before it: the
         # snapshot carries the alert ledger itself
         state["alerts"] = store.alerts.state()
+    return state
+
+
+def apply_run_state(store: SampleStore, state: dict) -> None:
+    """Install :func:`run_state` output on a store (its series aside)."""
+    _apply_identity(store, state)
+    store.ledger = DegradationLedger(max_events=int(state["ledger"]["max_events"]))
+    _apply_ledger(store.ledger, state["ledger"])
+    if state.get("alerts") is not None:
+        store.alerts = AlertLedger.from_state(state["alerts"])
+
+
+def _store_state(store: SampleStore) -> dict:
+    """Marshal a store's complete state (series, identity, ledgers)."""
+    state = {**run_state(store), "mem": _series_state(store.mem_series)}
     for family, (attr, _) in KEYED_FAMILIES.items():
         state[family] = {
             str(key): _series_state(series)
@@ -465,14 +482,18 @@ class JournalWriter:
             self._meta = {"version": _VERSION, **meta}
             self._compact(store)
 
-    def close(self, store: Optional[SampleStore] = None) -> None:
-        """Residue or compaction (given the store), fsync, close; idempotent."""
+    def close(self, store: Optional[SampleStore] = None,
+              meta: Optional[dict] = None) -> None:
+        """Residue or compaction (given the store) carrying the closing
+        ``meta`` amendment (duration, deadlock note), fsync, close;
+        idempotent."""
         with self._lock:
             if self._file is None:
                 return
+            self._meta.update(meta or {})
             if store is not None and not self._compact_next:
                 with contextlib.suppress(OSError):  # failed: compact instead
-                    self._append("residue", store, store.prev_tick)
+                    self._append("residue", store, store.prev_tick, meta)
             if store is not None and self._compact_next:
                 self._compact(store)
             self._sync()
@@ -613,9 +634,11 @@ class JournalWriter:
         self.checkpoints_written += 1
         self._hold(*carried)  # the snapshot holds the whole maps and ledger
 
-    def _append(self, kind: str, store: SampleStore, tick: float) -> None:
+    def _append(self, kind: str, store: SampleStore, tick: float,
+                meta: Optional[dict] = None) -> None:
         """Append a ``period`` (the sealed block + what moved) or, at
-        close, a ``residue`` (what moved since the last period; no rows)."""
+        close, a ``residue`` (what moved since the last period; no rows)
+        and the closing ``meta`` amendment behind it."""
         record: dict = {"kind": kind, "tick": tick}
         if kind == "period":
             lwp = store.period.lwp
@@ -638,7 +661,10 @@ class JournalWriter:
         if mark != self._ledger_mark:
             record["ledger"] = _ledger_state(ledger, since=self._ledger_cursor)
         carried = (names, affinity, kinds, mark, ledger.total_events)
-        self._emit(_frame(record))
+        frames = _frame(record)
+        if meta:
+            frames += _frame({"kind": "meta", **meta})
+        self._emit(frames)
         self._hold(*carried)
 
     def _hold(self, names, affinity, kinds, mark: tuple, cursor: int) -> None:
@@ -704,52 +730,72 @@ def _old_version(path, version) -> JournalError:
 def _store_from_snapshot(record: dict) -> SampleStore:
     state = record["store"]
     store = SampleStore()
-    _apply_identity(store, state)
+    apply_run_state(store, state)
     for family, (attr, _) in KEYED_FAMILIES.items():
         getattr(store, attr).update(
             (int(key), _series_from_state(entry))
             for key, entry in state[family].items()
         )
     store.mem_series = _series_from_state(state["mem"])
-    store.ledger = DegradationLedger(max_events=int(state["ledger"]["max_events"]))
-    _apply_ledger(store.ledger, state["ledger"])
-    if state.get("alerts") is not None:
-        store.alerts = AlertLedger.from_state(state["alerts"])
     return store
 
 
 class RecoveredRun(StoreBackedRun):
-    """A ``kill -9``'d run, rebuilt from its journal.
+    """A finished run, frozen as its store plus its run record.
 
-    The journal's meta dict *is* the run's identity record, so the
-    report, :func:`repro.core.export.render_log` and the archive writer
-    work on a recovered run exactly as on the monitor that wrote it.
+    The one class of every run rebuilt after the fact: from a journal
+    (:func:`recover_journal`), a §3.6 log (``replay_log``) or a sharded
+    worker (``ZeroSum.detach``, which adds the node's ``facts`` and the
+    sim-only ``extras``).  The record is ``journal_meta()``'s dict, its
+    values verbatim; one without a duration (a journal with no close)
+    ends at the last sample.
     """
 
-    def __init__(self, store: SampleStore, meta: dict, *,
-                 kinds: Optional[dict[int, str]] = None, torn_records: int = 0):
-        self.store = store
-        self.meta = meta
-        self.kinds = kinds or {}
-        self.torn_records = torn_records
-        self.driver = str(meta.get("driver", "live"))
-        self.baseline = str(meta.get("baseline", "first"))
-        self.hz = float(meta.get("hz", USER_HZ))
-        self.start_tick = float(meta.get("start_tick", 0.0))
-        self.pid = int(meta.get("pid", 0))
-        self.rank: Optional[int] = meta.get("rank")
-        self.hostname = str(meta.get("hostname", "?"))
-        self.cpus_allowed = CpuSet.from_list(str(meta.get("cpus_allowed", "")))
-        self.monitor_tid: Optional[int] = meta.get("monitor_tid")
+    ended = True
 
-    # -- derived quantities --------------------------------------------
+    def __init__(self, store: SampleStore, record: dict, *,
+                 torn_records: int = 0, facts: Optional[TopologyFacts] = None,
+                 **extras):
+        self.store = store
+        self.record = record
+        self.torn_records = torn_records
+        self.driver = str(record.get("driver", "live"))
+        self.baseline = str(record.get("baseline", "first"))
+        self.hz = _number(record, "hz", USER_HZ)
+        self.start_tick = _number(record, "start_tick", 0.0)
+        self.pid = _number(record, "pid", 0)
+        self.rank: Optional[int] = _number(record, "rank", None)
+        self.hostname = str(record.get("hostname", "?"))
+        self.cpus_allowed = CpuSet.from_list(str(record.get("cpus_allowed", "")))
+        self.kinds = {int(t): str(kind)
+                      for t, kind in record.get("kinds", {}).items()}
+        self.monitor_tid: Optional[int] = _number(record, "monitor_tid", None)
+        self._duration = (_number(record, "duration_ticks", None),
+                          _number(record, "duration_seconds", None))
+        self._banner = record.get("banner") or []  # shared, not copied
+        if not isinstance(self._banner, list) or not all(
+            isinstance(line, str) for line in self._banner
+        ):
+            raise TypeError("run record field 'banner' is not a list of lines")
+        self._facts = facts
+        vars(self).update(extras)
+
     @property
     def duration_ticks(self) -> float:
-        return max(1.0, self.store.prev_tick - self.start_tick)
+        ticks = self._duration[0]
+        if ticks is None:  # no close: the window ends at the last sample
+            return max(1.0, self.store.prev_tick - self.start_tick)
+        return ticks
 
     @property
     def duration_seconds(self) -> float:
-        return self.duration_ticks / self.hz
+        seconds = self._duration[1]
+        return self.duration_ticks / self.hz if seconds is None else seconds
+
+    @property
+    def facts(self) -> TopologyFacts:
+        """The node's facts when detached from it, else the base's."""
+        return super().facts if self._facts is None else self._facts
 
     def classify(self, tid: int) -> str:
         """Thread kind as stamped by the original driver."""
@@ -759,10 +805,19 @@ class RecoveredRun(StoreBackedRun):
             return "ZeroSum"
         return super().classify(tid)
 
-    @property
-    def alerts(self):
-        """The recovered alert ledger (None when no detector ran)."""
-        return self.store.alerts
+    def banner_lines(self) -> list[str]:
+        return list(self._banner) if self._banner else super().banner_lines()
+
+    def deadlock_note(self) -> str:
+        return str(self.record.get("deadlock_note", ""))
+
+
+def _number(record: dict, key: str, default):
+    """A numeric record field, verbatim (an int stays an int)."""
+    value = record.get(key, default)
+    if value is not default and (type(value) is bool or not isinstance(value, Real)):
+        raise TypeError(f"run record field {key!r} is not a number: {value!r}")
+    return value
 
 
 def recover_journal(path: str | Path) -> RecoveredRun:
@@ -851,7 +906,10 @@ def _recover(path: Path, records: list[dict], torn: int) -> RecoveredRun:
             "Journal", last_tick,
             f"recovery discarded {torn} torn trailing record(s)",
         )
+    # the journal's kind stamps are the record's: a restarted run's meta
+    # may hold an older map
+    meta["kinds"] = {str(t): label for t, label in kinds.items()}
     try:
-        return RecoveredRun(store, meta, kinds=kinds, torn_records=torn)
+        return RecoveredRun(store, meta, torn_records=torn)
     except (TypeError, ValueError) as exc:
         raise JournalError(f"{path}: unusable meta record: {exc}") from exc

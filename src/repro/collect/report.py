@@ -3,9 +3,10 @@
 The delta math that turns cumulative ``/proc`` counters into the
 paper's utilization percentages lives in :class:`ReportBuilder` and
 only there; :class:`StoreBackedRun` is the one surface the simulated
-monitor, the live monitor, the trace-replay driver and a recovered
-journal all inherit — the view of their store, the identity record,
-and the single ``report()`` that calls the builder.  Two baselines
+monitor, the live monitor and a frozen run (recovered from a journal,
+replayed from a log or detached from a sharded worker) all inherit —
+the view of their store, the run record, and the single ``report()``
+that calls the builder.  Two baselines
 cover the substrates:
 
 * ``"zero"`` — counters started at zero when the process did (the
@@ -180,14 +181,15 @@ class ReportBuilder:
 class StoreBackedRun:
     """The one surface of a store-backed run, whatever produced it.
 
-    A run is a :class:`SampleStore` plus the identity record below
-    (exactly the journal's meta dict, see :meth:`journal_meta`).  The
-    four drivers — simulated ``ZeroSum``, ``LiveZeroSum``,
-    ``ReplayZeroSum`` and a ``RecoveredRun`` — set ``store`` and the
-    identity, provide ``duration_seconds``, and keep only what is
-    theirs (scheduling, lifecycle, ``classify``, deadlock and
-    degradation notes).  The log exporter and the archiver are written
-    against this class alone.
+    A run is a :class:`SampleStore` plus its run record
+    (:meth:`journal_meta`).  The sampling drivers — simulated
+    ``ZeroSum`` and ``LiveZeroSum`` — set ``store`` and the identity, provide
+    ``duration_seconds``, and keep only what is theirs (scheduling,
+    lifecycle, ``classify``, deadlock and degradation notes); every run
+    rebuilt after the fact is one
+    :class:`~repro.collect.journal.RecoveredRun` built from a store and
+    a record.  The log exporter and the archiver are written against
+    this class alone.
     """
 
     store: SampleStore
@@ -204,6 +206,8 @@ class StoreBackedRun:
     cpus_allowed: CpuSet
     #: observation window in seconds (attribute or property per driver)
     duration_seconds: float
+    #: the window is closed: the record then holds :meth:`closing_meta`
+    ended: bool = False
     #: driver-specific extras, exported when the run has them
     heartbeats: Sequence[str] = ()
     crash_reports: Sequence[str] = ()
@@ -256,9 +260,12 @@ class StoreBackedRun:
         )
 
     # -- identity -------------------------------------------------------
-    def journal_meta(self) -> dict:
-        """The identity record, as the spill journal's meta dict."""
-        return {
+    def journal_meta(self, *, banner: bool = False) -> dict:
+        """The run record: identity, thread kinds and, once the run has
+        ended, :meth:`closing_meta`.  ``banner`` adds the banner lines,
+        which a log and a detached run carry and a journal does not (no
+        recovered report prints them)."""
+        record = {
             "driver": self.driver,
             "baseline": self.baseline,
             "hz": self.hz,
@@ -267,6 +274,22 @@ class StoreBackedRun:
             "rank": self.rank,
             "hostname": self.hostname,
             "cpus_allowed": self.cpus_allowed.to_list(),
+            "kinds": {str(t): self.classify(t) for t in self.observed_tids()},
+        }
+        if self.ended:
+            record.update(self.closing_meta())
+        if banner:
+            record["banner"] = self.banner_lines()
+        return record
+
+    def closing_meta(self) -> dict:
+        """What the record gains when the run ends (the journal's closing
+        amendment): the duration in ticks and in seconds, both verbatim,
+        and the deadlock note."""
+        return {
+            "duration_ticks": self.duration_ticks,
+            "duration_seconds": self.duration_seconds,
+            "deadlock_note": self.deadlock_note(),
         }
 
     def banner_lines(self) -> list[str]:

@@ -11,8 +11,9 @@ Typical flow::
     findings = analyze(step.monitors[0])
 
 ``analyze(run)`` takes any store-backed run, not only a simulated one:
-a ``repro.live.LiveZeroSum`` after ``stop()``, a ``ReplayZeroSum`` of
-an exported log, or ``recover_journal(path)`` of a run that was killed.
+a ``repro.live.LiveZeroSum`` after ``stop()``, or a frozen run:
+``replay_log(text)`` of an exported log, ``recover_journal(path)`` of a
+run that was killed, a sharded rank's ``ZeroSum.detach()``.
 """
 
 from repro.core.advisor import Advice, Suggestion, advise

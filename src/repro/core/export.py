@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 from typing import Mapping
 
+from repro.collect.replay import record_json
 from repro.collect.report import StoreBackedRun
 from repro.core.heatmap import CommMatrix
 from repro.core.records import SeriesBuffer
@@ -61,14 +62,13 @@ def memory_csv(run: StoreBackedRun) -> str:
 def render_log(run: StoreBackedRun) -> tuple[str, str]:
     """One run's full log: ``(file name, text)``.
 
-    Any store-backed run — simulated, live, replayed or recovered from
-    a journal — exports through here, in the one section layout
-    :class:`repro.collect.ReplayZeroSum` and the log parser read back:
-    the startup banner (it and the document name follow the run's
-    ``driver``), the utilization report, and the CSV sections — the
-    "detailed dump of all data collected" of §3.6.  Heartbeats, crash
-    reports and the MPI point-to-point matrix are written when the run
-    has them.
+    Any store-backed run — simulated, live or frozen — exports through
+    here, in the one layout :func:`repro.collect.replay.replay_log`
+    reads back: the banner (it and the name follow the run's
+    ``driver``) and the report, for people; the run-record section the
+    run is rebuilt from; and the CSV sections, the "detailed dump of
+    all data collected" of §3.6.  Heartbeats, crash reports and the MPI
+    point-to-point matrix are written when the run has them.
     """
     if run.driver == "live":
         name = f"zerosum.live.{run.pid}.log"
@@ -84,6 +84,8 @@ def render_log(run: StoreBackedRun) -> tuple[str, str]:
     if run.crash_reports:
         parts.extend(run.crash_reports)
         parts.append("")
+    parts.append("== run record (JSON) ==")
+    parts.append(record_json(run))
     parts.append("== LWP samples (CSV) ==")
     parts.append(lwp_csv(run))
     parts.append("== HWT samples (CSV) ==")

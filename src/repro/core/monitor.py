@@ -35,6 +35,7 @@ from repro.collect import (
     HwtCollector,
     LwpCollector,
     MemoryCollector,
+    RecoveredRun,
     SampleStore,
 )
 from repro.collect.report import StoreBackedRun
@@ -55,7 +56,7 @@ from repro.openmp.runtime import OpenMPRuntime
 from repro.procfs.filesystem import ProcFS
 from repro.topology.cpuset import CpuSet
 
-__all__ = ["ZeroSum", "DetachedRun"]
+__all__ = ["ZeroSum"]
 
 #: simulated cost of a sample per observed LWP, in jiffies, on top of
 #: ``ZeroSumConfig.sample_cost_jiffies`` (each thread means reading two
@@ -309,7 +310,7 @@ class ZeroSum(StoreBackedRun):
         self.end_tick = self.kernel.now
         if self.recorder is not None:
             self.recorder.detach_all()
-        self.engine.close_journal(self.kernel.now)
+        self.engine.close_journal(self.kernel.now, self.closing_meta())
         self._finalized = True
 
     # -- what the shared run surface asks of the driver -----------------
@@ -354,6 +355,10 @@ class ZeroSum(StoreBackedRun):
         return lines
 
     @property
+    def ended(self) -> bool:
+        return self.end_tick is not None
+
+    @property
     def duration_ticks(self) -> int:
         end = self.end_tick if self.end_tick is not None else self.kernel.now
         return max(1, end - self.start_tick)
@@ -370,48 +375,19 @@ class ZeroSum(StoreBackedRun):
         """The progress tracker's verdict, once a deadlock is flagged."""
         return self.progress.describe() if self.deadlock_suspected() else ""
 
-    def detach(self) -> "DetachedRun":
-        """The finished run as plain values, free of the simulated world."""
-        return DetachedRun(self)
-
-
-class DetachedRun(StoreBackedRun):
-    """A finalized :class:`ZeroSum`'s run without its kernel.
-
-    The store, the identity record and every value the report, the
-    analyses (``analyze``, ``advise``, ``build_cluster_view``),
-    ``merge_monitors`` and ``render_log`` read of the monitor, frozen at
-    detach time.  It pickles, so a rank simulated in a sharded
-    launcher's worker comes home as the same kind of run a serial rank
-    is.
-    """
-
-    # plain values where the base class derives them
-    duration_ticks = 0
-    facts = TopologyFacts(frozenset())
-
-    def __init__(self, monitor: ZeroSum):
-        for name in (
-            "store", "hz", "start_tick", "pid", "rank", "hostname",
-            "cpus_allowed", "duration_ticks", "duration_seconds", "facts",
-            "recorder", "mem_used_frac",
-        ):
-            setattr(self, name, getattr(monitor, name))
-        self.heartbeats = list(monitor.heartbeats)
-        self.crash_reports = list(monitor.crash_reports)
-        self.oom_events = list(monitor.oom_events)
-        self.kinds = {
-            tid: monitor.classify(tid) for tid in monitor.observed_tids()
-        }
-        self.banner = monitor.banner_lines()
-        self.note = monitor.deadlock_note()
-
-    def classify(self, tid: int) -> str:
-        """Thread kind as the monitor labelled it."""
-        return self.kinds.get(tid) or super().classify(tid)
-
-    def banner_lines(self) -> list[str]:
-        return list(self.banner)
-
-    def deadlock_note(self) -> str:
-        return self.note
+    def detach(self) -> RecoveredRun:
+        """The finished run as its store and record, free of the
+        simulated world.  It pickles, so a rank simulated in a sharded
+        launcher's worker comes home as the same kind of run a serial
+        rank is: the report, the analyses, ``merge_monitors`` and
+        ``render_log`` read nothing else of the monitor."""
+        return RecoveredRun(
+            self.store,
+            self.journal_meta(banner=True),
+            facts=self.facts,
+            heartbeats=list(self.heartbeats),
+            crash_reports=list(self.crash_reports),
+            oom_events=list(self.oom_events),
+            recorder=self.recorder,
+            mem_used_frac=self.mem_used_frac,
+        )

@@ -69,7 +69,8 @@ class TopologyFacts:
 
     The simulated driver builds it from the machine tree and its SMI
     session, the live driver from the ``cpuN`` rows of ``/proc/stat``;
-    for a replayed or recovered run the union of recorded affinities
+    a detached sim rank keeps its driver's.  For a run recovered from
+    a journal or replayed from a log the union of recorded affinities
     stands in for ``node_cpus`` and the rest stays empty.
     """
 

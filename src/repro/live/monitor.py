@@ -130,6 +130,7 @@ class LiveZeroSum(StoreBackedRun):
             raise MonitorError("live monitor already started")
         self._stop.clear()
         self._stopped = False
+        self.end_time = None  # a restarted run has not ended
         # a restart must not inherit the previous run's staleness: the
         # age of the last pre-stop sample would otherwise read as a
         # sampler stall the moment the watchdog wakes, before the new
@@ -198,7 +199,7 @@ class LiveZeroSum(StoreBackedRun):
                 "LiveZeroSum", self._now_tick(), f"final sample failed: {exc}"
             )
         self.end_time = time.monotonic()
-        self.engine.close_journal(self._now_tick())
+        self.engine.close_journal(self._now_tick(), self.closing_meta())
         self._uninstall_last_gasp()
         if self._heartbeat is not None:
             self._heartbeat.close()
@@ -481,6 +482,10 @@ class LiveZeroSum(StoreBackedRun):
                 cpu for cpu in read_cpu_times(self.reader) if cpu >= 0
             )
         )
+
+    @property
+    def ended(self) -> bool:
+        return self.end_time is not None
 
     @property
     def duration_seconds(self) -> float:

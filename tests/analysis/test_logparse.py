@@ -19,13 +19,14 @@ def logged_run():
 
 class TestRoundTrip:
     def test_header_and_report(self, logged_run):
+        """The banner and report are prose; the record section is the
+        machine form of what they say, the duration verbatim."""
         step, log = logged_run
-        parsed = parse_log(log)
-        assert "ZeroSum attached to PID" in parsed.header
-        assert "LWP (thread) Summary:" in parsed.report_text
-        assert parsed.duration_seconds() == pytest.approx(
-            step.duration_seconds, abs=0.01
-        )
+        record = parse_log(log).record
+        monitor = step.monitors[0]
+        assert record["record"] == monitor.journal_meta(banner=True)
+        assert record["record"]["duration_seconds"] == monitor.duration_seconds
+        assert record["record"]["banner"] == monitor.banner_lines()
 
     def test_lwp_table_recovered(self, logged_run):
         step, log = logged_run

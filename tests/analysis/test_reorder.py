@@ -1,6 +1,5 @@
 """Rank-reordering suggestion from the communication matrix."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import offnode_bytes, placement_improvement, suggest_placement

@@ -20,9 +20,9 @@ from repro.collect import (
     HwtCollector,
     LwpCollector,
     MemoryCollector,
-    ReplayZeroSum,
     SampleStore,
     classify_failure,
+    replay_log,
 )
 from repro.collect.faults import PERMANENT, TRANSIENT, is_missing
 from repro.core.heartbeat import ThreadSnapshot, heartbeat_line
@@ -815,7 +815,7 @@ class TestDegradationSurfaces:
         )
 
         _, log = render_log(zs)
-        replay = ReplayZeroSum(log, hz=kernel.clock.hz)
+        replay = replay_log(log)
         rebuilt = replay.report()
         assert rebuilt.degradation_notes == report.degradation_notes
         assert "Degradation Summary:" in rebuilt.render()

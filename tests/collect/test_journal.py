@@ -820,6 +820,6 @@ class TestKilledEngineRun:
         recovered = recover_journal(tmp_path / "killed.zsj")
         assert recovered.torn_records == 0
         assert_stores_equal(store, recovered.store)
-        assert recovered.alerts == detector.alerts
-        in_memory = RecoveredRun(store, recovered.meta, kinds=recovered.kinds)
+        assert recovered.store.alerts == detector.alerts
+        in_memory = RecoveredRun(store, recovered.record)
         assert recovered.report().render() == in_memory.report().render()

@@ -1,13 +1,15 @@
-"""Trace replay: the report rebuilt from an exported log's raw CSV.
+"""Log replay: the run rebuilt from an exported log's CSV and record.
 
 The proof that the store/report seam is real: feed a written log back
-through :class:`~repro.collect.ReplayZeroSum` and the recomputed
-Listing 2 report matches the one the original monitor produced.
+through :func:`~repro.collect.replay_log` and the recomputed Listing 2
+report matches the one the original monitor produced.
 """
+
+import json
 
 import pytest
 
-from repro.collect import ReplayZeroSum
+from repro.collect import RecoveredRun, replay_log
 from repro.core import ZeroSumConfig, build_report
 from repro.core.export import render_log
 from repro.core.records import PeriodBlock
@@ -23,19 +25,22 @@ def sim_pair():
     step = run_miniqmc(T1_CMD, blocks=4)
     monitor = step.monitors[0]
     _, log = render_log(monitor)
-    replay = ReplayZeroSum(log, hz=monitor.kernel.clock.hz)
-    return monitor, build_report(monitor), replay
+    return monitor, build_report(monitor), replay_log(log)
 
 
 class TestSimRoundTrip:
     def test_header_recovered(self, sim_pair):
         monitor, report, replay = sim_pair
+        assert isinstance(replay, RecoveredRun)
         assert replay.pid == monitor.process.pid
         assert replay.driver == "sim"
         assert replay.rank == monitor.process.rank
-        assert replay.duration_seconds == pytest.approx(
-            report.duration_seconds, abs=0.001
-        )
+        # the record's, verbatim: not re-read from the printed report
+        assert replay.hz == monitor.kernel.clock.hz
+        assert replay.duration_ticks == monitor.duration_ticks
+        assert replay.duration_seconds == report.duration_seconds
+        assert replay.banner_lines() == monitor.banner_lines()
+        assert replay.journal_meta() == monitor.journal_meta()
 
     def test_same_threads_and_kinds(self, sim_pair):
         monitor, report, replay = sim_pair
@@ -76,8 +81,7 @@ class TestSimRoundTrip:
 def _round_trip(step):
     monitor = step.monitors[0]
     _, log = render_log(monitor)
-    replay = ReplayZeroSum(log, hz=monitor.kernel.clock.hz)
-    return monitor.report(), replay.report()
+    return monitor.report(), replay_log(log).report()
 
 
 class TestDetectRoundTrip:
@@ -111,14 +115,49 @@ class TestGpuRoundTrip:
         assert rebuilt.render() == report.render()
 
 
+def _without_record(log: str) -> str:
+    """A log as rendered before the run-record section existed."""
+    lines = log.split("\n")
+    at = lines.index("== run record (JSON) ==")
+    return "\n".join(lines[:at] + lines[at + 2:])
+
+
 class TestRejects:
-    def test_log_without_duration(self):
-        with pytest.raises(MonitorError):
-            ReplayZeroSum("ZeroSum attached to PID 7 on nid001\n")
+    def test_log_without_duration(self, sim_pair):
+        """Banner, report and CSV without a record: the printed
+        duration is prose, and nothing is read back from it."""
+        _, log = render_log(sim_pair[0])
+        text = _without_record(log)
+        assert "Duration of execution:" in text
+        with pytest.raises(MonitorError, match="log carries no run record"):
+            replay_log(text)
+
+    @pytest.mark.parametrize("body", [
+        "{not json", '["a", "list"]', '{"record": {"pid": 7}}',
+    ], ids=["bad-json", "not-an-object", "no-store-state"])
+    def test_malformed_record(self, sim_pair, body):
+        _, log = render_log(sim_pair[0])
+        lines = log.split("\n")
+        lines[lines.index("== run record (JSON) ==") + 1] = body
+        with pytest.raises(MonitorError, match="malformed run record"):
+            replay_log("\n".join(lines))
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_ticks", "long"), ("hz", None), ("banner", "one line"),
+    ])
+    def test_record_field_of_the_wrong_type(self, sim_pair, field, value):
+        _, log = render_log(sim_pair[0])
+        lines = log.split("\n")
+        at = lines.index("== run record (JSON) ==") + 1
+        state = json.loads(lines[at])
+        state["record"][field] = value
+        lines[at] = json.dumps(state)
+        with pytest.raises(MonitorError, match=field):
+            replay_log("\n".join(lines))
 
     def test_bad_csv_columns(self, sim_pair):
         monitor, _, _ = sim_pair
         _, log = render_log(monitor)
         text = log.replace("tid,tick,", "tid,wrong,")
         with pytest.raises(MonitorError):
-            ReplayZeroSum(text)
+            replay_log(text)

@@ -1,11 +1,15 @@
-"""The one run surface: sim / live / replayed / recovered runs.
+"""The one run surface: sim and live drivers, and the one frozen run.
 
 Every store-backed run inherits :class:`repro.collect.StoreBackedRun`,
-so the view of the store, the identity record and ``report()`` are
-defined once, and ``render_log`` / ``write_archive`` take any of the
-four (the archive case is ``tests/core/test_archive.py::TestStoreArchive``).  The round trips pin the drift the forked live exporter had: a
-recovered *sim* journal exported and replayed must rebuild the
-recovered report exactly (rank line, GPU table, zero baseline).
+so the view of the store, the run record and ``report()`` are defined
+once.  A run rebuilt after the fact — recovered from a journal,
+replayed from a log, detached from a sharded worker — is one
+:class:`repro.collect.RecoveredRun` built from a store and a record,
+and ``render_log`` / ``write_archive`` take any of them (the archive
+case is ``tests/core/test_archive.py::TestStoreArchive``).  The round
+trips pin that a recovered journal, sim or live, reports exactly what
+the run printed, and that its exported log replays to that report
+again (rank line, GPU table, both baselines).
 """
 
 import hashlib
@@ -15,10 +19,11 @@ import time
 import pytest
 
 from repro.collect import (
-    ReplayZeroSum,
+    RecoveredRun,
     ReportBuilder,
     StoreBackedRun,
     recover_journal,
+    replay_log,
 )
 from repro.core import ContentionReport, ZeroSumConfig, analyze, render_log
 from repro.live import LiveZeroSum
@@ -89,15 +94,16 @@ def live_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def drivers(sim_runs, live_runs):
     sim, recovered = sim_runs
-    replay = ReplayZeroSum(render_log(sim)[1], hz=sim.hz)
     return {
-        "sim": sim, "live": live_runs[0], "replay": replay,
-        "recovered": recovered,
+        "sim": sim, "live": live_runs[0], "replay": replay_log(render_log(sim)[1]),
+        "recovered": recovered, "detached": sim.detach(),
     }
 
 
 @needs_proc
-@pytest.mark.parametrize("driver", ["sim", "live", "replay", "recovered"])
+@pytest.mark.parametrize(
+    "driver", ["sim", "live", "replay", "recovered", "detached"]
+)
 class TestContract:
     def test_surface_is_the_stores_own(self, drivers, driver):
         run = drivers[driver]
@@ -127,18 +133,26 @@ class TestContract:
             hostname=run.hostname,
             cpus_allowed=run.cpus_allowed,
         )
-        report = run.report()
-        if driver == "replay":  # carries the original run's notes instead
-            direct.degradation_notes = report.degradation_notes
-        assert report.render() == direct.render()
+        assert run.report().render() == direct.render()
 
     def test_identity_record(self, drivers, driver):
         run = drivers[driver]
         meta = run.journal_meta()
         assert list(meta) == ["driver", "baseline", "hz", "start_tick",
-                              "pid", "rank", "hostname", "cpus_allowed"]
+                              "pid", "rank", "hostname", "cpus_allowed",
+                              "kinds", "duration_ticks", "duration_seconds",
+                              "deadlock_note"]
         expect = ("live", "first") if driver == "live" else ("sim", "zero")
         assert (meta["driver"], meta["baseline"]) == expect
+        assert meta["kinds"] == {
+            str(tid): run.classify(tid) for tid in run.observed_tids()
+        }
+        assert meta["deadlock_note"] == run.deadlock_note()
+        assert run.journal_meta(banner=True) == {
+            **meta, "banner": run.banner_lines()
+        }
+        frozen = driver in ("replay", "recovered", "detached")
+        assert isinstance(run, RecoveredRun) == frozen
 
 
     def test_analyze_takes_any_run(self, drivers, driver):
@@ -149,7 +163,7 @@ class TestContract:
         assert findings.rank == run.rank
         # the drivers that can see the node derive its facts, once; the
         # others stand the union of recorded affinities in for the node
-        if driver in ("sim", "live"):
+        if driver in ("sim", "live", "detached"):
             assert run.facts is run.facts
             assert run.facts.node_cpus >= set(run.cpus_allowed)
         else:
@@ -193,7 +207,7 @@ class TestAnalyzeAcrossDrivers:
 
 
 class TestSimJournalRoundTrip:
-    """recover -> render_log -> ReplayZeroSum on a sim journal."""
+    """recover -> render_log -> replay_log on a sim journal."""
 
     def test_replay_of_recovered_log_matches(self, sim_runs):
         monitor, recovered = sim_runs
@@ -205,7 +219,7 @@ class TestSimJournalRoundTrip:
         rendered = recovered.report().render()
         assert f"MPI 000 - PID {monitor.pid}" in rendered
         assert "GPU 0 - (metric:  min  avg  max)" in rendered
-        replay = ReplayZeroSum(text, hz=recovered.hz)
+        replay = replay_log(text)
         assert (replay.driver, replay.baseline, replay.rank) == ("sim", "zero", 0)
         _assert_replays(replay.report(), recovered.report())
 
@@ -217,6 +231,14 @@ class TestSimJournalRoundTrip:
 
 @needs_proc
 class TestLiveJournalRoundTrip:
+    def test_recovered_equals_in_memory(self, live_runs):
+        """The journal's closing amendment holds the live run's own
+        duration: recovery does not end the window at the last sample."""
+        monitor, recovered = live_runs
+        assert recovered.report().render() == monitor.report().render()
+        assert recovered.journal_meta() == monitor.journal_meta()
+        assert recovered.duration_seconds == monitor.duration_seconds
+
     def test_replay_of_recovered_log_matches(self, live_runs):
         monitor, recovered = live_runs
         name, text = render_log(recovered)
@@ -224,7 +246,7 @@ class TestLiveJournalRoundTrip:
         assert text.startswith(
             f"ZeroSum (live) attached to PID {monitor.pid} on "
         )
-        replay = ReplayZeroSum(text)
+        replay = replay_log(text)
         assert (replay.driver, replay.baseline, replay.rank) == (
             "live", "first", None
         )
@@ -234,4 +256,4 @@ class TestLiveJournalRoundTrip:
         monitor, _ = live_runs
         name, text = render_log(monitor)
         assert name == f"zerosum.live.{monitor.pid}.log"
-        assert ReplayZeroSum(text).observed_tids() == monitor.observed_tids()
+        assert replay_log(text).observed_tids() == monitor.observed_tids()

@@ -1,7 +1,5 @@
 """Configuration advisor: the automated §4 narrative."""
 
-import pytest
-
 from tests.helpers import run_miniqmc
 from repro.core import advise
 from repro.launch import SrunOptions

@@ -1,7 +1,5 @@
 """Misconfiguration/contention detection across scenarios."""
 
-import pytest
-
 from tests.helpers import run_miniqmc
 from repro.apps import oom_app
 from repro.core import Severity, ZeroSumConfig, analyze, zerosum_mpi

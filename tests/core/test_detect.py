@@ -1,7 +1,5 @@
 """Initial configuration detection (§3.1 phase 1)."""
 
-import pytest
-
 from repro.core import detect_configuration
 from repro.kernel import Compute, SimKernel
 from repro.procfs import ProcFS

@@ -1,7 +1,5 @@
 """Live streaming bus and LDMS-like aggregator."""
 
-import pytest
-
 from repro.apps import MiniQmcConfig, deadlock_app, miniqmc_app
 from repro.core import (
     CallbackSubscriber,

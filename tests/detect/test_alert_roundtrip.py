@@ -99,8 +99,8 @@ class TestJournalNotes:
         writer.close(d.store)
 
         run = recover_journal(tmp_path / "j.zsj")
-        assert run.alerts is not None
-        assert run.alerts == d.detector.alerts
+        assert run.store.alerts is not None
+        assert run.store.alerts == d.detector.alerts
 
     def test_checkpoint_compaction_carries_ledger(self, tmp_path):
         """A failed write's healing compaction drops the alert notes
@@ -120,8 +120,8 @@ class TestJournalNotes:
         records, torn = read_journal(tmp_path / "j.zsj")
         assert torn == 0 and records[1]["store"]["alerts"]["total"] >= 1
         run = recover_journal(tmp_path / "j.zsj")
-        assert run.alerts == d.detector.alerts
-        assert run.alerts.total >= 1
+        assert run.store.alerts == d.detector.alerts
+        assert run.store.alerts.total >= 1
 
     def test_torn_tail_keeps_durable_alerts(self, tmp_path):
         path = tmp_path / "j.zsj"
@@ -136,8 +136,8 @@ class TestJournalNotes:
         path.write_bytes(raw[:-7])
         run = recover_journal(path)
         assert run.torn_records >= 0  # recovery survived the tear
-        assert run.alerts is not None
-        assert run.alerts.by_code("time-slicing")
+        assert run.store.alerts is not None
+        assert run.store.alerts.by_code("time-slicing")
 
     def test_quiet_detector_recovers_an_empty_ledger(self, tmp_path):
         d = sliced_driver()
@@ -149,7 +149,7 @@ class TestJournalNotes:
             writer.record_period(d.store, d.tick)
         writer.close(d.store)
         run = recover_journal(tmp_path / "j.zsj")
-        assert run.alerts == AlertLedger()  # published but empty
+        assert run.store.alerts == AlertLedger()  # published but empty
 
     def test_undetected_run_recovers_without_ledger(self, tmp_path):
         store = SampleStore()  # no detector: alerts never published
@@ -165,7 +165,7 @@ class TestJournalNotes:
             writer.record_period(store, t)
         writer.close(store)
         run = recover_journal(tmp_path / "j.zsj")
-        assert run.alerts is None
+        assert run.store.alerts is None
 
 
 class TestEngineIntegration:

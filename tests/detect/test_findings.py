@@ -1,7 +1,5 @@
 """OnlineFinding / AlertLedger: rendering, bounds, state round trips."""
 
-import pytest
-
 from repro.detect import AlertLedger, OnlineFinding
 
 

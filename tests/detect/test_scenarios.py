@@ -158,4 +158,4 @@ class TestSubstrateIdentity:
         assert real_det.alerts == sim_det.alerts
         # and replay: the journal reproduces the ledger bit-identically
         recovered = recover_journal(journal_path)
-        assert recovered.alerts == sim_det.alerts
+        assert recovered.store.alerts == sim_det.alerts

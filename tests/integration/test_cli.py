@@ -24,6 +24,24 @@ class TestTopologyCommand:
             main(["topology", "notamachine"])
 
 
+#: a log as rendered before it carried a run-record section
+_LOG_WITHOUT_RECORD = b"""ZeroSum attached to PID 7 on nid001
+CPUs allowed: [0-1]
+
+Duration of execution: 1.000 s
+
+Process Summary:
+PID 7 - Node nid001 - CPUs allowed: [0-1]
+
+LWP (thread) Summary:
+LWP 7: Main - stime:   0.00, utime: 100.00, nv_ctx: 0, ctx: 1, CPUs: [0-1]
+
+== LWP samples (CSV) ==
+tid,tick,state,utime,stime,nv_ctx,ctx,minflt,majflt,processor
+7,100,0,100,0,0,1,0,0,0
+"""
+
+
 class TestMisuse:
     def test_zero_tasks_is_one_error_line_not_a_traceback(self, capsys):
         assert main(["run", "srun -n0 zerosum-mpi miniqmc"]) == 2
@@ -68,13 +86,17 @@ class TestMisuse:
         ]
 
     @pytest.mark.parametrize("content, reason", [
-        (b"", "log carries no duration line"),
-        (b"node0042\n", "log carries no duration line"),
-        (b"\xff\xfe\x00\x81", "log carries no duration line"),
+        (b"", "log carries no run record"),
+        (b"node0042\n", "log carries no run record"),
+        (b"\xff\xfe\x00\x81", "log carries no run record"),
         (b"Duration of execution: 1.0 s\n== LWP samples (CSV) ==\n"
          b"tid,tick\n1,x\n", "malformed CSV row: could not convert "
                              "string to float: 'x'"),
-    ], ids=["empty", "hostname", "binary", "malformed-log"])
+        (_LOG_WITHOUT_RECORD, "log carries no run record"),
+        (b"== run record (JSON) ==\n{\"record\": \n== LWP samples (CSV) ==\n",
+         "malformed run record: Expecting value: line 1 column 12 (char 11)"),
+    ], ids=["empty", "hostname", "binary", "malformed-log", "no-record",
+            "bad-record-json"])
     def test_neither_journal_nor_log_is_one_error_line(
         self, capsys, tmp_path, content, reason
     ):

@@ -1,6 +1,7 @@
 """Failure-injection integration: deadlock, OOM, crash, noisy neighbour."""
 
 from repro.apps import crash_app, deadlock_app, oom_app
+from repro.collect import recover_journal, replay_log
 from repro.core import (
     ZeroSumConfig,
     analyze,
@@ -45,6 +46,27 @@ class TestDeadlockScenario:
         step.finalize()
         _, log = render_log(step.monitors[0])
         assert "deadlock" in log
+
+    def test_recovered_and_replayed_runs_keep_the_diagnosis(self, tmp_path):
+        """The deadlock note is part of the run record: the journal's
+        closing amendment and the log's record section carry it."""
+        journal = tmp_path / "hang.zsj"
+        step = launch_job(
+            [generic_node(cores=2)],
+            SrunOptions(ntasks=1, command="hang"),
+            deadlock_app(deadlock_after_jiffies=10),
+            monitor_factory=zerosum_mpi(ZeroSumConfig(
+                period_seconds=0.2, deadlock_after=2, journal_path=str(journal),
+            )),
+        )
+        step.run(max_ticks=300, raise_on_stall=False)
+        step.finalize()
+        zs = step.monitors[0]
+        printed = zs.report().render()
+        assert zs.deadlock_note() and zs.deadlock_note() in printed
+        recovered = recover_journal(journal)
+        assert recovered.report().render() == printed
+        assert replay_log(render_log(zs)[1]).report().render() == printed
 
 
 class TestOomScenario:

@@ -1,10 +1,8 @@
 """GPU sharing: two ranks driving the same device queue-contend."""
 
-import pytest
-
 from repro.apps import MiniQmcConfig, miniqmc_app
 from repro.core import ZeroSumConfig, build_report, zerosum_mpi
-from repro.launch import RankContext, SrunOptions, launch_job
+from repro.launch import SrunOptions, launch_job
 from repro.topology import frontier_node
 
 

@@ -5,8 +5,6 @@ test system; the monitor must cope with POWER9's linear SMT4 PU
 numbering, different reserved-core schemes, and different GPU counts.
 """
 
-import pytest
-
 from repro.apps import MiniQmcConfig, miniqmc_app
 from repro.core import ZeroSumConfig, advise, analyze, build_report, zerosum_mpi
 from repro.launch import SrunOptions, launch_job

@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.errors import SchedulerError
-from repro.kernel import Compute, LWP, SimKernel, SimNode, ThreadRole, ThreadState
+from repro.kernel import Compute, SimKernel, SimNode, ThreadRole, ThreadState
 from repro.topology import CpuSet, frontier_node, generic_node
 
 

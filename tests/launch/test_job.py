@@ -6,7 +6,7 @@ from repro.apps import MiniQmcConfig, miniqmc_app
 from repro.core import ZeroSumConfig, zerosum_mpi
 from repro.kernel import Compute, ThreadRole
 from repro.launch import SrunOptions, launch_job
-from repro.topology import CpuSet, frontier_node, generic_node
+from repro.topology import frontier_node, generic_node
 
 
 def tiny_app(ctx):

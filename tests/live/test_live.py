@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from repro.collect import RealProc, read_cpu_times, read_meminfo, read_task
+from repro.collect import (
+    RealProc,
+    read_cpu_times,
+    read_meminfo,
+    read_task,
+    recover_journal,
+)
 from repro.core import ZeroSumConfig, analyze
 from repro.errors import MonitorError, ProcFSError
 from repro.kernel import Compute, SimKernel
@@ -88,6 +94,22 @@ class TestLiveMonitor:
         try:
             with pytest.raises(MonitorError):
                 zs.start()
+        finally:
+            zs.stop()
+
+    def test_restart_reopens_the_window(self, tmp_path):
+        """A restarted run has not ended: the journal it reopens must not
+        carry the first stop's duration into a later crash's recovery."""
+        journal = tmp_path / "live.zsj"
+        zs = LiveZeroSum(ZeroSumConfig(period_seconds=0.05,
+                                       journal_path=str(journal)))
+        zs.start()
+        zs.stop()
+        assert "duration_seconds" in zs.journal_meta()
+        zs.start()
+        try:
+            assert "duration_seconds" not in zs.journal_meta()
+            assert "duration_seconds" not in recover_journal(journal).record
         finally:
             zs.stop()
 
@@ -227,7 +249,7 @@ class TestHeartbeatFile:
 class TestLiveReplayRoundTrip:
     def test_live_log_replays_to_matching_report(self, capsys, tmp_path):
         from repro.cli import main
-        from repro.collect import ReplayZeroSum
+        from repro.collect import replay_log
         from repro.core.export import render_log
 
         zs = LiveZeroSum(ZeroSumConfig(period_seconds=0.05))
@@ -239,7 +261,7 @@ class TestLiveReplayRoundTrip:
         zs.stop()
 
         name, log = render_log(zs)
-        replay = ReplayZeroSum(log)
+        replay = replay_log(log)
         assert replay.driver == "live"
         assert replay.pid == zs.pid
         assert replay.observed_tids() == sorted(zs.lwp_series)

@@ -39,7 +39,7 @@ class TestLiveLog:
         parsed = parse_log(log)
         assert parsed.lwp is not None
         assert monitor.pid in parsed.lwp.column("tid").astype(int)
-        assert parsed.duration_seconds() > 0
+        assert parsed.record["record"]["duration_seconds"] == monitor.duration_seconds
 
     def test_memory_section_present(self, monitor):
         _, log = render_log(monitor)

@@ -1,7 +1,5 @@
 """Renderer tests: simulated /proc content has real kernel shapes."""
 
-import pytest
-
 from repro.kernel import Compute, SimKernel
 from repro.procfs.formats import (
     render_meminfo,

@@ -1,6 +1,6 @@
 """Property-based tests for CpuSet encodings and algebra."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.topology import CpuSet

@@ -119,10 +119,10 @@ def test_whole_journal_recovers_the_live_run(checkpoint_every, periods,
         recovered = recover_journal(path)
         assert recovered.torn_records == 0
         assert state(recovered.store) == states[-1]
-        live = RecoveredRun(
-            store, recovered.meta,
-            kinds={tid: classify(tid) for tid in store.lwp_series},
-        )
+        live = RecoveredRun(store, {
+            **recovered.record,
+            "kinds": {str(tid): classify(tid) for tid in store.lwp_series},
+        })
         assert recovered.report().render() == live.report().render()
 
 
